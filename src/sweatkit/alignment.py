@@ -54,8 +54,8 @@ def procrustes_align(
             missing=missing,
         )
 
-    src = np.array([source.vector(w) for w in anchors])
-    tgt = np.array([target.vector(w) for w in anchors])
+    src = source.rows(anchors)
+    tgt = target.rows(anchors)
     mu_src = src.mean(axis=0)
     mu_tgt = tgt.mean(axis=0)
     src_c = src - mu_src

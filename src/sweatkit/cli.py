@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import math
 import os
 import sys
 import time
@@ -44,6 +45,10 @@ from .viz import (
 )
 
 SCHEMA_VERSION = 1
+
+UNDERDETERMINED_WARNING = (
+    "warning: fewer anchors than dimensions; rotation is underdetermined"
+)
 
 
 @dataclass
@@ -173,6 +178,37 @@ def _check_poles(raw, errors) -> dict | None:
     }
 
 
+def _section(raw, key, errors) -> dict:
+    value = raw.get(key, {})
+    if not isinstance(value, dict):
+        errors.append(f"{key}: must be an object")
+        return {}
+    return value
+
+
+def _integer(section, key, default, name, errors) -> int:
+    value = section.get(key, default)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        errors.append(f"{name}: must be an integer, got {value!r}")
+        return default
+    return value
+
+
+def _permutation_errors(perms: PermutationConfig) -> list:
+    errors = []
+    try:
+        perms.validate()
+    except DataError as exc:
+        errors.append(f"permutations: {exc}")
+    if perms.samples < 1:
+        errors.append("permutations.samples: must be a positive integer")
+    if perms.seed < 0:
+        errors.append("permutations.seed: must be a nonnegative integer")
+    return errors
+
+
 def validate_config(path: str, command: str = "sweat") -> RunConfig:
     """Parse and fully validate a run config, reporting every error found."""
     try:
@@ -186,6 +222,10 @@ def validate_config(path: str, command: str = "sweat") -> RunConfig:
              f"{exc.msg}"]
         ) from exc
 
+    if not isinstance(raw, dict):
+        raise ConfigError(
+            [f"config must be a JSON object, got {type(raw).__name__}"]
+        )
     errors: list = []
     cfg = RunConfig(embeddings=[])
 
@@ -241,7 +281,7 @@ def validate_config(path: str, command: str = "sweat") -> RunConfig:
     else:
         cfg.poles = _check_poles(raw["poles"], errors)
 
-    alignment = raw.get("alignment", {})
+    alignment = _section(raw, "alignment", errors)
     cfg.alignment_mode = alignment.get("mode", "pre_aligned")
     if cfg.alignment_mode not in ("pre_aligned", "procrustes"):
         errors.append(
@@ -249,12 +289,21 @@ def validate_config(path: str, command: str = "sweat") -> RunConfig:
             f"got '{cfg.alignment_mode}'"
         )
     cfg.anchors = alignment.get("anchors", "auto")
-    if cfg.anchors != "auto" and not os.path.isfile(cfg.anchors):
+    if cfg.anchors != "auto" and not (isinstance(cfg.anchors, str)
+                                      and os.path.isfile(cfg.anchors)):
         errors.append(f"alignment.anchors: unreadable path '{cfg.anchors}'")
 
-    refinement = raw.get("refinement", {})
+    refinement = _section(raw, "refinement", errors)
     cfg.refinement_enabled = bool(refinement.get("enabled", False))
-    cfg.zipf_threshold = float(refinement.get("zipf_threshold", 5.0))
+    threshold = refinement.get("zipf_threshold", 5.0)
+    if (isinstance(threshold, bool) or not isinstance(threshold, (int, float))
+            or not math.isfinite(threshold)):
+        errors.append(
+            f"refinement.zipf_threshold: must be a finite number, "
+            f"got {threshold!r}"
+        )
+    else:
+        cfg.zipf_threshold = float(threshold)
     if cfg.refinement_enabled:
         for i, entry in enumerate(cfg.embeddings):
             if not entry.frequency_table:
@@ -263,25 +312,22 @@ def validate_config(path: str, command: str = "sweat") -> RunConfig:
                     "refinement is enabled"
                 )
 
-    perms = raw.get("permutations", {})
+    perms = _section(raw, "permutations", errors)
     cfg.permutations = PermutationConfig(
         mode=perms.get("mode", "auto"),
-        samples=int(perms.get("samples", 10_000)),
-        seed=int(perms.get("seed", 0)),
-        exact_limit=int(perms.get("exact_limit", 500_000)),
+        samples=_integer(perms, "samples", 10_000, "permutations.samples",
+                         errors),
+        seed=_integer(perms, "seed", 0, "permutations.seed", errors),
+        exact_limit=_integer(perms, "exact_limit", 500_000,
+                             "permutations.exact_limit", errors),
     )
-    try:
-        cfg.permutations.validate()
-    except DataError as exc:
-        errors.append(f"permutations: {exc}")
-    if cfg.permutations.seed < 0:
-        errors.append("permutations.seed: must be a nonnegative integer")
+    errors.extend(_permutation_errors(cfg.permutations))
 
     cfg.tail = raw.get("tail", "directional")
     if cfg.tail not in ("directional", "two_sided"):
         errors.append(f"tail: must be directional or two_sided, got '{cfg.tail}'")
 
-    outputs = raw.get("outputs", {})
+    outputs = _section(raw, "outputs", errors)
     cfg.report_path = outputs.get("report", "sweat_report.json")
     if not cfg.report_path:
         errors.append("outputs.report: path must be nonempty")
@@ -299,6 +345,9 @@ def _apply_overrides(cfg: RunConfig, args) -> None:
         cfg.permutations.seed = args.seed
     if args.samples is not None:
         cfg.permutations.samples = args.samples
+    errors = _permutation_errors(cfg.permutations)
+    if errors:
+        raise ConfigError(errors)
     if args.tail is not None:
         cfg.tail = args.tail
     if args.out_dir is not None:
@@ -361,6 +410,8 @@ def cmd_sweat(args) -> int:
         # space2 is mapped into space1's coordinate system.
         space2, report = procrustes_align(space2, space1, anchors)
         alignment_info = report.to_dict()
+        if report.underdetermined:
+            print(UNDERDETERMINED_WARNING, file=sys.stderr)
         timings["alignment"] = time.perf_counter() - t0
 
     poles = _poles_from_cfg(cfg)
@@ -478,8 +529,7 @@ def cmd_align(args) -> int:
         f"{len(anchors)} anchors, residual {report.residual:.3e}"
     )
     if report.underdetermined:
-        print("warning: fewer anchors than dimensions; rotation is "
-              "underdetermined", file=sys.stderr)
+        print(UNDERDETERMINED_WARNING, file=sys.stderr)
     return 0
 
 
@@ -516,16 +566,26 @@ def cmd_candidates(args) -> int:
 
 def cmd_plot(args) -> int:
     with open(args.report, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    plots = doc.get("plots")
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # malformed JSON or UTF-8
+            raise DataError(f"report '{args.report}' is not JSON: {exc}") from None
+    plots = doc.get("plots") if isinstance(doc, dict) else None
     if not plots:
         raise DataError(f"report '{args.report}' carries no plot data")
-    if args.cumulative:
-        render_cumulative(
-            CumulativePlotData.from_dict(plots["cumulative"]), args.cumulative
-        )
-    if args.detail:
-        render_detail(DetailPlotData.from_dict(plots["detail"]), args.detail)
+    try:
+        if args.cumulative:
+            render_cumulative(
+                CumulativePlotData.from_dict(plots["cumulative"]),
+                args.cumulative,
+            )
+        if args.detail:
+            render_detail(DetailPlotData.from_dict(plots["detail"]), args.detail)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(
+            f"report '{args.report}' has malformed plot data "
+            f"({type(exc).__name__}: {exc})"
+        ) from None
     return 0
 
 

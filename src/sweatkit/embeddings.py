@@ -80,6 +80,14 @@ class EmbeddingSpace:
                 missing=[word],
             ) from None
 
+    def rows(self, words) -> np.ndarray:
+        """Row vectors of ``words`` stacked in order, gathered in one step."""
+        try:
+            idx = [self._index[w] for w in words]
+        except KeyError:
+            self.require(words)  # raises, naming every missing word
+        return self.matrix[idx]
+
     def missing(self, words) -> list[str]:
         """Subset of ``words`` absent from this vocabulary, input order kept."""
         return [w for w in words if w not in self._index]
@@ -142,65 +150,142 @@ def nearest_neighbor(space: EmbeddingSpace, query) -> str:
     return min(space.words[i] for i in candidates)
 
 
+# Characters per bulk-parse chunk: large enough to amortize one loadtxt call,
+# small enough that the chunk's text adds only a few MB to peak memory.
+_CHUNK_CHARS = 1 << 20
+
+# ASCII separators that numpy's float parser strips as whitespace but
+# float() rejects; a body holding one is left to the row validator.
+_SEPARATORS = "\x1c\x1d\x1e\x1f"
+
+
 def load_word2vec_text(path: str, label: str | None = None) -> EmbeddingSpace:
     """Load a text-format word2vec file.
 
     First line is ``<vocab_size> <dimension>``; each following line is a word
-    and ``dimension`` space-separated components. Any malformed row aborts the
-    load with its line number.
+    and ``dimension`` space-separated components, optionally followed by one
+    trailing space (as the original word2vec tool writes). Any malformed row
+    aborts the load with its line number.
+
+    Well-formed files are parsed in bulk, a chunk of rows per numpy call.
+    Anything the bulk parse does not accept is re-read by the row-by-row
+    validator, which alone raises the ``FormatError``.
     """
     if label is None:
         label = os.path.splitext(os.path.basename(path))[0]
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline()
-        parts = header.split()
-        if len(parts) != 2:
-            raise FormatError(f"{path}:1: header must be '<vocab_size> <dimension>'")
-        try:
-            vocab_size, dim = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise FormatError(f"{path}:1: non-integer header fields") from None
-        if vocab_size < 0 or dim <= 0:
-            raise FormatError(f"{path}:1: header values out of range")
-
-        words: list[str] = []
-        rows = np.empty((vocab_size, dim), dtype=np.float64)
-        seen: set[str] = set()
-        n = 0
-        for lineno, line in enumerate(fh, start=2):
-            if line.strip() == "":
-                continue
-            fields = line.rstrip("\n").split(" ")
-            if len(fields) != dim + 1:
-                raise FormatError(
-                    f"{path}:{lineno}: expected {dim + 1} fields, got {len(fields)}"
-                )
-            word = fields[0]
-            if word in seen:
-                raise FormatError(f"{path}:{lineno}: duplicate word '{word}'")
-            try:
-                vec = np.fromiter(map(float, fields[1:]), dtype=np.float64, count=dim)
-            except ValueError:
-                raise FormatError(f"{path}:{lineno}: non-numeric component") from None
-            if not np.all(np.isfinite(vec)):
-                raise FormatError(f"{path}:{lineno}: non-finite component")
-            if not np.any(vec):
-                raise FormatError(f"{path}:{lineno}: zero-norm vector for '{word}'")
-            if n >= vocab_size:
-                raise FormatError(
-                    f"{path}:{lineno}: row count exceeds declared vocab size "
-                    f"{vocab_size}"
-                )
-            seen.add(word)
-            words.append(word)
-            rows[n] = vec
-            n += 1
-        if n != vocab_size:
-            raise FormatError(
-                f"{path}: row count mismatch: header declares {vocab_size}, "
-                f"found {n}"
-            )
+        vocab_size, dim = _read_header(fh, path)
+        parsed = _parse_bulk(fh, vocab_size, dim)
+    if parsed is None:
+        with open(path, "r", encoding="utf-8") as fh:
+            fh.readline()
+            parsed = _parse_rows(fh, path, vocab_size, dim)
+    words, rows = parsed
     return EmbeddingSpace.from_rows(label, words, rows)
+
+
+def _read_header(fh, path: str) -> tuple[int, int]:
+    parts = fh.readline().split()
+    if len(parts) != 2:
+        raise FormatError(f"{path}:1: header must be '<vocab_size> <dimension>'")
+    try:
+        vocab_size, dim = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise FormatError(f"{path}:1: non-integer header fields") from None
+    if vocab_size < 0 or dim <= 0:
+        raise FormatError(f"{path}:1: header values out of range")
+    return vocab_size, dim
+
+
+def _parse_bulk(fh, vocab_size: int, dim: int):
+    """Rows after the header as ``(words, matrix)``, or None if any row is
+    not plainly well-formed.
+
+    Accepts only what ``_parse_rows`` accepts, with bit-identical values:
+    numpy's loadtxt converts through the same ``PyOS_string_to_double`` as
+    ``float()``, strips the same whitespace except ``_SEPARATORS``, and
+    rejects what only ``float()`` reads (underscores, non-ASCII digits).
+    """
+    words: list[str] = []
+    rows = np.empty((vocab_size, dim), dtype=np.float64)
+    n = 0
+    while True:
+        lines = fh.readlines(_CHUNK_CHARS)
+        if not lines:
+            break
+        if n + len(lines) > vocab_size:
+            return None
+        bodies = []
+        for line in lines:
+            word, _, body = line.rstrip("\n").partition(" ")
+            if body.endswith(" "):
+                body = body[:-1]
+            if not body:
+                return None  # loadtxt would skip the row, and warn
+            words.append(word)
+            bodies.append(body)
+        text = "\n".join(bodies)
+        if any(c in text for c in _SEPARATORS):
+            return None
+        try:
+            block = np.loadtxt(bodies, dtype=np.float64, delimiter=" ",
+                               comments=None, ndmin=2)
+        except ValueError:
+            return None
+        if block.shape != (len(lines), dim):
+            return None
+        rows[n:n + len(lines)] = block
+        n += len(lines)
+    if n != vocab_size or len(set(words)) != n:
+        return None
+    if not np.isfinite(rows).all() or not rows.any(axis=1).all():
+        return None
+    return words, rows
+
+
+def _parse_rows(fh, path: str, vocab_size: int, dim: int):
+    """Row-by-row validator: the first malformed row raises a
+    ``FormatError`` naming its line."""
+    words: list[str] = []
+    rows = np.empty((vocab_size, dim), dtype=np.float64)
+    seen: set[str] = set()
+    n = 0
+    for lineno, line in enumerate(fh, start=2):
+        if line.strip() == "":
+            continue
+        fields = line.rstrip("\n").split(" ")
+        if len(fields) == dim + 2 and fields[-1] == "" and fields[-2] != "":
+            del fields[-1]  # exactly one trailing space
+        if len(fields) != dim + 1:
+            raise FormatError(
+                f"{path}:{lineno}: expected {dim + 1} fields, got {len(fields)}"
+            )
+        word = fields[0]
+        if word in seen:
+            raise FormatError(f"{path}:{lineno}: duplicate word '{word}'")
+        try:
+            vec = np.fromiter(map(float, fields[1:]), dtype=np.float64, count=dim)
+        except ValueError:
+            raise FormatError(f"{path}:{lineno}: non-numeric component") from None
+        if not np.all(np.isfinite(vec)):
+            raise FormatError(f"{path}:{lineno}: non-finite component")
+        if not np.any(vec):
+            raise FormatError(f"{path}:{lineno}: zero-norm vector for '{word}'")
+        if n >= vocab_size:
+            raise FormatError(
+                f"{path}:{lineno}: row count exceeds declared vocab size "
+                f"{vocab_size}"
+            )
+        seen.add(word)
+        words.append(word)
+        rows[n] = vec
+        n += 1
+    if n != vocab_size:
+        raise FormatError(
+            f"{path}: row count mismatch: header declares {vocab_size}, "
+            f"found {n}"
+        )
+    return words, rows
 
 
 def save_word2vec_text(space: EmbeddingSpace, path: str) -> None:

@@ -194,6 +194,71 @@ class TestSweatCommand:
         assert report["config"]["permutations"]["seed"] == 99
 
 
+    def test_underdetermined_alignment_warns(self, tmp_path, capsys):
+        fx = write_fixture(tmp_path)
+        anchors = tmp_path / "anchors.txt"
+        anchors.write_text("ctrl0\nctrl1\n", encoding="utf-8")
+        path, raw = base_config(tmp_path, fx)
+        raw["alignment"] = {"mode": "procrustes", "anchors": str(anchors)}
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["sweat", "--config", str(path)]) == 0
+        err = capsys.readouterr().err
+        assert err == ("warning: fewer anchors than dimensions; rotation is "
+                       "underdetermined\n")
+
+
+def one_line_error(capsys, prefix):
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith(prefix), err
+    return err
+
+
+class TestConfigTypes:
+    """Bad overrides and wrongly typed config values are config errors."""
+
+    def test_samples_override_below_minimum(self, tmp_path, capsys):
+        fx = write_fixture(tmp_path)
+        path, _ = base_config(tmp_path, fx)
+        assert main(["sweat", "--config", str(path), "--samples", "5"]) == 1
+        assert "at least 100 samples" in one_line_error(capsys, "config error:")
+
+    def test_negative_seed_override(self, tmp_path, capsys):
+        fx = write_fixture(tmp_path)
+        path, _ = base_config(tmp_path, fx)
+        assert main(["sweat", "--config", str(path), "--seed", "-1"]) == 1
+        assert "permutations.seed" in one_line_error(capsys, "config error:")
+
+    def test_top_level_array(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text("[1, 2]", encoding="utf-8")
+        assert main(["sweat", "--config", str(path)]) == 1
+        assert "JSON object" in one_line_error(capsys, "config error:")
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("permutations", "samples", "lots"),
+        ("permutations", "seed", 1.5),
+        ("permutations", "exact_limit", True),
+        ("refinement", "zipf_threshold", "high"),
+    ])
+    def test_non_numeric_field(self, tmp_path, capsys, section, key, value):
+        fx = write_fixture(tmp_path)
+        path, raw = base_config(tmp_path, fx)
+        raw.setdefault(section, {})[key] = value
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["sweat", "--config", str(path)]) == 1
+        err = one_line_error(capsys, "config error:")
+        assert f"{section}.{key}: must be" in err and repr(value) in err
+
+    def test_section_not_an_object(self, tmp_path, capsys):
+        fx = write_fixture(tmp_path)
+        path, raw = base_config(tmp_path, fx)
+        raw["permutations"] = [1000]
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["sweat", "--config", str(path)]) == 1
+        assert "permutations: must be an object" in one_line_error(
+            capsys, "config error:")
+
+
 class TestWeatCommand:
     def test_weat_runs(self, tmp_path, capsys):
         fx = write_fixture(tmp_path)
@@ -292,6 +357,23 @@ class TestOtherCommands:
         ]) == 0
         assert (tmp_path / "cum2.svg").read_bytes() == original_cum
         assert (tmp_path / "det2.svg").read_bytes() == original_det
+
+    def test_plot_non_json_report(self, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        report.write_text("{truncated", encoding="utf-8")
+        assert main(["plot", "--report", str(report),
+                     "--cumulative", str(tmp_path / "cum.svg")]) == 2
+        assert "not JSON" in one_line_error(capsys, "data error:")
+
+    def test_plot_report_missing_fields(self, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps({"plots": {"cumulative": {"bars": []},
+                                                "detail": {}}}),
+                          encoding="utf-8")
+        assert main(["plot", "--report", str(report),
+                     "--cumulative", str(tmp_path / "cum.svg")]) == 2
+        assert "topic_label" in one_line_error(capsys, "data error:")
+        assert not (tmp_path / "cum.svg").exists()
 
     def test_inspect_prints_norm_lines(self, tmp_path, capsys):
         fx = write_fixture(tmp_path)

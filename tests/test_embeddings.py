@@ -13,6 +13,7 @@ from sweatkit import (
     nearest_neighbor,
     save_word2vec_text,
 )
+from sweatkit import embeddings
 from sweatkit.embeddings import EmbeddingSpace
 
 from conftest import make_space
@@ -61,6 +62,14 @@ class TestLoader:
         with pytest.raises(FormatError, match="non-finite"):
             load_word2vec_text(str(p))
 
+    def test_word2vec_c_trailing_space(self, tmp_path):
+        # The original word2vec tool ends every row with one space.
+        p = tmp_path / "trail.txt"
+        write(p, "2 3\ncat 1 0 0 \ndog 0 1 0 \n")
+        space = load_word2vec_text(str(p))
+        assert space.words == ("cat", "dog")
+        assert np.array_equal(space.vector("dog"), [0.0, 1.0, 0.0])
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             load_word2vec_text(str(tmp_path / "nope.txt"))
@@ -81,6 +90,155 @@ class TestLoader:
         again = load_word2vec_text(str(out))
         for w in space.words:
             assert np.array_equal(space.vector(w), again.vector(w))
+
+
+ROWS = "cat 1 0 0\ndog 0 1 0\nfox 0 0 1\n"
+EYE = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+
+# One defect per file. A string is the exact FormatError text ("{path}"
+# stands for the file name); a matrix means the file loads with exactly
+# those values, as float() reads each field.
+LOADER_CONTRACT = {
+    "header_one_field": (
+        "3\n" + ROWS, "{path}:1: header must be '<vocab_size> <dimension>'"),
+    "header_non_integer": (
+        "3 x\n" + ROWS, "{path}:1: non-integer header fields"),
+    "header_out_of_range": (
+        "3 0\n" + ROWS, "{path}:1: header values out of range"),
+    "blank_line": (
+        "3 3\ncat 1 0 0\n\ndog 0 1 0\nfox 0 0 1\n", EYE),
+    "blank_line_counts_in_line_number": (
+        "3 3\ncat 1 0 0\n\ndog 0 1\nfox 0 0 1\n",
+        "{path}:4: expected 4 fields, got 3"),
+    "whitespace_only_line": (
+        "3 3\ncat 1 0 0\n \ndog 0 1 0\nfox 0 0 1\n", EYE),
+    "every_row_short": (
+        "3 3\ncat 1 0\ndog 0 1\nfox 1 1\n",
+        "{path}:2: expected 4 fields, got 3"),
+    "double_space": (
+        "3 3\ncat 1 0 0\ndog 0  1 0\nfox 0 0 1\n",
+        "{path}:3: expected 4 fields, got 5"),
+    "tab_separated": (
+        "3 3\ncat 1 0 0\ndog\t0\t1\t0\nfox 0 0 1\n",
+        "{path}:3: expected 4 fields, got 1"),
+    "nan": (
+        "3 3\ncat 1 0 0\ndog 0 nan 0\nfox 0 0 1\n",
+        "{path}:3: non-finite component"),
+    "inf": (
+        "3 3\ncat 1 0 0\ndog 0 1 0\nfox 0 0 inf\n",
+        "{path}:4: non-finite component"),
+    "zero_row": (
+        "3 3\ncat 1 0 0\ndog 0 0 0\nfox 0 0 1\n",
+        "{path}:3: zero-norm vector for 'dog'"),
+    "duplicate_word": (
+        "3 3\ncat 1 0 0\ndog 0 1 0\ncat 0 0 1\n",
+        "{path}:4: duplicate word 'cat'"),
+    "short_row": (
+        "3 3\ncat 1 0 0\ndog 0 1\nfox 0 0 1\n",
+        "{path}:3: expected 4 fields, got 3"),
+    "long_row": (
+        "3 3\ncat 1 0 0\ndog 0 1 0 0\nfox 0 0 1\n",
+        "{path}:3: expected 4 fields, got 5"),
+    "one_row_too_many": (
+        "2 3\n" + ROWS, "{path}:4: row count exceeds declared vocab size 2"),
+    "one_row_too_few": (
+        "4 3\n" + ROWS, "{path}: row count mismatch: header declares 4, found 3"),
+    "underscore_in_number": (
+        "3 3\ncat 1 0 0\ndog 0 1_0 0\nfox 0 0 1\n",
+        [[1.0, 0.0, 0.0], [0.0, 10.0, 0.0], [0.0, 0.0, 1.0]]),
+    "crlf": (
+        "3 3\r\ncat 1 0 0\r\ndog 0 1 0\r\nfox 0 0 1\r\n", EYE),
+    "hash_in_row": (
+        "3 3\ncat 1 0 0\ndog 0 #1 0\nfox 0 0 1\n",
+        "{path}:3: non-numeric component"),
+    "hash_after_row": (
+        "3 3\ncat 1 0 0\ndog 0 1 0 #x\nfox 0 0 1\n",
+        "{path}:3: expected 4 fields, got 5"),
+    "hash_glued_to_last_number": (
+        "3 3\ncat 1 0 0\ndog 0 1 0#x\nfox 0 0 1\n",
+        "{path}:3: non-numeric component"),
+    "one_trailing_space": (
+        "3 3\ncat 1 0 0 \ndog 0 1 0 \nfox 0 0 1 \n", EYE),
+    "short_row_two_trailing_spaces": (
+        "3 3\ncat 1 0 0\ndog 0 1  \nfox 0 0 1\n",
+        "{path}:3: expected 4 fields, got 5"),
+    "words_only": (
+        "3 3\ncat\ndog\nfox\n", "{path}:2: expected 4 fields, got 1"),
+    "two_trailing_spaces": (
+        "3 3\ncat 1 0 0\ndog 0 1 0  \nfox 0 0 1\n",
+        "{path}:3: expected 4 fields, got 6"),
+    # numpy strips U+001C..U+001F as whitespace; float() does not.
+    "group_separator": (
+        "3 3\ncat 1 0 0\ndog 0 1\x1c 0\nfox 0 0 1\n",
+        "{path}:3: non-numeric component"),
+    "non_ascii_digit": (
+        "3 3\ncat 1 0 0\ndog 0 \u0661 0\nfox 0 0 1\n", EYE),
+    "non_ascii_space_in_field": (
+        "3 3\ncat 1 0 0\ndog 0 1\u2003 0\nfox 0 0 1\n", EYE),
+}
+
+
+class TestLoaderContract:
+    """The bulk parse and the row validator accept the same files, give the
+    same values, and every error comes from the validator unchanged."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name", sorted(LOADER_CONTRACT))
+    def test_one_defect(self, tmp_path, name):
+        text, expected = LOADER_CONTRACT[name]
+        p = tmp_path / "v.txt"
+        p.write_bytes(text.encode("utf-8"))
+        if isinstance(expected, str):
+            with pytest.raises(FormatError) as exc:
+                load_word2vec_text(str(p))
+            assert str(exc.value) == expected.format(path=p)
+        else:
+            space = load_word2vec_text(str(p))
+            assert space.words == ("cat", "dog", "fox")
+            assert space.matrix.tobytes() == np.array(expected).tobytes()
+
+    @staticmethod
+    def _large_file(path, rng, n_rows=1500, dim=100):
+        """Mixed float spellings over more than one bulk-parse chunk."""
+        spellings = [repr, "{:.5f}".format, "{:e}".format, "{:.17g}".format,
+                     lambda x: repr(float(round(x)) or -0.0)]
+        words, fields = [], []
+        lines = [f"{n_rows} {dim}\n"]
+        for i in range(n_rows):
+            row = [spellings[(i + j) % len(spellings)](x)
+                   for j, x in enumerate(rng.normal(scale=10.0 ** (i % 7 - 3),
+                                                    size=dim).tolist())]
+            words.append(f"w{i}")
+            fields.append(row)
+            tail = " " if i % 3 == 0 else ""
+            lines.append(f"w{i} " + " ".join(row) + tail + "\n")
+        path.write_text("".join(lines), encoding="utf-8")
+        assert path.stat().st_size > embeddings._CHUNK_CHARS
+        return words, fields
+
+    def test_large_file_bit_identical_to_float(self, tmp_path, monkeypatch):
+        p = tmp_path / "big.txt"
+        words, fields = self._large_file(p, np.random.default_rng(3))
+
+        def no_fallback(*args):
+            raise AssertionError("well-formed file fell back to the validator")
+
+        monkeypatch.setattr(embeddings, "_parse_rows", no_fallback)
+        space = load_word2vec_text(str(p))
+        expected = np.array([[float(f) for f in row] for row in fields])
+        assert space.words == tuple(words)
+        assert space.matrix.tobytes() == expected.tobytes()
+
+    def test_defect_in_last_chunk_keeps_line_number(self, tmp_path):
+        p = tmp_path / "big.txt"
+        self._large_file(p, np.random.default_rng(4))
+        lines = p.read_text(encoding="utf-8").splitlines(keepends=True)
+        word, _, rest = lines[-2].partition(" ")
+        lines[-2] = word + " nan " + rest.partition(" ")[2]
+        p.write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(FormatError) as exc:
+            load_word2vec_text(str(p))
+        assert str(exc.value) == f"{p}:{len(lines) - 1}: non-finite component"
 
 
 class TestCosine:
@@ -159,6 +317,16 @@ class TestSpaceValidation:
     def test_rejects_duplicate_words(self):
         with pytest.raises(DataError):
             EmbeddingSpace.from_rows("s", ["x", "x"], [[1.0, 0.0], [0.0, 1.0]])
+
+    def test_rows_gathers_in_order(self):
+        space = make_space("s", {"x": (1.0, 0.0), "y": (0.0, 2.0)})
+        assert space.rows(["y", "x", "y"]).tolist() == [
+            [0.0, 2.0], [1.0, 0.0], [0.0, 2.0]]
+
+    def test_rows_missing_word(self):
+        space = make_space("s", {"x": (1.0, 0.0)})
+        with pytest.raises(DataError, match="missing words: z"):
+            space.rows(["x", "z"])
 
     def test_matrix_is_readonly(self):
         space = make_space("s", {"x": (1.0, 0.0)})
