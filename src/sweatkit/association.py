@@ -8,12 +8,12 @@ order (fsum returns the correctly rounded true sum).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import combinations
+from dataclasses import asdict, dataclass
+from itertools import chain, combinations, islice
 
 import numpy as np
 
-from .embeddings import EmbeddingSpace, cosine
+from .embeddings import EmbeddingSpace, cosines
 from .errors import DataError
 
 __all__ = [
@@ -22,6 +22,8 @@ __all__ = [
     "PermutationConfig",
     "SweatResult",
     "WeatResult",
+    "Associations",
+    "associations",
     "single_word_association",
     "weat_score",
     "sweat_score",
@@ -36,6 +38,20 @@ __all__ = [
 # in [-2n, 2n] with n small, so this is far below any real difference.
 _TIE_EPS = 1e-10
 
+# Partitions scored per numpy step of the permutation test: the test holds
+# one block of index rows at a time, whatever the number of partitions.
+_BLOCK = 1 << 14
+
+
+def _words(words, what: str) -> list:
+    """``words`` as a list; anything but a sequence of nonempty strings is a
+    DataError."""
+    if isinstance(words, (list, tuple)) and all(
+        isinstance(w, str) and w for w in words
+    ):
+        return list(words)
+    raise DataError(f"{what} must be a list of nonempty strings")
+
 
 @dataclass
 class TopicWordset:
@@ -45,7 +61,7 @@ class TopicWordset:
     words: list
 
     def __post_init__(self):
-        self.words = list(self.words)
+        self.words = _words(self.words, f"topic wordset '{self.label}'")
         if not self.words:
             raise DataError(f"topic wordset '{self.label}' is empty")
         if len(set(self.words)) != len(self.words):
@@ -62,8 +78,8 @@ class PoleWordsets:
     words_b: list
 
     def __post_init__(self):
-        self.words_a = list(self.words_a)
-        self.words_b = list(self.words_b)
+        self.words_a = _words(self.words_a, f"pole '{self.label_a}'")
+        self.words_b = _words(self.words_b, f"pole '{self.label_b}'")
         if not self.words_a or not self.words_b:
             raise DataError("pole wordsets must both be nonempty")
         if len(set(self.words_a)) != len(self.words_a):
@@ -100,8 +116,8 @@ class PermutationConfig:
 
 
 @dataclass
-class SweatResult:
-    """Score, effect size and significance for one SWEAT run."""
+class _Result:
+    """Score, effect size and significance shared by SWEAT and WEAT."""
 
     score: float
     effect_size: float
@@ -109,72 +125,82 @@ class SweatResult:
     tail: str
     n_permutations: int
     method: str
-    per_word: list  # (word, s-value in space1, s-value in space2)
-    associations: list  # ["<space label> ~ <pole label>", ...]
+    associations: list  # ["<space or target label> ~ <pole label>", ...]
 
     def to_dict(self) -> dict:
-        return {
-            "score": self.score,
-            "effect_size": self.effect_size,
-            "p_value": self.p_value,
-            "tail": self.tail,
-            "n_permutations": self.n_permutations,
-            "method": self.method,
-            "per_word": [list(t) for t in self.per_word],
-            "associations": list(self.associations),
-        }
+        return asdict(self)
 
 
 @dataclass
-class WeatResult:
+class SweatResult(_Result):
+    """Score, effect size and significance for one SWEAT run."""
+
+    per_word: list  # (word, s-value in space1, s-value in space2)
+
+
+@dataclass
+class WeatResult(_Result):
     """Same shape as SweatResult for the single-space WEAT."""
 
-    score: float
-    effect_size: float
-    p_value: float
-    tail: str
-    n_permutations: int
-    method: str
     per_word_x: list  # (word, s-value)
     per_word_y: list
-    associations: list
 
-    def to_dict(self) -> dict:
-        return {
-            "score": self.score,
-            "effect_size": self.effect_size,
-            "p_value": self.p_value,
-            "tail": self.tail,
-            "n_permutations": self.n_permutations,
-            "method": self.method,
-            "per_word_x": [list(t) for t in self.per_word_x],
-            "per_word_y": [list(t) for t in self.per_word_y],
-            "associations": list(self.associations),
-        }
+
+@dataclass(frozen=True)
+class Associations:
+    """Cosines of each word of a wordset to every pole word in one space,
+    and their fsum means, in wordset order."""
+
+    delta_a: list  # per word, the cosines to each word of pole A
+    delta_b: list
+    mean_a: list
+    mean_b: list
+
+    @property
+    def values(self) -> list:
+        """s(w) = mean cos(w, A) - mean cos(w, B) for each word."""
+        return [a - b for a, b in zip(self.mean_a, self.mean_b)]
+
+
+def associations(words, space: EmbeddingSpace, poles: PoleWordsets) -> Associations:
+    """Pole associations of ``words`` in ``space``.
+
+    Each pole is its own cosine block, never stacked with the other, so
+    swapping the poles swaps the blocks bit for bit.
+    """
+    space.require([*words, *poles.words_a, *poles.words_b], "association inputs")
+    delta_a = cosines(space, words, poles.words_a).tolist()
+    delta_b = cosines(space, words, poles.words_b).tolist()
+    return Associations(
+        delta_a=delta_a,
+        delta_b=delta_b,
+        mean_a=[math.fsum(row) / len(poles.words_a) for row in delta_a],
+        mean_b=[math.fsum(row) / len(poles.words_b) for row in delta_b],
+    )
 
 
 def single_word_association(
     word: str, space: EmbeddingSpace, poles: PoleWordsets
 ) -> float:
     """Mean cosine of ``word`` to pole A minus mean cosine to pole B."""
-    space.require([word] + poles.words_a + poles.words_b, "association inputs")
-    wv = space.vector(word)
-    mean_a = math.fsum(cosine(wv, space.vector(a)) for a in poles.words_a)
-    mean_b = math.fsum(cosine(wv, space.vector(b)) for b in poles.words_b)
-    return mean_a / len(poles.words_a) - mean_b / len(poles.words_b)
+    return associations([word], space, poles).values[0]
+
+
+def _target_values(x, y, space, poles) -> tuple[list, list]:
+    """Per-word associations of two WEAT target sets, which must not
+    overlap."""
+    overlap = set(x.words) & set(y.words)
+    if overlap:
+        raise DataError("target wordsets overlap: " + ", ".join(sorted(overlap)))
+    return (associations(x.words, space, poles).values,
+            associations(y.words, space, poles).values)
 
 
 def weat_score(
     x: TopicWordset, y: TopicWordset, space: EmbeddingSpace, poles: PoleWordsets
 ) -> float:
     """Sum of X associations minus sum of Y associations in one space."""
-    overlap = set(x.words) & set(y.words)
-    if overlap:
-        raise DataError(
-            "target wordsets overlap: " + ", ".join(sorted(overlap))
-        )
-    sx = [single_word_association(w, space, poles) for w in x.words]
-    sy = [single_word_association(w, space, poles) for w in y.words]
+    sx, sy = _target_values(x, y, space, poles)
     return math.fsum(sx) - math.fsum(sy)
 
 
@@ -189,8 +215,8 @@ def sweat_score(
     Positive sign: the topic leans toward pole A in space1 relative to
     space2; negative sign is the reverse.
     """
-    s1 = [single_word_association(w, space1, poles) for w in topic.words]
-    s2 = [single_word_association(w, space2, poles) for w in topic.words]
+    s1 = associations(topic.words, space1, poles).values
+    s2 = associations(topic.words, space2, poles).values
     return math.fsum(s1) - math.fsum(s2)
 
 
@@ -210,50 +236,47 @@ def effect_size(values_1, values_2) -> float:
     return (mean1 - mean2) / std
 
 
-def _exact_p(pool, n, s_obs, tail):
-    count = 0
-    total = 0
-    pool = list(pool)
-    for idx in combinations(range(len(pool)), n):
-        group1 = math.fsum(pool[i] for i in idx)
-        group2 = math.fsum(pool[i] for i in range(len(pool)) if i not in set(idx))
-        s_perm = group1 - group2
-        total += 1
-        if _counts(s_perm, s_obs, tail):
-            count += 1
-    return count / total, total
+def _exact_blocks(size: int, n: int):
+    """Every n-subset of range(size), as blocks of index rows."""
+    subsets = combinations(range(size), n)
+    while True:
+        flat = chain.from_iterable(islice(subsets, _BLOCK))
+        block = np.fromiter(flat, dtype=np.intp).reshape(-1, n)
+        if not len(block):
+            return
+        yield block
 
 
-def _counts(s_perm, s_obs, tail) -> bool:
-    if tail == "two_sided":
-        return abs(s_perm) >= abs(s_obs) - _TIE_EPS
-    if s_obs >= 0:
-        return s_perm >= s_obs - _TIE_EPS
-    return s_perm <= s_obs + _TIE_EPS
+def _montecarlo_blocks(size: int, n: int, samples: int, seed: int):
+    """``samples`` random n-subsets of range(size), as blocks of index rows.
 
-
-def _montecarlo_p(pool, n, s_obs, tail, samples, seed):
+    Rows come from one seeded stream whose values do not depend on the
+    block size, so the p-value does not either.
+    """
     rng = np.random.default_rng(seed)
+    for done in range(0, samples, _BLOCK):
+        m = min(_BLOCK, samples - done)
+        yield np.argsort(rng.random((m, size)), axis=1)[:, :n]
+
+
+def _tail_fraction(pool, blocks, s_obs, tail):
+    """Share of the partitions in ``blocks`` scoring at least as extreme as
+    ``s_obs``, and their number. Each index row is group 1, so a partition
+    scores sum(group 1) - sum(group 2) = 2 * sum(group 1) - sum(pool)."""
     pool = np.asarray(pool, dtype=np.float64)
     total = pool.sum()
-    # One seeded stream of partitions; result is independent of evaluation
-    # order or any parallel split of the counting below.
-    count = 0
-    chunk = 100_000
-    done = 0
-    while done < samples:
-        m = min(chunk, samples - done)
-        order = np.argsort(rng.random((m, pool.size)), axis=1)
-        group1 = pool[order[:, :n]].sum(axis=1)
-        s_perm = 2.0 * group1 - total
-        if tail == "two_sided":
-            count += int(np.count_nonzero(np.abs(s_perm) >= abs(s_obs) - _TIE_EPS))
-        elif s_obs >= 0:
-            count += int(np.count_nonzero(s_perm >= s_obs - _TIE_EPS))
-        else:
-            count += int(np.count_nonzero(s_perm <= s_obs + _TIE_EPS))
-        done += m
-    return count / samples, samples
+    # Orient scores so that "at least as extreme" reads >= in every tail.
+    if tail == "two_sided":
+        orient = np.abs
+    else:
+        orient = np.positive if s_obs >= 0 else np.negative
+    bound = orient(s_obs) - _TIE_EPS
+    count = seen = 0
+    for idx in blocks:
+        s_perm = 2.0 * pool[idx].sum(axis=1) - total
+        count += int(np.count_nonzero(orient(s_perm) >= bound))
+        seen += len(idx)
+    return count / seen, seen
 
 
 def permutation_test(
@@ -290,18 +313,26 @@ def permutation_test(
     if method == "auto":
         method = "exact" if math.comb(2 * n, n) <= cfg.exact_limit else "montecarlo"
     if method == "exact":
-        p, total = _exact_p(pool, n, s_obs, tail)
+        blocks = _exact_blocks(2 * n, n)
     else:
-        p, total = _montecarlo_p(pool, n, s_obs, tail, cfg.samples, cfg.seed)
+        blocks = _montecarlo_blocks(2 * n, n, cfg.samples, cfg.seed)
+    p, total = _tail_fraction(pool, blocks, s_obs, tail)
     return p, total, method, tail
 
 
-def _association_labels(score: float, label_1: str, label_2: str,
-                        poles: PoleWordsets) -> list:
+def _run_test(values_1, values_2, label_1, label_2, poles, cfg, tail) -> dict:
+    """The fields of a result shared by SWEAT and WEAT, from the per-word
+    values of its two groups."""
+    score = math.fsum(values_1) - math.fsum(values_2)
+    d = effect_size(values_1, values_2)
+    p, total, method, tail = permutation_test(values_1, values_2, cfg, tail)
     # Sign of exact zero reads as non-negative: first group ~ pole A.
     if score >= 0:
-        return [f"{label_1} ~ {poles.label_a}", f"{label_2} ~ {poles.label_b}"]
-    return [f"{label_1} ~ {poles.label_b}", f"{label_2} ~ {poles.label_a}"]
+        labels = [f"{label_1} ~ {poles.label_a}", f"{label_2} ~ {poles.label_b}"]
+    else:
+        labels = [f"{label_1} ~ {poles.label_b}", f"{label_2} ~ {poles.label_a}"]
+    return dict(score=score, effect_size=d, p_value=p, tail=tail,
+                n_permutations=total, method=method, associations=labels)
 
 
 def run_sweat(
@@ -314,20 +345,11 @@ def run_sweat(
 ) -> SweatResult:
     """Full SWEAT: per-word values computed once and shared by the score,
     the effect size, and the permutation test."""
-    s1 = [single_word_association(w, space1, poles) for w in topic.words]
-    s2 = [single_word_association(w, space2, poles) for w in topic.words]
-    score = math.fsum(s1) - math.fsum(s2)
-    d = effect_size(s1, s2)
-    p, total, method, tail = permutation_test(s1, s2, cfg, tail)
+    s1 = associations(topic.words, space1, poles).values
+    s2 = associations(topic.words, space2, poles).values
     return SweatResult(
-        score=score,
-        effect_size=d,
-        p_value=p,
-        tail=tail,
-        n_permutations=total,
-        method=method,
+        **_run_test(s1, s2, space1.label, space2.label, poles, cfg, tail),
         per_word=list(zip(topic.words, s1, s2)),
-        associations=_association_labels(score, space1.label, space2.label, poles),
     )
 
 
@@ -339,28 +361,11 @@ def run_weat(
     cfg: PermutationConfig | None = None,
     tail: str = "directional",
 ) -> WeatResult:
-    """Full WEAT within one space, reported in the same shape as SWEAT."""
-    overlap = set(x.words) & set(y.words)
-    if overlap:
-        raise DataError("target wordsets overlap: " + ", ".join(sorted(overlap)))
-    if len(x.words) != len(y.words):
-        raise DataError(
-            "WEAT permutation test requires equal-size target wordsets, got "
-            f"{len(x.words)} and {len(y.words)}"
-        )
-    sx = [single_word_association(w, space, poles) for w in x.words]
-    sy = [single_word_association(w, space, poles) for w in y.words]
-    score = math.fsum(sx) - math.fsum(sy)
-    d = effect_size(sx, sy)
-    p, total, method, tail = permutation_test(sx, sy, cfg, tail)
+    """Full WEAT within one space, reported in the same shape as SWEAT. The
+    permutation test needs target sets of equal size."""
+    sx, sy = _target_values(x, y, space, poles)
     return WeatResult(
-        score=score,
-        effect_size=d,
-        p_value=p,
-        tail=tail,
-        n_permutations=total,
-        method=method,
+        **_run_test(sx, sy, x.label, y.label, poles, cfg, tail),
         per_word_x=list(zip(x.words, sx)),
         per_word_y=list(zip(y.words, sy)),
-        associations=_association_labels(score, x.label, y.label, poles),
     )

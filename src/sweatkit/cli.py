@@ -13,7 +13,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .association import (
     run_weat,
 )
 from .embeddings import load_word2vec_text, save_word2vec_text
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, open_text
 from .lexicon import (
     Lexicon,
     candidate_topics,
@@ -61,10 +61,10 @@ class EmbeddingEntry:
 @dataclass
 class RunConfig:
     embeddings: list
-    topic: dict | None = None  # {"label":…, "words":[…]}
-    topic_x: dict | None = None
-    topic_y: dict | None = None
-    poles: dict | None = None  # PoleWordsets fields (+ provenance)
+    topic: TopicWordset | None = None
+    topic_x: TopicWordset | None = None
+    topic_y: TopicWordset | None = None
+    lexicon: Lexicon | None = None  # the pole wordsets and their provenance
     alignment_mode: str = "pre_aligned"
     anchors: str = "auto"
     refinement_enabled: bool = False
@@ -78,29 +78,18 @@ class RunConfig:
 
     def echo(self) -> dict:
         return {
-            "embeddings": [
-                {
-                    "label": e.label,
-                    "path": e.path,
-                    "frequency_table": e.frequency_table,
-                }
-                for e in self.embeddings
-            ],
-            "topic": self.topic,
-            "topic_x": self.topic_x,
-            "topic_y": self.topic_y,
-            "poles": self.poles,
+            "embeddings": [asdict(e) for e in self.embeddings],
+            "topic": self.topic and asdict(self.topic),
+            "topic_x": self.topic_x and asdict(self.topic_x),
+            "topic_y": self.topic_y and asdict(self.topic_y),
+            "poles": self.lexicon and {**asdict(self.lexicon.poles),
+                                       "provenance": self.lexicon.provenance},
             "alignment": {"mode": self.alignment_mode, "anchors": self.anchors},
             "refinement": {
                 "enabled": self.refinement_enabled,
                 "zipf_threshold": self.zipf_threshold,
             },
-            "permutations": {
-                "mode": self.permutations.mode,
-                "samples": self.permutations.samples,
-                "seed": self.permutations.seed,
-                "exact_limit": self.permutations.exact_limit,
-            },
+            "permutations": asdict(self.permutations),
             "tail": self.tail,
             "outputs": {
                 "report": self.report_path,
@@ -112,11 +101,20 @@ class RunConfig:
 
 
 def _read_wordlist(path: str) -> list:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         return [line.strip() for line in fh if line.strip()]
 
 
-def _check_topic(raw, name, errors) -> dict | None:
+def _readable(path, name, errors) -> bool:
+    """Whether ``path`` is a string naming an existing file; if not,
+    records an error."""
+    if isinstance(path, str) and os.path.isfile(path):
+        return True
+    errors.append(f"{name}: unreadable path '{path}'")
+    return False
+
+
+def _check_topic(raw, name, errors) -> TopicWordset | None:
     if not isinstance(raw, dict):
         errors.append(f"{name}: must be an object")
         return None
@@ -125,57 +123,44 @@ def _check_topic(raw, name, errors) -> dict | None:
         errors.append(f"{name}.label: required nonempty string")
     words = raw.get("words")
     if "file" in raw:
-        if not os.path.isfile(raw["file"]):
-            errors.append(f"{name}.file: unreadable path '{raw['file']}'")
+        if not _readable(raw["file"], f"{name}.file", errors):
             return None
-        words = _read_wordlist(raw["file"])
-    if not words or not isinstance(words, list):
-        errors.append(f"{name}.words: required nonempty word list (or .file)")
+        try:
+            words = _read_wordlist(raw["file"])
+        except DataError as exc:
+            errors.append(f"{name}.file: {exc}")
+            return None
+    try:
+        return TopicWordset(label or name, words)
+    except DataError as exc:
+        errors.append(f"{name}.words: {exc}")
         return None
-    if len(set(words)) != len(words):
-        errors.append(f"{name}.words: duplicate words")
-        return None
-    return {"label": label or name, "words": list(words)}
 
 
-def _check_poles(raw, errors) -> dict | None:
+def _check_poles(raw, errors) -> Lexicon | None:
     if not isinstance(raw, dict):
         errors.append("poles: must be an object")
         return None
     if "file" in raw:
-        if not os.path.isfile(raw["file"]):
-            errors.append(f"poles.file: unreadable path '{raw['file']}'")
+        if not _readable(raw["file"], "poles.file", errors):
             return None
         try:
-            lex = load_lexicon(raw["file"])
+            return load_lexicon(raw["file"])
         except DataError as exc:
             errors.append(f"poles.file: {exc}")
             return None
-        return {
-            "label_a": lex.poles.label_a,
-            "label_b": lex.poles.label_b,
-            "words_a": lex.poles.words_a,
-            "words_b": lex.poles.words_b,
-            "provenance": lex.provenance,
-        }
     missing = [k for k in ("label_a", "label_b", "words_a", "words_b")
                if k not in raw]
     if missing:
         errors.append("poles: missing fields: " + ", ".join(missing))
         return None
     try:
-        PoleWordsets(raw["label_a"], raw["label_b"],
-                     raw["words_a"], raw["words_b"])
+        return Lexicon(PoleWordsets(raw["label_a"], raw["label_b"],
+                                    raw["words_a"], raw["words_b"]),
+                       raw.get("provenance", ""))
     except DataError as exc:
         errors.append(f"poles: {exc}")
         return None
-    return {
-        "label_a": raw["label_a"],
-        "label_b": raw["label_b"],
-        "words_a": list(raw["words_a"]),
-        "words_b": list(raw["words_b"]),
-        "provenance": raw.get("provenance", ""),
-    }
 
 
 def _section(raw, key, errors) -> dict:
@@ -212,9 +197,9 @@ def _permutation_errors(perms: PermutationConfig) -> list:
 def validate_config(path: str, command: str = "sweat") -> RunConfig:
     """Parse and fully validate a run config, reporting every error found."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open_text(path) as fh:
             raw = json.load(fh)
-    except OSError as exc:
+    except (OSError, DataError) as exc:
         raise ConfigError([f"cannot read config: {exc}"]) from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(
@@ -242,13 +227,11 @@ def validate_config(path: str, command: str = "sweat") -> RunConfig:
             errors.append(f"embeddings[{i}].label: required nonempty string")
         if not epath:
             errors.append(f"embeddings[{i}].path: required nonempty path")
-        elif not os.path.isfile(epath):
-            errors.append(f"embeddings[{i}].path: unreadable path '{epath}'")
+        else:
+            _readable(epath, f"embeddings[{i}].path", errors)
         ftable = entry.get("frequency_table") if isinstance(entry, dict) else None
-        if ftable and not os.path.isfile(ftable):
-            errors.append(
-                f"embeddings[{i}].frequency_table: unreadable path '{ftable}'"
-            )
+        if ftable:
+            _readable(ftable, f"embeddings[{i}].frequency_table", errors)
         labels.append(label)
         cfg.embeddings.append(
             EmbeddingEntry(label=label or f"space{i + 1}", path=epath or "",
@@ -269,7 +252,7 @@ def validate_config(path: str, command: str = "sweat") -> RunConfig:
             else:
                 setattr(cfg, key, _check_topic(raw[key], key, errors))
         if cfg.topic_x and cfg.topic_y:
-            overlap = set(cfg.topic_x["words"]) & set(cfg.topic_y["words"])
+            overlap = set(cfg.topic_x.words) & set(cfg.topic_y.words)
             if overlap:
                 errors.append(
                     "topic_x/topic_y: overlapping words: "
@@ -279,7 +262,7 @@ def validate_config(path: str, command: str = "sweat") -> RunConfig:
     if "poles" not in raw:
         errors.append("poles: required")
     else:
-        cfg.poles = _check_poles(raw["poles"], errors)
+        cfg.lexicon = _check_poles(raw["poles"], errors)
 
     alignment = _section(raw, "alignment", errors)
     cfg.alignment_mode = alignment.get("mode", "pre_aligned")
@@ -289,9 +272,8 @@ def validate_config(path: str, command: str = "sweat") -> RunConfig:
             f"got '{cfg.alignment_mode}'"
         )
     cfg.anchors = alignment.get("anchors", "auto")
-    if cfg.anchors != "auto" and not (isinstance(cfg.anchors, str)
-                                      and os.path.isfile(cfg.anchors)):
-        errors.append(f"alignment.anchors: unreadable path '{cfg.anchors}'")
+    if cfg.anchors != "auto":
+        _readable(cfg.anchors, "alignment.anchors", errors)
 
     refinement = _section(raw, "refinement", errors)
     cfg.refinement_enabled = bool(refinement.get("enabled", False))
@@ -379,12 +361,28 @@ def _load_tables(cfg):
     return tables
 
 
-def _poles_from_cfg(cfg) -> PoleWordsets:
-    return PoleWordsets(
-        label_a=cfg.poles["label_a"],
-        label_b=cfg.poles["label_b"],
-        words_a=cfg.poles["words_a"],
-        words_b=cfg.poles["words_b"],
+def _write_report(cfg, command, title, result, timings, alignment=None,
+                  refinement=None, plots=None) -> None:
+    """Write the run's JSON report and print its one-line summary."""
+    _json_dump({
+        "schema_version": SCHEMA_VERSION,
+        "toolkit_version": __version__,
+        "command": command,
+        "config": cfg.echo(),
+        "alignment": alignment,
+        "refinement": refinement,
+        "result": result.to_dict(),
+        "plots": plots,
+        "meta": {
+            "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+            "timings": timings,
+        },
+    }, cfg.report_path)
+    print(
+        f"{title}: score={result.score:.6f} "
+        f"d={result.effect_size:.6f} p={result.p_value:.6g} "
+        f"({result.method}, {result.tail}); "
+        + "; ".join(result.associations)
     )
 
 
@@ -414,14 +412,12 @@ def cmd_sweat(args) -> int:
             print(UNDERDETERMINED_WARNING, file=sys.stderr)
         timings["alignment"] = time.perf_counter() - t0
 
-    poles = _poles_from_cfg(cfg)
+    poles = cfg.lexicon.poles
     refinement_info = None
     if cfg.refinement_enabled:
         t0 = time.perf_counter()
-        report = refine(
-            Lexicon(poles=poles, provenance=cfg.poles.get("provenance", "")),
-            space1, space2, table1, table2, cfg.zipf_threshold,
-        )
+        report = refine(cfg.lexicon, space1, space2, table1, table2,
+                        cfg.zipf_threshold)
         refinement_info = report.to_dict()
         if not report.kept_a or not report.kept_b:
             raise DataError(
@@ -431,7 +427,7 @@ def cmd_sweat(args) -> int:
                              report.kept_a, report.kept_b)
         timings["refinement"] = time.perf_counter() - t0
 
-    topic = TopicWordset(cfg.topic["label"], cfg.topic["words"])
+    topic = cfg.topic
     t0 = time.perf_counter()
     result = run_sweat(topic, space1, space2, poles, cfg.permutations, cfg.tail)
     timings["sweat"] = time.perf_counter() - t0
@@ -449,27 +445,9 @@ def cmd_sweat(args) -> int:
         _json_dump(det.to_dict(), base + ".detail.json")
     timings["viz"] = time.perf_counter() - t0
 
-    report_doc = {
-        "schema_version": SCHEMA_VERSION,
-        "toolkit_version": __version__,
-        "command": "sweat",
-        "config": cfg.echo(),
-        "alignment": alignment_info,
-        "refinement": refinement_info,
-        "result": result.to_dict(),
-        "plots": {"cumulative": cum.to_dict(), "detail": det.to_dict()},
-        "meta": {
-            "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-            "timings": timings,
-        },
-    }
-    _json_dump(report_doc, cfg.report_path)
-    print(
-        f"SWEAT {topic.label}: score={result.score:.6f} "
-        f"d={result.effect_size:.6f} p={result.p_value:.6g} "
-        f"({result.method}, {result.tail}); "
-        + "; ".join(result.associations)
-    )
+    _write_report(cfg, "sweat", f"SWEAT {topic.label}", result, timings,
+                  alignment=alignment_info, refinement=refinement_info,
+                  plots={"cumulative": cum.to_dict(), "detail": det.to_dict()})
     return 0
 
 
@@ -482,34 +460,14 @@ def cmd_weat(args) -> int:
     space = load_word2vec_text(cfg.embeddings[0].path, cfg.embeddings[0].label)
     timings["load"] = time.perf_counter() - t0
 
-    poles = _poles_from_cfg(cfg)
-    x = TopicWordset(cfg.topic_x["label"], cfg.topic_x["words"])
-    y = TopicWordset(cfg.topic_y["label"], cfg.topic_y["words"])
+    x, y = cfg.topic_x, cfg.topic_y
     t0 = time.perf_counter()
-    result = run_weat(x, y, space, poles, cfg.permutations, cfg.tail)
+    result = run_weat(x, y, space, cfg.lexicon.poles, cfg.permutations,
+                      cfg.tail)
     timings["weat"] = time.perf_counter() - t0
 
-    report_doc = {
-        "schema_version": SCHEMA_VERSION,
-        "toolkit_version": __version__,
-        "command": "weat",
-        "config": cfg.echo(),
-        "alignment": None,
-        "refinement": None,
-        "result": result.to_dict(),
-        "plots": None,
-        "meta": {
-            "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-            "timings": timings,
-        },
-    }
-    _json_dump(report_doc, cfg.report_path)
-    print(
-        f"WEAT {x.label} vs {y.label}: score={result.score:.6f} "
-        f"d={result.effect_size:.6f} p={result.p_value:.6g} "
-        f"({result.method}, {result.tail}); "
-        + "; ".join(result.associations)
-    )
+    _write_report(cfg, "weat", f"WEAT {x.label} vs {y.label}", result,
+                  timings)
     return 0
 
 

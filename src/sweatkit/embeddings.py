@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, FormatError, VocabularyError
+from .errors import DataError, FormatError, VocabularyError, open_text
 
 # Cosine may exceed [-1, 1] by rounding noise only; anything larger means
 # broken inputs rather than float overshoot.
@@ -125,6 +125,25 @@ def cosine(u, v) -> float:
     return c
 
 
+def cosines(space: EmbeddingSpace, words, others) -> np.ndarray:
+    """|words| x |others| block of cosine similarities within ``space``.
+
+    Dot products of unit rows, clipped to [-1, 1]. Words whose raw rows are
+    identical read exactly 1.0, as they do in ``cosine``.
+    """
+    space.require([*words, *others])
+    i = [space._index[w] for w in words]
+    j = [space._index[w] for w in others]
+    block = space._unit[i] @ space._unit[j].T
+    np.clip(block, -1.0, 1.0, out=block)
+    # Identical raw rows have identical unit rows, so only pairs within
+    # rounding noise of 1 can be identical.
+    for a, b in zip(*np.nonzero(block > 1.0 - _COSINE_OVERSHOOT)):
+        if np.array_equal(space.matrix[i[a]], space.matrix[j[b]]):
+            block[a, b] = 1.0
+    return block
+
+
 def nearest_neighbor(space: EmbeddingSpace, query) -> str:
     """Vocabulary word maximizing cosine with ``query``.
 
@@ -173,11 +192,11 @@ def load_word2vec_text(path: str, label: str | None = None) -> EmbeddingSpace:
     """
     if label is None:
         label = os.path.splitext(os.path.basename(path))[0]
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         vocab_size, dim = _read_header(fh, path)
         parsed = _parse_bulk(fh, vocab_size, dim)
     if parsed is None:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open_text(path) as fh:
             fh.readline()
             parsed = _parse_rows(fh, path, vocab_size, dim)
     words, rows = parsed

@@ -4,6 +4,8 @@ The CLI maps these onto exit codes: ConfigError -> 1, DataError (and
 subclasses) -> 2, OSError -> 3.
 """
 
+from contextlib import contextmanager
+
 
 class SweatKitError(Exception):
     """Base class for all sweatkit errors."""
@@ -33,3 +35,14 @@ class VocabularyError(DataError):
     def __init__(self, message, missing=()):
         self.missing = sorted(missing)
         super().__init__(message)
+
+
+@contextmanager
+def open_text(path):
+    """Open ``path`` for reading as UTF-8 text. Bytes that are not UTF-8,
+    met anywhere while reading, raise a FormatError naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not valid UTF-8 ({exc.reason})") from None

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from .alignment import round_trip_stable
 from .association import PoleWordsets
 from .embeddings import EmbeddingSpace
-from .errors import FormatError, VocabularyError
+from .errors import FormatError, VocabularyError, open_text
 
 REJECT_REASONS = (
     "oov_space1",
@@ -157,7 +157,7 @@ def load_frequency_table(path: str) -> FrequencyTable:
     """Read lines ``word<TAB>count`` with a ``#total<TAB><total>`` header."""
     counts: dict = {}
     total = None
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
@@ -186,7 +186,7 @@ def load_frequency_table(path: str) -> FrequencyTable:
 def load_lexicon(path: str) -> Lexicon:
     """Read a lexicon JSON file with label_a/label_b/words_a/words_b and an
     optional provenance note."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         try:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:

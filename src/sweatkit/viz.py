@@ -7,13 +7,13 @@ coordinates, so identical data always produces byte-identical files.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .association import PoleWordsets, TopicWordset, single_word_association
-from .embeddings import EmbeddingSpace, cosine
+from .association import PoleWordsets, TopicWordset, associations
+from .embeddings import EmbeddingSpace
 
 COLOR_A = "#2e7d32"
 COLOR_B = "#c62828"
@@ -28,12 +28,7 @@ class SpaceBar:
     cumulate: float
 
     def to_dict(self):
-        return {
-            "label": self.label,
-            "beta_a": self.beta_a,
-            "beta_b": self.beta_b,
-            "cumulate": self.cumulate,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -44,12 +39,7 @@ class CumulativePlotData:
     bars: list  # one SpaceBar per space, space1 first
 
     def to_dict(self):
-        return {
-            "topic_label": self.topic_label,
-            "pole_label_a": self.pole_label_a,
-            "pole_label_b": self.pole_label_b,
-            "bars": [b.to_dict() for b in self.bars],
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, raw):
@@ -67,22 +57,14 @@ class WordDistribution:
 
     word: str
     space_label: str
-    delta_a: list  # cosines to every word of pole A
+    delta_a: list  # cos(word, a) for every word a of pole A
     delta_b: list
     mean_a: float
     mean_b: float
     dominant_pole: str  # "A" | "B"
 
     def to_dict(self):
-        return {
-            "word": self.word,
-            "space_label": self.space_label,
-            "delta_a": list(self.delta_a),
-            "delta_b": list(self.delta_b),
-            "mean_a": self.mean_a,
-            "mean_b": self.mean_b,
-            "dominant_pole": self.dominant_pole,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -95,14 +77,7 @@ class DetailPlotData:
     distributions: list  # WordDistribution, word-major then space order
 
     def to_dict(self):
-        return {
-            "topic_label": self.topic_label,
-            "pole_label_a": self.pole_label_a,
-            "pole_label_b": self.pole_label_b,
-            "space_labels": list(self.space_labels),
-            "words": list(self.words),
-            "distributions": [d.to_dict() for d in self.distributions],
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, raw):
@@ -116,20 +91,6 @@ class DetailPlotData:
         )
 
 
-def _betas(topic, space, poles):
-    beta_a = math.fsum(
-        math.fsum(cosine(space.vector(w), space.vector(a)) for a in poles.words_a)
-        / len(poles.words_a)
-        for w in topic.words
-    )
-    beta_b = math.fsum(
-        math.fsum(cosine(space.vector(w), space.vector(b)) for b in poles.words_b)
-        / len(poles.words_b)
-        for w in topic.words
-    )
-    return beta_a, beta_b
-
-
 def cumulative_data(
     topic: TopicWordset,
     space1: EmbeddingSpace,
@@ -141,8 +102,8 @@ def cumulative_data(
     score."""
     bars = []
     for space in (space1, space2):
-        space.require(topic.words + poles.words_a + poles.words_b, "plot inputs")
-        beta_a, beta_b = _betas(topic, space, poles)
+        assoc = associations(topic.words, space, poles)
+        beta_a, beta_b = math.fsum(assoc.mean_a), math.fsum(assoc.mean_b)
         bars.append(
             SpaceBar(
                 label=space.label,
@@ -165,33 +126,26 @@ def detail_data(
     space2: EmbeddingSpace,
     poles: PoleWordsets,
 ) -> DetailPlotData:
-    """Per-word cosine distributions to each pole, in each space."""
-    for space in (space1, space2):
-        space.require(topic.words + poles.words_a + poles.words_b, "plot inputs")
+    """Per-word distributions of cos(w, pole word) to each pole, in each
+    space. Their mean difference is the word's association s(w) by
+    construction: both come from the same ``associations`` call."""
+    spaces = [(space, associations(topic.words, space, poles))
+              for space in (space1, space2)]
     distributions = []
-    for word in topic.words:
-        for space in (space1, space2):
-            wv = space.vector(word)
-            delta_a = [cosine(wv, space.vector(a)) for a in poles.words_a]
-            delta_b = [cosine(wv, space.vector(b)) for b in poles.words_b]
-            mean_a = math.fsum(delta_a) / len(delta_a)
-            mean_b = math.fsum(delta_b) / len(delta_b)
+    for k, word in enumerate(topic.words):
+        for space, assoc in spaces:
+            mean_a, mean_b = assoc.mean_a[k], assoc.mean_b[k]
             distributions.append(
                 WordDistribution(
                     word=word,
                     space_label=space.label,
-                    delta_a=delta_a,
-                    delta_b=delta_b,
+                    delta_a=assoc.delta_a[k],
+                    delta_b=assoc.delta_b[k],
                     mean_a=mean_a,
                     mean_b=mean_b,
                     dominant_pole="A" if mean_a >= mean_b else "B",
                 )
             )
-            # Definitional identity with the statistical core; cheap to keep
-            # honest here rather than let the two drift apart.
-            assert abs(
-                (mean_a - mean_b) - single_word_association(word, space, poles)
-            ) < 1e-12
     return DetailPlotData(
         topic_label=topic.label,
         pole_label_a=poles.label_a,

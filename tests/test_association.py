@@ -222,6 +222,15 @@ class TestPermutationTest:
                 p_ref, total_ref = brute_force_exact_p(v1, v2, tail)
                 assert total == total_ref == math.comb(8, 4)
                 assert p == p_ref
+        # n = 9: 48,620 partitions, enumerated over several blocks.
+        v1 = rng.normal(size=9).tolist()
+        v2 = (rng.normal(size=9) + 0.3).tolist()
+        for tail in ("directional", "two_sided"):
+            p, total, _, _ = permutation_test(
+                v1, v2, PermutationConfig(mode="exact"), tail
+            )
+            assert (p, total) == brute_force_exact_p(v1, v2, tail)
+            assert total == math.comb(18, 9)
 
     def test_montecarlo_close_to_exact(self):
         rng = np.random.default_rng(8)
@@ -234,6 +243,18 @@ class TestPermutationTest:
         assert method == "montecarlo" and total == 10_000
         tol = 3 * math.sqrt(p_exact * (1 - p_exact) / 10_000)
         assert abs(p_mc - p_exact) <= max(tol, 1e-4)
+
+    def test_montecarlo_pinned_over_several_blocks(self):
+        # Pinned p-values of this seeded stream over 16 blocks; the block
+        # size of the counting loop must not change them.
+        rng = np.random.default_rng(16)
+        v1 = rng.normal(size=7).tolist()
+        v2 = (rng.normal(size=7) + 0.5).tolist()
+        cfg = PermutationConfig(mode="montecarlo", samples=250_000, seed=7)
+        assert permutation_test(v1, v2, cfg, "directional")[:2] == (
+            0.178468, 250_000)
+        assert permutation_test(v1, v2, cfg, "two_sided")[:2] == (
+            0.358524, 250_000)
 
     def test_montecarlo_deterministic(self):
         rng = np.random.default_rng(9)

@@ -381,3 +381,112 @@ class TestOtherCommands:
         out = capsys.readouterr().out.splitlines()
         assert out[0].startswith("# label=")
         assert "\t" in out[1]
+
+
+NOT_UTF8 = b"w\t1\n\xff\t2\n"
+
+
+def weat_raw(fx, tmp_path):
+    return {
+        "embeddings": [{"label": "S1", "path": str(fx["space1"])}],
+        "topic_x": {"label": "topic", "words": fx["topic"].words},
+        "topic_y": {"label": "ctrl", "words": fx["control"].words},
+        "poles": {"label_a": "pos", "label_b": "neg",
+                  "words_a": fx["poles"].words_a,
+                  "words_b": fx["poles"].words_b},
+        "outputs": {"report": str(tmp_path / "weat.json")},
+    }
+
+
+class TestInputFaults:
+    """Undecodable files and wrongly typed paths or words end in a one-line
+    error with their documented exit code, never a traceback."""
+
+    @pytest.mark.parametrize("target", ["config", "topic.file", "poles.file"])
+    def test_config_file_not_utf8(self, tmp_path, capsys, target):
+        fx = write_fixture(tmp_path)
+        path, raw = base_config(tmp_path, fx)
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(NOT_UTF8)
+        if target == "topic.file":
+            raw["topic"] = {"label": "t", "file": str(bad)}
+        elif target == "poles.file":
+            raw["poles"] = {"file": str(bad)}
+        path.write_bytes(json.dumps(raw).encode()
+                         + (b"\xff" if target == "config" else b""))
+        assert main(["sweat", "--config", str(path)]) == 1
+        err = one_line_error(capsys, "config error:")
+        assert "not valid UTF-8" in err and (
+            target == "config" or f"{target}:" in err)
+
+    @pytest.mark.parametrize("target", [
+        "embeddings", "frequency_table", "anchors", "lexicon", "stopwords",
+    ])
+    def test_data_file_not_utf8(self, tmp_path, capsys, target):
+        fx = write_fixture(tmp_path)
+        path, raw = base_config(tmp_path, fx)
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(NOT_UTF8)
+        pair = ["--space1", str(fx["space1"]), "--space2", str(fx["space2"]),
+                "--freq1", str(fx["freq1"]), "--freq2", str(fx["freq2"])]
+        argv = ["sweat", "--config", str(path)]
+        if target == "embeddings":
+            argv = ["inspect", "--embeddings", str(bad)]
+        elif target == "frequency_table":
+            raw["embeddings"][1]["frequency_table"] = str(bad)
+        elif target == "anchors":
+            raw["alignment"] = {"mode": "procrustes", "anchors": str(bad)}
+        elif target == "lexicon":
+            argv = ["refine", "--lexicon", str(bad), *pair,
+                    "--out", str(tmp_path / "refined.json")]
+        else:
+            argv = ["candidates", *pair, "--stopwords", str(bad)]
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(argv) == 2
+        err = one_line_error(capsys, "data error:")
+        assert f"{bad}: not valid UTF-8" in err
+
+    @pytest.mark.parametrize("field", [
+        "embeddings[0].path", "embeddings[0].frequency_table", "topic.file",
+        "poles.file", "alignment.anchors",
+    ])
+    def test_non_string_path(self, tmp_path, capsys, field):
+        fx = write_fixture(tmp_path)
+        path, raw = base_config(tmp_path, fx)
+        if field.startswith("embeddings"):
+            raw["embeddings"][0][field.split(".")[1]] = ["x"]
+        elif field == "topic.file":
+            raw["topic"] = {"label": "t", "file": ["x"]}
+        elif field == "poles.file":
+            raw["poles"] = {"file": ["x"]}
+        else:
+            raw["alignment"] = {"mode": "procrustes", "anchors": ["x"]}
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["sweat", "--config", str(path)]) == 1
+        err = one_line_error(capsys, "config error:")
+        assert f"{field}: unreadable path" in err
+
+    @pytest.mark.parametrize("bad", [[1], [["a"]], [""]])
+    @pytest.mark.parametrize("key", ["topic", "words_a", "words_b"])
+    def test_non_string_sweat_word(self, tmp_path, capsys, key, bad):
+        fx = write_fixture(tmp_path)
+        path, raw = base_config(tmp_path, fx)
+        if key == "topic":
+            raw["topic"]["words"] = raw["topic"]["words"] + bad
+        else:
+            raw["poles"][key] = raw["poles"][key] + bad
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["sweat", "--config", str(path)]) == 1
+        assert "nonempty strings" in one_line_error(capsys, "config error:")
+
+    @pytest.mark.parametrize("bad", [[1], [["a"]], [""]])
+    @pytest.mark.parametrize("key", ["topic_x", "topic_y"])
+    def test_non_string_weat_word(self, tmp_path, capsys, key, bad):
+        fx = write_fixture(tmp_path)
+        raw = weat_raw(fx, tmp_path)
+        raw[key]["words"] = raw[key]["words"][:-1] + bad
+        path = tmp_path / "weat_config.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["weat", "--config", str(path)]) == 1
+        err = one_line_error(capsys, "config error:")
+        assert f"{key}.words:" in err and "nonempty strings" in err

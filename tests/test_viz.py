@@ -86,6 +86,21 @@ class TestDetailData:
             s = single_word_association(d.word, spaces[d.space_label], poles)
             assert abs((d.mean_a - d.mean_b) - s) <= 1e-12
 
+    def test_identical_vectors_read_exactly_one(self):
+        # Without the kernel's identity check and clip, the unit-row products
+        # of these vectors read w . twin < 1 and x . near > 1 in the last bit
+        # (OpenBLAS).
+        v1 = np.array([0.32, -0.36, -1.9, -0.11])
+        v2 = np.array([-0.8, 1.08, -0.29, 0.08])
+        space = make_space("s", {"w": v1, "x": v2, "twin": v1.copy(),
+                                 "near": 3.0 * v2, "b": (1.0, 0.5, 0.0, 0.0)})
+        poles = PoleWordsets("A", "B", ["twin", "near"], ["b"])
+        data = detail_data(TopicWordset("t", ["w", "x"]), space, space, poles)
+        for d in data.distributions:
+            assert all(-1.0 <= c <= 1.0 for c in d.delta_a + d.delta_b)
+            if d.word == "w":
+                assert d.delta_a[0] == 1.0
+
     def test_delta_lengths(self):
         space1, space2, topic, poles = random_fixture(2, n_pole=4)
         data = detail_data(topic, space1, space2, poles)
