@@ -78,6 +78,11 @@ class PoleWordsets:
     words_b: list
 
     def __post_init__(self):
+        for label in (self.label_a, self.label_b):
+            if not isinstance(label, str) or not label:
+                raise DataError(
+                    f"pole labels must be nonempty strings, got {label!r}"
+                )
         self.words_a = _words(self.words_a, f"pole '{self.label_a}'")
         self.words_b = _words(self.words_b, f"pole '{self.label_b}'")
         if not self.words_a or not self.words_b:

@@ -223,8 +223,9 @@ def validate_config(path: str, command: str = "sweat") -> RunConfig:
     for i, entry in enumerate(embeddings):
         label = entry.get("label") if isinstance(entry, dict) else None
         epath = entry.get("path") if isinstance(entry, dict) else None
-        if not label:
+        if not label or not isinstance(label, str):
             errors.append(f"embeddings[{i}].label: required nonempty string")
+            label = None
         if not epath:
             errors.append(f"embeddings[{i}].path: required nonempty path")
         else:
@@ -315,6 +316,11 @@ def validate_config(path: str, command: str = "sweat") -> RunConfig:
         errors.append("outputs.report: path must be nonempty")
     cfg.cumulative_svg = outputs.get("cumulative_svg")
     cfg.detail_svg = outputs.get("detail_svg")
+    for key, value in (("report", cfg.report_path),
+                       ("cumulative_svg", cfg.cumulative_svg),
+                       ("detail_svg", cfg.detail_svg)):
+        if value and (not isinstance(value, str) or "\0" in value):
+            errors.append(f"outputs.{key}: must be a path string, got {value!r}")
     cfg.plot_json = bool(outputs.get("plot_json", False))
 
     if errors:

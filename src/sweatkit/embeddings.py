@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -307,9 +308,67 @@ def _parse_rows(fh, path: str, vocab_size: int, dim: int):
     return words, rows
 
 
+# Components per formatting block, about 2 MB of text. The parallel write
+# holds at most 2 blocks per worker at once, whatever the vocabulary size.
+_BLOCK_FLOATS = 100_000
+
+# The space being saved, set in each forked writer process.
+_inherited = None
+
+
 def save_word2vec_text(space: EmbeddingSpace, path: str) -> None:
-    """Write a space in text word2vec format; floats round-trip exactly."""
+    """Write a space in text word2vec format; floats round-trip exactly.
+
+    Blocks of rows are formatted on every CPU this process may use, in
+    forked processes that read the space from inherited memory, and written
+    in row order, so the file is the same however many CPUs made it.
+    """
+    step = max(1, _BLOCK_FLOATS // space.dimension)
+    blocks = [(lo, min(lo + step, len(space)))
+              for lo in range(0, len(space), step)]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{len(space)} {space.dimension}\n")
-        for word, row in zip(space.words, space.matrix):
-            fh.write(word + " " + " ".join(repr(c) for c in row.tolist()) + "\n")
+        workers = min(_usable_cpus(), len(blocks))
+        if workers < 2 or not hasattr(os, "fork"):
+            for lo, hi in blocks:
+                fh.write(_format_block(space, lo, hi))
+            return
+        # Imported here, not at module import, so that no other command
+        # pays for it. Forked workers get the space without pickling it and
+        # without importing numpy again; they only format floats, call no
+        # BLAS, and are forked before the pool starts its own threads.
+        import multiprocessing
+
+        fork = multiprocessing.get_context("fork")
+        with fork.Pool(workers, _inherit, (space,)) as pool:
+            pending = deque()
+            for lo, hi in blocks:
+                if len(pending) == 2 * workers:
+                    fh.write(pending.popleft().get())
+                pending.append(pool.apply_async(_format_inherited, (lo, hi)))
+            for result in pending:
+                fh.write(result.get())
+
+
+def _format_block(space: EmbeddingSpace, lo: int, hi: int) -> str:
+    """Rows ``lo`` to ``hi - 1`` of ``space`` as word2vec text lines."""
+    return "".join(
+        word + " " + " ".join(repr(c) for c in row) + "\n"
+        for word, row in zip(space.words[lo:hi], space.matrix[lo:hi].tolist())
+    )
+
+
+def _inherit(space: EmbeddingSpace) -> None:
+    global _inherited
+    _inherited = space
+
+
+def _format_inherited(lo: int, hi: int) -> str:
+    return _format_block(_inherited, lo, hi)
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity query on this platform
+        return os.cpu_count() or 1

@@ -191,6 +191,10 @@ def load_lexicon(path: str) -> Lexicon:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise FormatError(
+            f"{path}: lexicon must be a JSON object, got {type(raw).__name__}"
+        )
     required = ("label_a", "label_b", "words_a", "words_b")
     missing = [k for k in required if k not in raw]
     if missing:

@@ -1,7 +1,11 @@
+import copy
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sweatkit import load_word2vec_text, save_word2vec_text
 from sweatkit.cli import main, validate_config
@@ -490,3 +494,176 @@ class TestInputFaults:
         assert main(["weat", "--config", str(path)]) == 1
         err = one_line_error(capsys, "config error:")
         assert f"{key}.words:" in err and "nonempty strings" in err
+
+
+    def test_non_string_embedding_label(self, tmp_path, capsys):
+        fx = write_fixture(tmp_path)
+        path, raw = base_config(tmp_path, fx)
+        raw["embeddings"][0]["label"] = ["a"]
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["sweat", "--config", str(path)]) == 1
+        assert one_line_error(capsys, "config error:") == (
+            "config error: embeddings[0].label: required nonempty string\n")
+
+    @pytest.mark.parametrize("key", ["label_a", "label_b"])
+    def test_non_string_pole_label(self, tmp_path, capsys, key):
+        fx = write_fixture(tmp_path)
+        path, raw = base_config(tmp_path, fx)
+        raw["poles"][key] = ["a"]
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["sweat", "--config", str(path)]) == 1
+        assert "pole labels must be nonempty strings" in one_line_error(
+            capsys, "config error:")
+
+    @pytest.mark.parametrize("key, value", [
+        ("report", 5), ("report", "r\0.json"), ("cumulative_svg", ["x"]),
+        ("detail_svg", 1.5),
+    ])
+    def test_non_string_output_path(self, tmp_path, capsys, key, value):
+        fx = write_fixture(tmp_path)
+        path, raw = base_config(tmp_path, fx)
+        raw["outputs"][key] = value
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["sweat", "--config", str(path)]) == 1
+        assert f"outputs.{key}: must be a path string" in one_line_error(
+            capsys, "config error:")
+
+    def test_lexicon_not_an_object_refine(self, tmp_path, capsys):
+        fx = write_fixture(tmp_path)
+        lex = tmp_path / "lex.json"
+        lex.write_text("5", encoding="utf-8")
+        assert main([
+            "refine", "--lexicon", str(lex),
+            "--space1", str(fx["space1"]), "--space2", str(fx["space2"]),
+            "--freq1", str(fx["freq1"]), "--freq2", str(fx["freq2"]),
+            "--out", str(tmp_path / "refined.json"),
+        ]) == 2
+        err = one_line_error(capsys, "data error:")
+        assert f"{lex}: lexicon must be a JSON object, got int" in err
+
+    def test_lexicon_not_an_object_poles_file(self, tmp_path, capsys):
+        fx = write_fixture(tmp_path)
+        path, raw = base_config(tmp_path, fx)
+        lex = tmp_path / "lex.json"
+        lex.write_text("5", encoding="utf-8")
+        raw["poles"] = {"file": str(lex)}
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["sweat", "--config", str(path)]) == 1
+        err = one_line_error(capsys, "config error:")
+        assert err.startswith(f"config error: poles.file: {lex}: lexicon must")
+
+
+# JSON values of every type, for the config fuzz. Strings use an alphabet
+# without "/" so that a fuzzed output path stays in the working directory;
+# numbers stay small so that a fuzzed sample count cannot run for long.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3)
+    | st.floats(-3.0, 3.0) | st.sampled_from([math.nan, math.inf])
+    | st.text(alphabet="ab. \x00é", max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(alphabet="ab", max_size=2), inner, max_size=3),
+    max_leaves=6,
+)
+
+# Where the fuzz puts its value: a key path into the sweat or weat config.
+# Each section appears whole and field by field; list entries stand for
+# the labels, paths and words inside them.
+FUZZ_TARGETS = [
+    ("sweat", ()),
+    ("sweat", ("embeddings",)),
+    ("sweat", ("embeddings", 0)),
+    ("sweat", ("embeddings", 0, "label")),
+    ("sweat", ("embeddings", 1, "label")),
+    ("sweat", ("embeddings", 0, "path")),
+    ("sweat", ("embeddings", 1, "frequency_table")),
+    ("sweat", ("topic",)),
+    ("sweat", ("topic", "label")),
+    ("sweat", ("topic", "words")),
+    ("sweat", ("topic", "words", 0)),
+    ("sweat", ("topic", "file")),
+    ("sweat", ("poles",)),
+    ("sweat", ("poles", "file")),
+    ("sweat", ("poles", "label_a")),
+    ("sweat", ("poles", "label_b")),
+    ("sweat", ("poles", "words_a")),
+    ("sweat", ("poles", "words_b", 0)),
+    ("sweat", ("poles", "provenance")),
+    ("sweat", ("alignment",)),
+    ("sweat", ("alignment", "mode")),
+    ("sweat", ("alignment", "anchors")),
+    ("sweat", ("refinement",)),
+    ("sweat", ("refinement", "enabled")),
+    ("sweat", ("refinement", "zipf_threshold")),
+    ("sweat", ("permutations",)),
+    ("sweat", ("permutations", "mode")),
+    ("sweat", ("permutations", "samples")),
+    ("sweat", ("permutations", "seed")),
+    ("sweat", ("permutations", "exact_limit")),
+    ("sweat", ("tail",)),
+    ("sweat", ("outputs",)),
+    ("sweat", ("outputs", "report")),
+    ("sweat", ("outputs", "cumulative_svg")),
+    ("sweat", ("outputs", "detail_svg")),
+    ("sweat", ("outputs", "plot_json")),
+    ("weat", ("embeddings", 0, "label")),
+    ("weat", ("topic_x",)),
+    ("weat", ("topic_x", "label")),
+    ("weat", ("topic_y", "words", 0)),
+    ("weat", ("poles", "label_b")),
+]
+
+# The stderr prefix of each failing exit code.
+EXIT_PREFIX = {1: "config error:", 2: "data error:", 3: "io error:"}
+
+
+def _put(raw, keys, value):
+    """``raw`` with the entry at ``keys`` replaced by ``value``."""
+    if not keys:
+        return value
+    raw = copy.deepcopy(raw)
+    parent = raw
+    for key in keys[:-1]:
+        parent = parent[key]
+    parent[keys[-1]] = value
+    return raw
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    tmp_path = tmp_path_factory.mktemp("fuzz")
+    fx = write_fixture(tmp_path)
+    _, sweat = base_config(tmp_path, fx)
+    sweat.update(alignment={"mode": "pre_aligned", "anchors": "auto"},
+                 refinement={"enabled": False, "zipf_threshold": 5.0},
+                 tail="directional")
+    sweat["outputs"].update(cumulative_svg="cum.svg", detail_svg="det.svg",
+                            plot_json=False)
+    return tmp_path, {"sweat": sweat, "weat": weat_raw(fx, tmp_path)}
+
+
+class TestConfigFuzz:
+    """No config ends in a traceback: every run exits 0, 1, 2 or 3, and a
+    failing run prints only its documented one-line messages."""
+
+    @pytest.mark.parametrize("command, keys", FUZZ_TARGETS,
+                             ids=[f"{c}:{'.'.join(map(str, k)) or 'config'}"
+                                  for c, k in FUZZ_TARGETS])
+    @settings(max_examples=25, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(value=JSON_VALUES)
+    def test_fuzzed_value(self, fuzz_inputs, monkeypatch, capsys, command,
+                          keys, value):
+        tmp_path, configs = fuzz_inputs
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "fuzz.json"
+        path.write_text(json.dumps(_put(configs[command], keys, value)),
+                        encoding="utf-8")
+        capsys.readouterr()
+        code = main([command, "--config", str(path)])
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2, 3)
+        if code:
+            lines = err.splitlines()
+            assert lines and all(
+                line.startswith(EXIT_PREFIX[code]) for line in lines), err
+            assert code == 1 or len(lines) == 1, err
