@@ -29,6 +29,7 @@ __all__ = [
     "sweat_score",
     "effect_size",
     "permutation_test",
+    "require_disjoint",
     "run_sweat",
     "run_weat",
 ]
@@ -37,6 +38,8 @@ __all__ = [
 # so ties are not broken by last-ulp summation noise. Association sums live
 # in [-2n, 2n] with n small, so this is far below any real difference.
 _TIE_EPS = 1e-10
+
+TAILS = ("directional", "two_sided")
 
 # Partitions scored per numpy step of the permutation test: the test holds
 # one block of index rows at a time, whatever the number of partitions.
@@ -55,17 +58,20 @@ def _words(words, what: str) -> list:
 
 @dataclass
 class TopicWordset:
-    """Named word list for the topic under study (or a WEAT target set)."""
+    """Named word list for the topic under study (or a WEAT target set).
+    Error messages start with the field at fault: ``label:`` or ``words:``."""
 
     label: str
     words: list
 
     def __post_init__(self):
-        self.words = _words(self.words, f"topic wordset '{self.label}'")
+        if not isinstance(self.label, str) or not self.label:
+            raise DataError(f"label: must be a nonempty string, got {self.label!r}")
+        self.words = _words(self.words, "words:")
         if not self.words:
-            raise DataError(f"topic wordset '{self.label}' is empty")
+            raise DataError(f"words: topic '{self.label}' is empty")
         if len(set(self.words)) != len(self.words):
-            raise DataError(f"topic wordset '{self.label}' has duplicate words")
+            raise DataError(f"words: topic '{self.label}' has duplicate words")
 
 
 @dataclass
@@ -111,13 +117,30 @@ class PermutationConfig:
     seed: int = 0
     exact_limit: int = 500_000
 
-    def validate(self):
+    def errors(self) -> list:
+        """One ``permutations.<field>: ...`` message per rule broken."""
+        errors = []
         if self.mode not in ("exact", "montecarlo", "auto"):
-            raise DataError(f"unknown permutation mode '{self.mode}'")
-        if self.mode == "montecarlo" and self.samples < 100:
-            raise DataError("montecarlo mode needs at least 100 samples")
-        if self.exact_limit < 1:
-            raise DataError("exact_limit must be >= 1")
+            errors.append("permutations.mode: must be exact, montecarlo or "
+                          f"auto, got {self.mode!r}")
+        for key, least in (("samples", 1), ("seed", 0), ("exact_limit", 1)):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, int):
+                errors.append(f"permutations.{key}: must be an integer, "
+                              f"got {value!r}")
+            elif value < least:
+                errors.append(f"permutations.{key}: must be at least "
+                              f"{least}, got {value!r}")
+            elif key == "samples" and self.mode == "montecarlo" and value < 100:
+                errors.append("permutations.samples: montecarlo mode needs "
+                              f"at least 100 samples, got {value!r}")
+        return errors
+
+    def validate(self):
+        """Raise a DataError naming every rule this config breaks."""
+        errors = self.errors()
+        if errors:
+            raise DataError("; ".join(errors))
 
 
 @dataclass
@@ -191,12 +214,16 @@ def single_word_association(
     return associations([word], space, poles).values[0]
 
 
-def _target_values(x, y, space, poles) -> tuple[list, list]:
-    """Per-word associations of two WEAT target sets, which must not
-    overlap."""
+def require_disjoint(x: TopicWordset, y: TopicWordset) -> None:
+    """WEAT target sets must share no word."""
     overlap = set(x.words) & set(y.words)
     if overlap:
         raise DataError("target wordsets overlap: " + ", ".join(sorted(overlap)))
+
+
+def _target_values(x, y, space, poles) -> tuple[list, list]:
+    """Per-word associations of two WEAT target sets."""
+    require_disjoint(x, y)
     return (associations(x.words, space, poles).values,
             associations(y.words, space, poles).values)
 
@@ -299,7 +326,7 @@ def permutation_test(
     """
     cfg = cfg or PermutationConfig()
     cfg.validate()
-    if tail not in ("directional", "two_sided"):
+    if tail not in TAILS:
         raise DataError(f"unknown tail '{tail}'")
     values_1 = list(values_1)
     values_2 = list(values_2)

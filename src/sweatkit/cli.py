@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
-import math
 import os
 import sys
 import time
@@ -20,9 +19,11 @@ import numpy as np
 from . import __version__
 from .alignment import default_anchors, procrustes_align
 from .association import (
+    TAILS,
     PermutationConfig,
     PoleWordsets,
     TopicWordset,
+    require_disjoint,
     run_sweat,
     run_weat,
 )
@@ -100,6 +101,12 @@ class RunConfig:
         }
 
 
+def _number(text: str):
+    """A JSON number: integral ones, such as 1e4, read as ints."""
+    value = float(text)
+    return int(value) if value.is_integer() else value
+
+
 def _read_wordlist(path: str) -> list:
     with open_text(path) as fh:
         return [line.strip() for line in fh if line.strip()]
@@ -114,27 +121,30 @@ def _readable(path, name, errors) -> bool:
     return False
 
 
+def _checked(make, prefix, errors):
+    """What ``make()`` returns, or None with its DataError recorded."""
+    try:
+        return make()
+    except DataError as exc:
+        errors.append(f"{prefix}{exc}")
+        return None
+
+
 def _check_topic(raw, name, errors) -> TopicWordset | None:
     if not isinstance(raw, dict):
         errors.append(f"{name}: must be an object")
         return None
-    label = raw.get("label")
-    if not label or not isinstance(label, str):
-        errors.append(f"{name}.label: required nonempty string")
     words = raw.get("words")
     if "file" in raw:
         if not _readable(raw["file"], f"{name}.file", errors):
             return None
-        try:
-            words = _read_wordlist(raw["file"])
-        except DataError as exc:
-            errors.append(f"{name}.file: {exc}")
+        words = _checked(lambda: _read_wordlist(raw["file"]), f"{name}.file: ",
+                         errors)
+        if words is None:
             return None
-    try:
-        return TopicWordset(label or name, words)
-    except DataError as exc:
-        errors.append(f"{name}.words: {exc}")
-        return None
+    # A TopicWordset error starts with the name of the field at fault.
+    return _checked(lambda: TopicWordset(raw.get("label"), words), f"{name}.",
+                    errors)
 
 
 def _check_poles(raw, errors) -> Lexicon | None:
@@ -144,23 +154,12 @@ def _check_poles(raw, errors) -> Lexicon | None:
     if "file" in raw:
         if not _readable(raw["file"], "poles.file", errors):
             return None
-        try:
-            return load_lexicon(raw["file"])
-        except DataError as exc:
-            errors.append(f"poles.file: {exc}")
-            return None
-    missing = [k for k in ("label_a", "label_b", "words_a", "words_b")
-               if k not in raw]
-    if missing:
-        errors.append("poles: missing fields: " + ", ".join(missing))
-        return None
-    try:
-        return Lexicon(PoleWordsets(raw["label_a"], raw["label_b"],
-                                    raw["words_a"], raw["words_b"]),
-                       raw.get("provenance", ""))
-    except DataError as exc:
-        errors.append(f"poles: {exc}")
-        return None
+        return _checked(lambda: load_lexicon(raw["file"]), "poles.file: ",
+                        errors)
+    return _checked(lambda: Lexicon(
+        PoleWordsets(raw.get("label_a"), raw.get("label_b"),
+                     raw.get("words_a"), raw.get("words_b")),
+        raw.get("provenance", "")), "poles: ", errors)
 
 
 def _section(raw, key, errors) -> dict:
@@ -171,34 +170,41 @@ def _section(raw, key, errors) -> dict:
     return value
 
 
-def _integer(section, key, default, name, errors) -> int:
-    value = section.get(key, default)
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        errors.append(f"{name}: must be an integer, got {value!r}")
-        return default
-    return value
+def _finite(value) -> bool:
+    """A JSON number that reads as a finite float."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
-def _permutation_errors(perms: PermutationConfig) -> list:
-    errors = []
-    try:
-        perms.validate()
-    except DataError as exc:
-        errors.append(f"permutations: {exc}")
-    if perms.samples < 1:
-        errors.append("permutations.samples: must be a positive integer")
-    if perms.seed < 0:
-        errors.append("permutations.seed: must be a nonnegative integer")
-    return errors
+def _output(value) -> bool:
+    """An output path, or None for no output."""
+    return value is None or isinstance(value, str) and "\0" not in value
 
 
-def validate_config(path: str, command: str = "sweat") -> RunConfig:
-    """Parse and fully validate a run config, reporting every error found."""
+# Each scalar field: key path, RunConfig attribute (and default), rule, test.
+_SCALARS = (
+    ("alignment.mode", "alignment_mode", "pre_aligned or procrustes",
+     ("pre_aligned", "procrustes").__contains__),
+    ("refinement.enabled", "refinement_enabled", "true or false",
+     lambda v: isinstance(v, bool)),
+    ("refinement.zipf_threshold", "zipf_threshold", "a finite number", _finite),
+    ("tail", "tail", " or ".join(TAILS), TAILS.__contains__),
+    ("outputs.report", "report_path", "a path string",
+     lambda v: v and _output(v)),
+    ("outputs.cumulative_svg", "cumulative_svg", "a path string", _output),
+    ("outputs.detail_svg", "detail_svg", "a path string", _output),
+    ("outputs.plot_json", "plot_json", "true or false",
+     lambda v: isinstance(v, bool)),
+)
+
+
+def validate_config(path: str, command: str = "sweat",
+                    permutations: dict | None = None) -> RunConfig:
+    """Parse and fully validate a run config, reporting every error found.
+    ``permutations`` values replace the config's before they are checked."""
     try:
         with open_text(path) as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_float=_number)
     except (OSError, DataError) as exc:
         raise ConfigError([f"cannot read config: {exc}"]) from exc
     except json.JSONDecodeError as exc:
@@ -253,40 +259,29 @@ def validate_config(path: str, command: str = "sweat") -> RunConfig:
             else:
                 setattr(cfg, key, _check_topic(raw[key], key, errors))
         if cfg.topic_x and cfg.topic_y:
-            overlap = set(cfg.topic_x.words) & set(cfg.topic_y.words)
-            if overlap:
-                errors.append(
-                    "topic_x/topic_y: overlapping words: "
-                    + ", ".join(sorted(overlap))
-                )
+            _checked(lambda: require_disjoint(cfg.topic_x, cfg.topic_y),
+                     "topic_x/topic_y: ", errors)
 
     if "poles" not in raw:
         errors.append("poles: required")
     else:
         cfg.lexicon = _check_poles(raw["poles"], errors)
 
-    alignment = _section(raw, "alignment", errors)
-    cfg.alignment_mode = alignment.get("mode", "pre_aligned")
-    if cfg.alignment_mode not in ("pre_aligned", "procrustes"):
-        errors.append(
-            f"alignment.mode: must be pre_aligned or procrustes, "
-            f"got '{cfg.alignment_mode}'"
-        )
-    cfg.anchors = alignment.get("anchors", "auto")
+    sections = {"": raw}
+    for key in ("alignment", "refinement", "permutations", "outputs"):
+        sections[key] = _section(raw, key, errors)
+    for name, attr, rule, ok in _SCALARS:
+        section, _, key = name.rpartition(".")
+        value = sections[section].get(key, getattr(cfg, attr))
+        if ok(value):
+            setattr(cfg, attr, value)
+        else:
+            errors.append(f"{name}: must be {rule}, got {value!r}")
+    cfg.zipf_threshold = float(cfg.zipf_threshold)
+
+    cfg.anchors = sections["alignment"].get("anchors", cfg.anchors)
     if cfg.anchors != "auto":
         _readable(cfg.anchors, "alignment.anchors", errors)
-
-    refinement = _section(raw, "refinement", errors)
-    cfg.refinement_enabled = bool(refinement.get("enabled", False))
-    threshold = refinement.get("zipf_threshold", 5.0)
-    if (isinstance(threshold, bool) or not isinstance(threshold, (int, float))
-            or not math.isfinite(threshold)):
-        errors.append(
-            f"refinement.zipf_threshold: must be a finite number, "
-            f"got {threshold!r}"
-        )
-    else:
-        cfg.zipf_threshold = float(threshold)
     if cfg.refinement_enabled:
         for i, entry in enumerate(cfg.embeddings):
             if not entry.frequency_table:
@@ -295,47 +290,22 @@ def validate_config(path: str, command: str = "sweat") -> RunConfig:
                     "refinement is enabled"
                 )
 
-    perms = _section(raw, "permutations", errors)
-    cfg.permutations = PermutationConfig(
-        mode=perms.get("mode", "auto"),
-        samples=_integer(perms, "samples", 10_000, "permutations.samples",
-                         errors),
-        seed=_integer(perms, "seed", 0, "permutations.seed", errors),
-        exact_limit=_integer(perms, "exact_limit", 500_000,
-                             "permutations.exact_limit", errors),
-    )
-    errors.extend(_permutation_errors(cfg.permutations))
-
-    cfg.tail = raw.get("tail", "directional")
-    if cfg.tail not in ("directional", "two_sided"):
-        errors.append(f"tail: must be directional or two_sided, got '{cfg.tail}'")
-
-    outputs = _section(raw, "outputs", errors)
-    cfg.report_path = outputs.get("report", "sweat_report.json")
-    if not cfg.report_path:
-        errors.append("outputs.report: path must be nonempty")
-    cfg.cumulative_svg = outputs.get("cumulative_svg")
-    cfg.detail_svg = outputs.get("detail_svg")
-    for key, value in (("report", cfg.report_path),
-                       ("cumulative_svg", cfg.cumulative_svg),
-                       ("detail_svg", cfg.detail_svg)):
-        if value and (not isinstance(value, str) or "\0" in value):
-            errors.append(f"outputs.{key}: must be a path string, got {value!r}")
-    cfg.plot_json = bool(outputs.get("plot_json", False))
+    perms = {**sections["permutations"], **(permutations or {})}
+    cfg.permutations = PermutationConfig(**{
+        key: perms.get(key, default)
+        for key, default in asdict(PermutationConfig()).items()})
+    errors.extend(cfg.permutations.errors())
 
     if errors:
         raise ConfigError(errors)
     return cfg
 
 
-def _apply_overrides(cfg: RunConfig, args) -> None:
-    if args.seed is not None:
-        cfg.permutations.seed = args.seed
-    if args.samples is not None:
-        cfg.permutations.samples = args.samples
-    errors = _permutation_errors(cfg.permutations)
-    if errors:
-        raise ConfigError(errors)
+def _run_config(args, command) -> RunConfig:
+    """The config of ``args``, checked with the command line's overrides."""
+    cfg = validate_config(args.config, command, {
+        key: getattr(args, key) for key in ("seed", "samples")
+        if getattr(args, key) is not None})
     if args.tail is not None:
         cfg.tail = args.tail
     if args.out_dir is not None:
@@ -348,6 +318,7 @@ def _apply_overrides(cfg: RunConfig, args) -> None:
             if value:
                 setattr(cfg, attr, os.path.join(args.out_dir,
                                                 os.path.basename(value)))
+    return cfg
 
 
 def _json_dump(obj, path) -> None:
@@ -393,8 +364,7 @@ def _write_report(cfg, command, title, result, timings, alignment=None,
 
 
 def cmd_sweat(args) -> int:
-    cfg = validate_config(args.config, command="sweat")
-    _apply_overrides(cfg, args)
+    cfg = _run_config(args, "sweat")
     timings: dict = {}
 
     t0 = time.perf_counter()
@@ -458,8 +428,7 @@ def cmd_sweat(args) -> int:
 
 
 def cmd_weat(args) -> int:
-    cfg = validate_config(args.config, command="weat")
-    _apply_overrides(cfg, args)
+    cfg = _run_config(args, "weat")
     timings: dict = {}
 
     t0 = time.perf_counter()
@@ -545,7 +514,7 @@ def cmd_plot(args) -> int:
             )
         if args.detail:
             render_detail(DetailPlotData.from_dict(plots["detail"]), args.detail)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(
             f"report '{args.report}' has malformed plot data "
             f"({type(exc).__name__}: {exc})"
@@ -580,7 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True)
         p.add_argument("--seed", type=int)
         p.add_argument("--samples", type=int)
-        p.add_argument("--tail", choices=["directional", "two_sided"])
+        p.add_argument("--tail", choices=TAILS)
         p.add_argument("--out-dir")
         p.set_defaults(fn=fn)
 
@@ -625,20 +594,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Each character str.splitlines breaks at, and the escape that keeps it out.
+_LINE_BREAKS = str.maketrans(
+    {c: repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"})
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except ConfigError as exc:
-        for err in exc.errors:
-            print(f"config error: {err}", file=sys.stderr)
-        return 1
+        code, prefix, messages = 1, "config error", exc.errors
     except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
+        code, prefix, messages = 2, "data error", [exc]
     except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return 3
+        code, prefix, messages = 3, "io error", [exc]
+    for text in messages:
+        print(f"{prefix}: {str(text).translate(_LINE_BREAKS)}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 import os
+import stat
+import sys
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -195,7 +197,10 @@ def load_word2vec_text(path: str, label: str | None = None) -> EmbeddingSpace:
         label = os.path.splitext(os.path.basename(path))[0]
     with open_text(path) as fh:
         vocab_size, dim = _read_header(fh, path)
-        parsed = _parse_bulk(fh, vocab_size, dim)
+        # The bulk parse sizes its matrix from the header; a header that
+        # declares more rows than the file holds is left to the validator.
+        parsed = (_parse_bulk(fh, vocab_size, dim)
+                  if _fits(fh, vocab_size, dim) else None)
     if parsed is None:
         with open_text(path) as fh:
             fh.readline()
@@ -212,9 +217,25 @@ def _read_header(fh, path: str) -> tuple[int, int]:
         vocab_size, dim = int(parts[0]), int(parts[1])
     except ValueError:
         raise FormatError(f"{path}:1: non-integer header fields") from None
-    if vocab_size < 0 or dim <= 0:
+    # A dimension whose float64 row numpy cannot address is out of range,
+    # even with no rows.
+    if vocab_size < 0 or not 0 < dim <= sys.maxsize // 8:
         raise FormatError(f"{path}:1: header values out of range")
     return vocab_size, dim
+
+
+def _fits(fh, vocab_size: int, dim: int) -> bool:
+    """Whether a regular file is large enough for the rows its header
+    declares; a pipe has no size to tell.
+
+    A row is a word, then dim fields of a space and at least one character
+    each, then a newline: 2 * (dim + 1) bytes or more. Only one word can be
+    empty and only the last newline can be missing, and the header's 4 or
+    more bytes make up for both, so no valid file fails this test.
+    """
+    info = os.fstat(fh.fileno())
+    return (not stat.S_ISREG(info.st_mode)
+            or vocab_size * 2 * (dim + 1) <= info.st_size)
 
 
 def _parse_bulk(fh, vocab_size: int, dim: int):
@@ -265,11 +286,11 @@ def _parse_bulk(fh, vocab_size: int, dim: int):
 
 def _parse_rows(fh, path: str, vocab_size: int, dim: int):
     """Row-by-row validator: the first malformed row raises a
-    ``FormatError`` naming its line."""
+    ``FormatError`` naming its line. It keeps only the rows it has read, so
+    a header declaring too many costs no memory."""
     words: list[str] = []
-    rows = np.empty((vocab_size, dim), dtype=np.float64)
+    rows: list = []
     seen: set[str] = set()
-    n = 0
     for lineno, line in enumerate(fh, start=2):
         if line.strip() == "":
             continue
@@ -291,21 +312,20 @@ def _parse_rows(fh, path: str, vocab_size: int, dim: int):
             raise FormatError(f"{path}:{lineno}: non-finite component")
         if not np.any(vec):
             raise FormatError(f"{path}:{lineno}: zero-norm vector for '{word}'")
-        if n >= vocab_size:
+        if len(rows) >= vocab_size:
             raise FormatError(
                 f"{path}:{lineno}: row count exceeds declared vocab size "
                 f"{vocab_size}"
             )
         seen.add(word)
         words.append(word)
-        rows[n] = vec
-        n += 1
-    if n != vocab_size:
+        rows.append(vec)
+    if len(rows) != vocab_size:
         raise FormatError(
             f"{path}: row count mismatch: header declares {vocab_size}, "
-            f"found {n}"
+            f"found {len(rows)}"
         )
-    return words, rows
+    return words, np.array(rows, dtype=np.float64).reshape(vocab_size, dim)
 
 
 # Components per formatting block, about 2 MB of text. The parallel write

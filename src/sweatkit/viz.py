@@ -20,6 +20,20 @@ COLOR_B = "#c62828"
 COLOR_CUMULATE = "#000000"
 
 
+def _text(value, what: str) -> str:
+    """``value``, which a chart draws as text: anything but a string is a
+    TypeError."""
+    if not isinstance(value, str):
+        raise TypeError(f"{what} must be a string, got {value!r}")
+    return value
+
+
+def _labels(raw) -> dict:
+    """The topic and pole labels of a chart's dict."""
+    return {key: _text(raw[key], key)
+            for key in ("topic_label", "pole_label_a", "pole_label_b")}
+
+
 @dataclass
 class SpaceBar:
     label: str
@@ -43,12 +57,10 @@ class CumulativePlotData:
 
     @classmethod
     def from_dict(cls, raw):
-        return cls(
-            topic_label=raw["topic_label"],
-            pole_label_a=raw["pole_label_a"],
-            pole_label_b=raw["pole_label_b"],
-            bars=[SpaceBar(**b) for b in raw["bars"]],
-        )
+        bars = [SpaceBar(**b) for b in raw["bars"]]
+        for bar in bars:
+            _text(bar.label, "bar label")
+        return cls(**_labels(raw), bars=bars)
 
 
 @dataclass
@@ -82,11 +94,9 @@ class DetailPlotData:
     @classmethod
     def from_dict(cls, raw):
         return cls(
-            topic_label=raw["topic_label"],
-            pole_label_a=raw["pole_label_a"],
-            pole_label_b=raw["pole_label_b"],
-            space_labels=list(raw["space_labels"]),
-            words=list(raw["words"]),
+            **_labels(raw),
+            space_labels=[_text(s, "space label") for s in raw["space_labels"]],
+            words=[_text(w, "word") for w in raw["words"]],
             distributions=[WordDistribution(**d) for d in raw["distributions"]],
         )
 

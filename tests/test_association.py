@@ -390,3 +390,29 @@ class TestWordsetValidation:
     def test_empty_topic_rejected(self):
         with pytest.raises(DataError, match="empty"):
             TopicWordset("t", [])
+
+
+class TestPermutationConfigRules:
+    @pytest.mark.parametrize("cfg", [
+        PermutationConfig(mode="auto", samples=0, exact_limit=1),
+        PermutationConfig(mode="montecarlo", seed=-1),
+        PermutationConfig(mode="montecarlo", seed=1.5),
+        PermutationConfig(mode="montecarlo", samples=150.5),
+    ], ids=["no-samples", "negative-seed", "float-seed", "float-samples"])
+    def test_broken_rule_is_data_error(self, cfg):
+        with pytest.raises(DataError, match=r"^permutations\.(samples|seed):"):
+            permutation_test([1.0, 2.0], [3.0, 4.0], cfg)
+
+    def test_every_broken_field_named(self):
+        cfg = PermutationConfig(mode="sideways", samples=True, seed=-2,
+                                exact_limit=0)
+        assert [e.split(":")[0] for e in cfg.errors()] == [
+            "permutations.mode", "permutations.samples", "permutations.seed",
+            "permutations.exact_limit"]
+
+
+class TestTopicLabel:
+    @pytest.mark.parametrize("label", ["", None, 5, ["t"]])
+    def test_label_must_be_nonempty_string(self, label):
+        with pytest.raises(DataError, match="^label: must be a nonempty string"):
+            TopicWordset(label, ["w"])

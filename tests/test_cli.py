@@ -628,6 +628,29 @@ def _put(raw, keys, value):
     return raw
 
 
+def assert_documented_exit(code, err):
+    """A failing run prints only lines with its exit code's prefix: exits 2
+    and 3 exactly one, exit 1 one per config error."""
+    assert code in (0, 1, 2, 3)
+    if code:
+        lines = err.splitlines()
+        assert lines and all(
+            line.startswith(EXIT_PREFIX[code]) for line in lines), err
+        assert code == 1 or len(lines) == 1, err
+
+
+# Every character that str.splitlines breaks a line at.
+LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+# JSON values whose strings hold line breaks.
+LINE_BROKEN_VALUES = st.recursive(
+    st.text(alphabet="ab" + LINE_BREAKS, min_size=1, max_size=4),
+    lambda inner: st.lists(inner, min_size=1, max_size=3)
+    | st.dictionaries(st.text(alphabet="ab", max_size=2), inner, max_size=3),
+    max_leaves=4,
+)
+
+
 @pytest.fixture(scope="module")
 def fuzz_inputs(tmp_path_factory):
     tmp_path = tmp_path_factory.mktemp("fuzz")
@@ -667,3 +690,210 @@ class TestConfigFuzz:
             assert lines and all(
                 line.startswith(EXIT_PREFIX[code]) for line in lines), err
             assert code == 1 or len(lines) == 1, err
+
+    @pytest.mark.parametrize("command, keys", FUZZ_TARGETS,
+                             ids=[f"{c}:{'.'.join(map(str, k)) or 'config'}"
+                                  for c, k in FUZZ_TARGETS])
+    @settings(max_examples=25, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(value=LINE_BROKEN_VALUES)
+    def test_line_broken_value(self, fuzz_inputs, monkeypatch, capsys,
+                               command, keys, value):
+        """Strings holding line breaks still give one line per error."""
+        tmp_path, configs = fuzz_inputs
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "fuzz.json"
+        path.write_text(json.dumps(_put(configs[command], keys, value)),
+                        encoding="utf-8")
+        capsys.readouterr()
+        code = main([command, "--config", str(path)])
+        assert_documented_exit(code, capsys.readouterr().err)
+
+
+class TestOneLineErrors:
+    """A message holding a line break still prints as one line."""
+
+    def test_path_with_newline(self, tmp_path, capsys):
+        fx = write_fixture(tmp_path)
+        path, raw = base_config(tmp_path, fx)
+        raw["embeddings"][0]["path"] = "x\ny"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["sweat", "--config", str(path)]) == 1
+        assert one_line_error(capsys, "config error:") == (
+            "config error: embeddings[0].path: unreadable path 'x\\ny'\n")
+
+    def test_missing_word_with_line_separator(self, tmp_path, capsys):
+        fx = write_fixture(tmp_path)
+        path, raw = base_config(tmp_path, fx)
+        raw["topic"]["words"] = raw["topic"]["words"] + ["a\u2028b"]
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["sweat", "--config", str(path)]) == 2
+        assert "missing words: a\\u2028b" in one_line_error(capsys,
+                                                             "data error:")
+
+    def test_tail_with_carriage_return(self, tmp_path, capsys):
+        fx = write_fixture(tmp_path)
+        path, raw = base_config(tmp_path, fx, tail="a\rb")
+        assert main(["sweat", "--config", str(path)]) == 1
+        assert one_line_error(capsys, "config error:") == (
+            "config error: tail: must be directional or two_sided, "
+            "got 'a\\rb'\n")
+
+
+class TestConfigRules:
+    """Each config rule is checked once, by the type that owns it."""
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("refinement", "enabled", "false"),
+        ("refinement", "enabled", 1),
+        ("outputs", "plot_json", "no"),
+    ])
+    def test_flag_must_be_json_boolean(self, tmp_path, capsys, section, key,
+                                       value):
+        fx = write_fixture(tmp_path)
+        path, raw = base_config(tmp_path, fx)
+        raw.setdefault(section, {})[key] = value
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["sweat", "--config", str(path)]) == 1
+        assert one_line_error(capsys, "config error:") == (
+            f"config error: {section}.{key}: must be true or false, "
+            f"got {value!r}\n")
+        assert not list(tmp_path.glob("*.cumulative.json"))
+
+    def test_huge_integer_threshold(self, tmp_path, capsys):
+        fx = write_fixture(tmp_path)
+        path, _ = base_config(tmp_path, fx,
+                              refinement={"zipf_threshold": 10**400})
+        assert main(["sweat", "--config", str(path)]) == 1
+        assert "refinement.zipf_threshold: must be a finite number" in (
+            one_line_error(capsys, "config error:"))
+
+    def test_integral_floats_read_as_integers(self, tmp_path):
+        fx = write_fixture(tmp_path)
+        path, _ = base_config(tmp_path, fx, permutations={
+            "mode": "montecarlo", "samples": 2e3, "seed": 7.0,
+            "exact_limit": 1e4})
+        perms = validate_config(str(path)).permutations
+        assert (perms.samples, perms.seed, perms.exact_limit) == (
+            2000, 7, 10_000)
+        assert all(type(v) is int
+                   for v in (perms.samples, perms.seed, perms.exact_limit))
+
+    def test_every_bad_permutation_field_on_its_own_line(self, tmp_path,
+                                                         capsys):
+        fx = write_fixture(tmp_path)
+        path, _ = base_config(tmp_path, fx, permutations={
+            "mode": "montecarlo", "samples": 0, "seed": -1, "exact_limit": 0})
+        assert main(["sweat", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "config error: permutations.samples: must be at least 1, got 0\n"
+            "config error: permutations.seed: must be at least 0, got -1\n"
+            "config error: permutations.exact_limit: must be at least 1, "
+            "got 0\n")
+
+    def test_override_replaces_config_value_before_checks(self, tmp_path,
+                                                          capsys):
+        fx = write_fixture(tmp_path)
+        path, _ = base_config(tmp_path, fx, permutations={
+            "mode": "montecarlo", "samples": "lots", "seed": -1})
+        assert main(["sweat", "--config", str(path), "--samples", "500",
+                     "--seed", "3"]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["config"]["permutations"]["samples"] == 500
+        assert report["result"]["n_permutations"] == 500
+
+    @pytest.mark.parametrize("label", [None, 5, ""])
+    def test_topic_label(self, tmp_path, capsys, label):
+        fx = write_fixture(tmp_path)
+        path, raw = base_config(tmp_path, fx)
+        raw["topic"]["label"] = label
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["sweat", "--config", str(path)]) == 1
+        assert one_line_error(capsys, "config error:") == (
+            "config error: topic.label: must be a nonempty string, "
+            f"got {label!r}\n")
+
+
+@pytest.fixture(scope="module")
+def plot_report(tmp_path_factory):
+    """The report of one sweat run, as a dict holding its plot data."""
+    tmp_path = tmp_path_factory.mktemp("plot")
+    fx = write_fixture(tmp_path)
+    path, _ = base_config(tmp_path, fx)
+    assert main(["sweat", "--config", str(path)]) == 0
+    return json.loads((tmp_path / "report.json").read_text())
+
+
+def plot(report, tmp_path):
+    """Exit code of ``sweatkit plot`` drawing both charts of ``report``."""
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report), encoding="utf-8")
+    return main(["plot", "--report", str(path),
+                 "--cumulative", str(tmp_path / "cum.svg"),
+                 "--detail", str(tmp_path / "det.svg")])
+
+
+# Where the plot fuzz puts its value: a key path into a sweat report.
+PLOT_TARGETS = [
+    ("plots",),
+    ("plots", "cumulative"),
+    ("plots", "cumulative", "topic_label"),
+    ("plots", "cumulative", "pole_label_a"),
+    ("plots", "cumulative", "pole_label_b"),
+    ("plots", "cumulative", "bars"),
+    ("plots", "cumulative", "bars", 0),
+    ("plots", "cumulative", "bars", 0, "label"),
+    ("plots", "cumulative", "bars", 0, "beta_a"),
+    ("plots", "cumulative", "bars", 1, "beta_b"),
+    ("plots", "cumulative", "bars", 1, "cumulate"),
+    ("plots", "detail"),
+    ("plots", "detail", "topic_label"),
+    ("plots", "detail", "pole_label_a"),
+    ("plots", "detail", "pole_label_b"),
+    ("plots", "detail", "space_labels"),
+    ("plots", "detail", "space_labels", 1),
+    ("plots", "detail", "words"),
+    ("plots", "detail", "words", 0),
+    ("plots", "detail", "distributions"),
+    ("plots", "detail", "distributions", 0),
+    ("plots", "detail", "distributions", 0, "word"),
+    ("plots", "detail", "distributions", 1, "space_label"),
+    ("plots", "detail", "distributions", 0, "delta_a"),
+    ("plots", "detail", "distributions", 0, "delta_a", 0),
+    ("plots", "detail", "distributions", 1, "delta_b"),
+    ("plots", "detail", "distributions", 0, "mean_a"),
+    ("plots", "detail", "distributions", 1, "mean_b"),
+    ("plots", "detail", "distributions", 0, "dominant_pole"),
+]
+
+# JSON values for the plot fuzz, numbers of any size among them.
+PLOT_VALUES = (JSON_VALUES | st.integers(-10**400, 10**400)
+               | st.floats(allow_nan=True, allow_infinity=True))
+
+
+class TestPlotReportFaults:
+    """A malformed report given to ``plot`` is a one-line data error that
+    names the report, never a traceback."""
+
+    @pytest.mark.parametrize("keys, value", [
+        (("plots", "cumulative", "bars", 0, "label"), 5),
+        (("plots", "detail", "space_labels"), [1, 2]),
+        (("plots", "cumulative", "pole_label_a"), None),
+    ])
+    def test_non_string_label(self, plot_report, tmp_path, capsys, keys,
+                              value):
+        assert plot(_put(plot_report, keys, value), tmp_path) == 2
+        err = one_line_error(capsys, "data error:")
+        assert f"report '{tmp_path / 'report.json'}'" in err
+        assert "must be a string" in err
+
+    @pytest.mark.parametrize("keys", PLOT_TARGETS,
+                             ids=[".".join(map(str, k)) for k in PLOT_TARGETS])
+    @settings(max_examples=25, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(value=PLOT_VALUES)
+    def test_fuzzed_value(self, plot_report, tmp_path, capsys, keys, value):
+        capsys.readouterr()
+        code = plot(_put(plot_report, keys, value), tmp_path)
+        assert code in (0, 2)
+        assert_documented_exit(code, capsys.readouterr().err)

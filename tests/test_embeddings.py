@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sweatkit import (
@@ -332,3 +332,48 @@ class TestSpaceValidation:
         space = make_space("s", {"x": (1.0, 0.0)})
         with pytest.raises(ValueError):
             space.matrix[0, 0] = 2.0
+
+
+class TestHeaderBound:
+    """The header sizes the row array before any row is read, so it may
+    declare no more rows than the file's bytes can hold."""
+
+    BODY = "a 1.0 2.0\nb 3.0 4.0\n"
+
+    @pytest.mark.parametrize("header, message", [
+        ("1000000000000 100", ":2: expected 101 fields, got 3"),
+        ("100000000000000000000 2",
+         ": row count mismatch: header declares 100000000000000000000, "
+         "found 2"),
+        ("0 100000000000000000000", ":1: header values out of range"),
+    ])
+    def test_oversized_header(self, tmp_path, header, message):
+        p = tmp_path / "v.txt"
+        write(p, f"{header}\n{self.BODY}")
+        with pytest.raises(FormatError) as exc:
+            load_word2vec_text(str(p))
+        assert str(exc.value) == f"{p}{message}"
+
+    @pytest.mark.parametrize("vocab, dim", [(1, 1), (1, 3), (2, 1), (3, 2)])
+    def test_smallest_valid_files_load(self, tmp_path, vocab, dim):
+        # One empty word, one-character fields and no final newline: the
+        # fewest bytes a valid file of this shape can have.
+        words = [""] + [chr(ord("a") + i) for i in range(vocab - 1)]
+        p = tmp_path / "v.txt"
+        write(p, f"{vocab} {dim}\n"
+                 + "\n".join(" ".join([w] + ["1"] * dim) for w in words))
+        assert p.stat().st_size == vocab * 2 * (dim + 1) + 2
+        assert load_word2vec_text(str(p)).words == tuple(words)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(header=st.tuples(st.integers(-2, 10**30), st.integers(-2, 10**30))
+           .map(lambda h: f"{h[0]} {h[1]}")
+           | st.text(alphabet="0123456789 -+.e", max_size=12))
+    def test_fuzzed_header(self, tmp_path_factory, header):
+        p = tmp_path_factory.mktemp("header") / "v.txt"
+        write(p, f"{header}\n{self.BODY}")
+        try:
+            space = load_word2vec_text(str(p))
+        except FormatError:
+            return
+        assert (len(space), space.dimension) == (2, 2)
