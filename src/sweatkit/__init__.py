@@ -8,6 +8,7 @@ from .alignment import (
     default_anchors,
     procrustes_align,
     round_trip_stable,
+    round_trip_stability,
 )
 from .association import (
     PermutationConfig,
@@ -28,6 +29,7 @@ from .embeddings import (
     cosine,
     load_word2vec_text,
     nearest_neighbor,
+    nearest_neighbors,
     save_word2vec_text,
 )
 from .errors import (

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import EmbeddingSpace, nearest_neighbor
+from .embeddings import EmbeddingSpace, nearest_neighbors
 from .errors import DataError, VocabularyError
 
 
@@ -87,12 +87,27 @@ def round_trip_stable(
     word: str, space1: EmbeddingSpace, space2: EmbeddingSpace
 ) -> bool:
     """True iff the word's vector in either space has the word itself as the
-    nearest neighbor in the other space. Assumes aligned coordinates."""
-    space1.require([word])
-    space2.require([word])
-    if nearest_neighbor(space2, space1.vector(word)) != word:
-        return False
-    return nearest_neighbor(space1, space2.vector(word)) == word
+    nearest neighbor in the other space. Assumes aligned coordinates; the
+    one-word case of ``round_trip_stability``."""
+    return round_trip_stability([word], space1, space2)[0]
+
+
+def round_trip_stability(
+    words, space1: EmbeddingSpace, space2: EmbeddingSpace
+) -> list[bool]:
+    """For each of ``words``, in order, whether ``round_trip_stable`` holds:
+    one batched search from space 1 into space 2, then one back for the
+    words that passed the first."""
+    words = list(words)
+    space1.require(words)
+    space2.require(words)
+    there = nearest_neighbors(space2, space1.rows(words))
+    passed = [i for i, (w, nn) in enumerate(zip(words, there)) if nn == w]
+    back = nearest_neighbors(space1, space2.rows([words[i] for i in passed]))
+    stable = [False] * len(words)
+    for i, nn in zip(passed, back):
+        stable[i] = nn == words[i]
+    return stable
 
 
 def default_anchors(

@@ -8,6 +8,7 @@ import stat
 import sys
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -147,29 +148,81 @@ def cosines(space: EmbeddingSpace, words, others) -> np.ndarray:
     return block
 
 
+# Largest block of similarities ``nearest_neighbors`` holds at once, in
+# bytes: vocabulary rows x query columns of float64. Larger blocks save
+# little time and add their size to peak memory.
+_NN_BLOCK_BYTES = 1 << 21
+
+
 def nearest_neighbor(space: EmbeddingSpace, query) -> str:
-    """Vocabulary word maximizing cosine with ``query``.
+    """Vocabulary word maximizing cosine with ``query``: the one-query case
+    of ``nearest_neighbors``."""
+    query = np.asarray(query, dtype=np.float64)
+    if query.ndim != 1:
+        raise DataError(f"query must be one vector, got shape {query.shape}")
+    return nearest_neighbors(space, query[None, :])[0]
+
+
+def nearest_neighbors(space: EmbeddingSpace, queries) -> list[str]:
+    """For each row of ``queries``, the vocabulary word maximizing cosine
+    with it.
 
     Exact scan over the whole vocabulary; ties break to the
-    lexicographically smallest word so results are deterministic.
+    lexicographically smallest word so results are deterministic. The unit
+    queries are scored in blocks, one product with the unit rows per block,
+    and no block of similarities exceeds ``_NN_BLOCK_BYTES``.
     """
-    if len(space) == 0:
-        raise DataError("nearest_neighbor on empty space")
-    query = np.asarray(query, dtype=np.float64)
-    if query.shape != (space.dimension,):
+    queries = np.asarray(queries, dtype=np.float64)
+    if queries.ndim != 2 or queries.shape[1] != space.dimension:
         raise DataError(
-            f"query dimension {query.shape} does not match space "
+            f"query dimension {queries.shape[1:]} does not match space "
             f"dimension {space.dimension}"
         )
-    qn = np.linalg.norm(query)
-    if qn == 0.0:
+    if len(queries) and len(space) == 0:
+        raise DataError("nearest_neighbor on empty space")
+    norms = np.linalg.norm(queries, axis=1)
+    if np.any(norms == 0.0):
         raise DataError("nearest_neighbor undefined for zero-norm query")
-    sims = space._unit @ (query / qn)
-    best = sims.max()
-    candidates = np.flatnonzero(sims == best)
-    if len(candidates) == 1:
-        return space.words[candidates[0]]
-    return min(space.words[i] for i in candidates)
+    if not np.isfinite(norms).all():
+        raise DataError("nearest_neighbor undefined for query of non-finite norm")
+    unit = queries / norms[:, None]
+    # Vocabularies of more than one block's floats are scanned in row
+    # blocks too, one query at a time.
+    rows = max(1, min(len(space), _NN_BLOCK_BYTES // 8))
+    cols = max(1, _NN_BLOCK_BYTES // 8 // rows)
+    picks = []
+    for c in range(0, len(unit), cols):
+        block = unit[c:c + cols]
+        best = np.full(len(block), -np.inf)
+        pick = np.zeros(len(block), dtype=np.intp)
+        for lo in range(0, len(space), rows):
+            top, at = _column_best(space, lo, _similarities(
+                space._unit[lo:lo + rows], block))
+            take = top > best
+            for j in np.flatnonzero(top == best):
+                take[j] = space.words[at[j]] < space.words[pick[j]]
+            best = np.where(take, top, best)
+            pick = np.where(take, at, pick)
+        picks.extend(pick.tolist())
+    return [space.words[i] for i in picks]
+
+
+def _similarities(unit_rows: np.ndarray, unit_queries: np.ndarray) -> np.ndarray:
+    """Rows x queries block of cosines between unit vectors."""
+    return unit_rows @ unit_queries.T
+
+
+def _column_best(space: EmbeddingSpace, lo: int, sims: np.ndarray):
+    """Each column's maximum in a block of similarities whose first row is
+    vocabulary row ``lo``, and the row holding it; among exact maxima, the
+    row of the lexicographically smallest word."""
+    top = sims.max(axis=0)
+    at = sims.argmax(axis=0)
+    is_top = sims == top
+    for j in np.flatnonzero(np.count_nonzero(is_top, axis=0) > 1):
+        at[j] = min(np.flatnonzero(is_top[:, j]),
+                    key=lambda i: space.words[lo + i])
+    return top, at + lo
 
 
 # Characters per bulk-parse chunk: large enough to amortize one loadtxt call,
@@ -191,16 +244,27 @@ def load_word2vec_text(path: str, label: str | None = None) -> EmbeddingSpace:
 
     Well-formed files are parsed in bulk, a chunk of rows per numpy call.
     Anything the bulk parse does not accept is re-read by the row-by-row
-    validator, which alone raises the ``FormatError``.
+    validator, which alone raises the ``FormatError``. One UTF-8 byte order
+    mark before the header is skipped.
     """
     if label is None:
         label = os.path.splitext(os.path.basename(path))[0]
     with open_text(path) as fh:
         vocab_size, dim = _read_header(fh, path)
-        # The bulk parse sizes its matrix from the header; a header that
-        # declares more rows than the file holds is left to the validator.
-        parsed = (_parse_bulk(fh, vocab_size, dim)
-                  if _fits(fh, vocab_size, dim) else None)
+        info = os.fstat(fh.fileno())
+        if stat.S_ISREG(info.st_mode):
+            # The bulk parse sizes its matrix from the header; a header that
+            # declares more rows than the file holds is left to the validator.
+            parsed = (_parse_bulk(_chunks(fh), vocab_size, dim, grow=False)
+                      if _fits(info.st_size, vocab_size, dim) else None)
+        else:
+            # A pipe has no size to check the header against and can be read
+            # only once: the bulk parse grows its matrix chunk by chunk, and
+            # the validator reads the lines it kept, then the rest.
+            kept: list[list[str]] = []
+            parsed = _parse_bulk(_chunks(fh, kept), vocab_size, dim, grow=True)
+            if parsed is None:
+                parsed = _parse_rows(chain(*kept, fh), path, vocab_size, dim)
     if parsed is None:
         with open_text(path) as fh:
             fh.readline()
@@ -210,7 +274,7 @@ def load_word2vec_text(path: str, label: str | None = None) -> EmbeddingSpace:
 
 
 def _read_header(fh, path: str) -> tuple[int, int]:
-    parts = fh.readline().split()
+    parts = fh.readline().removeprefix("\ufeff").split()
     if len(parts) != 2:
         raise FormatError(f"{path}:1: header must be '<vocab_size> <dimension>'")
     try:
@@ -224,23 +288,31 @@ def _read_header(fh, path: str) -> tuple[int, int]:
     return vocab_size, dim
 
 
-def _fits(fh, vocab_size: int, dim: int) -> bool:
-    """Whether a regular file is large enough for the rows its header
-    declares; a pipe has no size to tell.
+def _fits(size: int, vocab_size: int, dim: int) -> bool:
+    """Whether a regular file of ``size`` bytes is large enough for the rows
+    its header declares.
 
     A row is a word, then dim fields of a space and at least one character
     each, then a newline: 2 * (dim + 1) bytes or more. Only one word can be
     empty and only the last newline can be missing, and the header's 4 or
     more bytes make up for both, so no valid file fails this test.
     """
-    info = os.fstat(fh.fileno())
-    return (not stat.S_ISREG(info.st_mode)
-            or vocab_size * 2 * (dim + 1) <= info.st_size)
+    return vocab_size * 2 * (dim + 1) <= size
 
 
-def _parse_bulk(fh, vocab_size: int, dim: int):
-    """Rows after the header as ``(words, matrix)``, or None if any row is
-    not plainly well-formed.
+def _chunks(fh, kept: list | None = None):
+    """Lists of lines of about ``_CHUNK_CHARS`` characters from ``fh``, each
+    also appended to ``kept`` when given."""
+    while lines := fh.readlines(_CHUNK_CHARS):
+        if kept is not None:
+            kept.append(lines)
+        yield lines
+
+
+def _parse_bulk(chunks, vocab_size: int, dim: int, grow: bool):
+    """Rows from ``chunks`` as ``(words, matrix)``, or None if any row is
+    not plainly well-formed. The matrix is sized from the header, or with
+    ``grow`` built from the blocks read.
 
     Accepts only what ``_parse_rows`` accepts, with bit-identical values:
     numpy's loadtxt converts through the same ``PyOS_string_to_double`` as
@@ -248,12 +320,10 @@ def _parse_bulk(fh, vocab_size: int, dim: int):
     rejects what only ``float()`` reads (underscores, non-ASCII digits).
     """
     words: list[str] = []
-    rows = np.empty((vocab_size, dim), dtype=np.float64)
+    blocks = [np.empty((0, dim))]
+    rows = None if grow else np.empty((vocab_size, dim), dtype=np.float64)
     n = 0
-    while True:
-        lines = fh.readlines(_CHUNK_CHARS)
-        if not lines:
-            break
+    for lines in chunks:
         if n + len(lines) > vocab_size:
             return None
         bodies = []
@@ -275,10 +345,15 @@ def _parse_bulk(fh, vocab_size: int, dim: int):
             return None
         if block.shape != (len(lines), dim):
             return None
-        rows[n:n + len(lines)] = block
+        if grow:
+            blocks.append(block)
+        else:
+            rows[n:n + len(lines)] = block
         n += len(lines)
     if n != vocab_size or len(set(words)) != n:
         return None
+    if grow:
+        rows = np.concatenate(blocks)
     if not np.isfinite(rows).all() or not rows.any(axis=1).all():
         return None
     return words, rows

@@ -6,7 +6,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .alignment import round_trip_stable
+from .alignment import round_trip_stability
 from .association import PoleWordsets
 from .embeddings import EmbeddingSpace
 from .errors import FormatError, VocabularyError, open_text
@@ -78,13 +78,12 @@ class RefinementReport:
         }
 
 
-def _first_failure(
+def _oov_reason(
     word: str,
     space1: EmbeddingSpace,
     space2: EmbeddingSpace,
     table1: FrequencyTable,
     table2: FrequencyTable,
-    threshold: float,
 ):
     if word not in space1:
         return "oov_space1"
@@ -92,12 +91,6 @@ def _first_failure(
         return "oov_space2"
     if word not in table1 or word not in table2:
         return "oov_frequency"
-    if not round_trip_stable(word, space1, space2):
-        return "unstable_roundtrip"
-    if not table1.zipf(word) > threshold:
-        return "low_zipf_1"
-    if not table2.zipf(word) > threshold:
-        return "low_zipf_2"
     return None
 
 
@@ -114,20 +107,26 @@ def refine(
     above the threshold in both corpora.
 
     Rejections carry the first failing reason in REJECT_REASONS order; input
-    word order is preserved throughout.
+    word order is preserved throughout. The round trips of all words that
+    pass the vocabulary checks are searched in one batch.
     """
-    kept_a, kept_b, rejected = [], [], []
-    for words, kept in ((lexicon.poles.words_a, kept_a),
-                        (lexicon.poles.words_b, kept_b)):
-        for word in words:
-            reason = _first_failure(
-                word, space1, space2, table1, table2, zipf_threshold
-            )
-            if reason is None:
-                kept.append(word)
-            else:
-                rejected.append((word, reason))
-    return RefinementReport(kept_a=kept_a, kept_b=kept_b, rejected=rejected)
+    words = [*lexicon.poles.words_a, *lexicon.poles.words_b]
+    reasons = [_oov_reason(w, space1, space2, table1, table2) for w in words]
+    checked = [i for i, reason in enumerate(reasons) if reason is None]
+    stable = round_trip_stability([words[i] for i in checked], space1, space2)
+    for i, ok in zip(checked, stable):
+        if not ok:
+            reasons[i] = "unstable_roundtrip"
+        elif not table1.zipf(words[i]) > zipf_threshold:
+            reasons[i] = "low_zipf_1"
+        elif not table2.zipf(words[i]) > zipf_threshold:
+            reasons[i] = "low_zipf_2"
+    n_a = len(lexicon.poles.words_a)
+    return RefinementReport(
+        kept_a=[w for w, r in zip(words[:n_a], reasons) if r is None],
+        kept_b=[w for w, r in zip(words[n_a:], reasons[n_a:]) if r is None],
+        rejected=[(w, r) for w, r in zip(words, reasons) if r is not None],
+    )
 
 
 def candidate_topics(
@@ -154,12 +153,15 @@ def candidate_topics(
 
 
 def load_frequency_table(path: str) -> FrequencyTable:
-    """Read lines ``word<TAB>count`` with a ``#total<TAB><total>`` header."""
+    """Read lines ``word<TAB>count`` with a ``#total<TAB><total>`` header.
+    One UTF-8 byte order mark at the start of the file is skipped."""
     counts: dict = {}
     total = None
     with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
+            if lineno == 1:
+                line = line.removeprefix("\ufeff")
             if not line:
                 continue
             parts = line.split("\t")

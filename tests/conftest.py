@@ -1,3 +1,6 @@
+import os
+import threading
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,34 @@ def make_space(label, mapping):
 
 def random_space(rng, label, words, dim):
     return EmbeddingSpace.from_rows(label, words, rng.normal(size=(len(words), dim)))
+
+
+def brute_nearest(space, query):
+    """Reference nearest neighbour: one dot product per vocabulary row, the
+    largest cosine wins, and exact ties go to the smallest word."""
+    q = np.asarray(query, dtype=np.float64)
+    q = q / np.linalg.norm(q)
+    sims = [float(np.dot(row, q)) for row in space._unit]
+    best = max(sims)
+    return min(w for w, s in zip(space.words, sims) if s == best)
+
+
+def feed_fifo(tmp_path, text):
+    """A FIFO holding ``text``, written by a thread as it is read; returns
+    the path and the thread."""
+    fifo = tmp_path / "v.fifo"
+    os.mkfifo(fifo)
+
+    def feed():
+        try:
+            with open(fifo, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except BrokenPipeError:  # the reader stopped at an error
+            pass
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    return fifo, writer
 
 
 def perturbed_unit(rng, center, sigma=0.1):

@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from sweatkit import load_word2vec_text, save_word2vec_text
 from sweatkit.cli import main, validate_config
 from sweatkit.errors import ConfigError
 
-from conftest import polarized_fixture, random_space
+from conftest import feed_fifo, polarized_fixture, random_space
 
 
 def write_fixture(tmp_path, seed=12345, counts_zipf=6.0):
@@ -215,6 +216,20 @@ def one_line_error(capsys, prefix):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith(prefix), err
     return err
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+def test_pipe_header_sizes_nothing(tmp_path, capsys):
+    # A pipe has no size to bound its header by; the matrix grows with the
+    # rows read, so a huge header is the validator's error, not a failed
+    # allocation.
+    fifo, writer = feed_fifo(tmp_path, "1000000000000 100\na 1\n")
+    try:
+        assert main(["inspect", "--embeddings", str(fifo)]) == 2
+    finally:
+        writer.join()
+    err = one_line_error(capsys, "data error:")
+    assert err == f"data error: {fifo}:2: expected 101 fields, got 2\n"
 
 
 class TestConfigTypes:

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -11,12 +12,13 @@ from sweatkit import (
     cosine,
     load_word2vec_text,
     nearest_neighbor,
+    nearest_neighbors,
     save_word2vec_text,
 )
 from sweatkit import embeddings
 from sweatkit.embeddings import EmbeddingSpace
 
-from conftest import make_space
+from conftest import brute_nearest, feed_fifo, make_space
 
 
 def write(path, text):
@@ -377,3 +379,232 @@ class TestHeaderBound:
         except FormatError:
             return
         assert (len(space), space.dimension) == (2, 2)
+
+
+class TestNearestNeighbors:
+    """The batched search against a per-query brute-force reference, with
+    the block cap forced down so that ties and near-ties straddle row and
+    column blocks."""
+
+    @staticmethod
+    def tied_space(rng):
+        """40 random rows where three vectors each appear under several
+        words: the smallest word sits in the first, the middle or the last
+        rows, so a tie is decided across a row-block boundary."""
+        words = [f"w{i:02d}" for i in range(40)]
+        matrix = rng.normal(size=(40, 6))
+        for first, copies in ((3, {"b": 30, "zz": 39}),
+                              (35, {"a": 0, "yy": 20}),
+                              (17, {"c": 37, "m": 5})):
+            for name, row in copies.items():
+                matrix[row] = matrix[first]
+                words[row] = name
+        return EmbeddingSpace.from_rows("s", words, matrix)
+
+    @pytest.mark.parametrize("cap_floats", [1, 7, 24, 100, 1 << 18])
+    def test_exact_ties_across_blocks(self, monkeypatch, cap_floats):
+        monkeypatch.setattr(embeddings, "_NN_BLOCK_BYTES", 8 * cap_floats)
+        rng = np.random.default_rng(11)
+        space = self.tied_space(rng)
+        # Every row, then the tied rows again and near copies of them, so
+        # equal queries land in different column blocks.
+        queries = np.vstack([space.matrix, space.matrix[[3, 35, 17, 0]],
+                             space.matrix[[3, 35, 17]]
+                             + rng.normal(scale=1e-3, size=(3, 6))])
+        expected = [brute_nearest(space, q) for q in queries]
+        assert nearest_neighbors(space, queries) == expected
+        assert expected[3] == expected[30] == expected[39] == "b"
+        assert expected[35] == expected[0] == expected[20] == "a"
+        assert expected[17] == expected[37] == expected[5] == "c"
+
+    @pytest.mark.parametrize("cap_floats", [1, 2, 1 << 18])
+    @pytest.mark.parametrize("larger", ["a", "b"])
+    def test_near_tie_in_last_bit(self, monkeypatch, cap_floats, larger):
+        # Two rows that differ in the last bit of the component the query
+        # points along: their cosines differ in the last bit too, and the
+        # larger wins even where the tie-break would pick the other word.
+        monkeypatch.setattr(embeddings, "_NN_BLOCK_BYTES", 8 * cap_floats)
+        base = np.array([1.0, 2.0, 3.0])
+        bumped = base.copy()
+        bumped[0] = np.nextafter(base[0], 2.0)
+        rows = {"a": bumped if larger == "a" else base,
+                "b": bumped if larger == "b" else base,
+                "c": np.array([-1.0, 0.5, 0.0])}
+        space = make_space("s", rows)
+        query = np.array([2.0, 0.0, 0.0])
+        assert space._unit[0, 0] != space._unit[1, 0]
+        assert brute_nearest(space, query) == larger
+        assert nearest_neighbors(space, [query, query]) == [larger, larger]
+        assert nearest_neighbor(space, query) == larger
+
+    def test_one_row_case_agrees(self, monkeypatch):
+        monkeypatch.setattr(embeddings, "_NN_BLOCK_BYTES", 8 * 50)
+        rng = np.random.default_rng(12)
+        space = EmbeddingSpace.from_rows(
+            "s", [f"w{i}" for i in range(30)], rng.normal(size=(30, 5)))
+        queries = rng.normal(size=(25, 5))
+        batch = nearest_neighbors(space, queries)
+        assert batch == [nearest_neighbor(space, q) for q in queries]
+        assert batch == [brute_nearest(space, q) for q in queries]
+
+    def test_no_queries(self):
+        space = make_space("s", {"x": (1.0, 0.0)})
+        assert nearest_neighbors(space, np.empty((0, 2))) == []
+
+    def test_zero_norm_query(self):
+        space = make_space("s", {"x": (1.0, 0.0), "y": (0.0, 1.0)})
+        with pytest.raises(DataError, match="zero-norm query"):
+            nearest_neighbors(space, [[1.0, 0.0], [0.0, 0.0]])
+        with pytest.raises(DataError, match="zero-norm query"):
+            nearest_neighbor(space, [0.0, 0.0])
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 1e200])
+    def test_non_finite_norm_query(self, bad):
+        space = make_space("s", {"x": (1.0, 0.0), "y": (0.0, 1.0)})
+        with pytest.raises(DataError, match="non-finite norm"):
+            nearest_neighbors(space, [[1.0, 0.0], [bad, 1.0]])
+
+    @pytest.mark.parametrize("queries", [
+        [[1.0, 0.0, 0.0]], [1.0, 0.0], [[[1.0, 0.0]]]])
+    def test_dimension_mismatch(self, queries):
+        space = make_space("s", {"x": (1.0, 0.0)})
+        with pytest.raises(DataError, match="does not match space dimension"):
+            nearest_neighbors(space, queries)
+
+    def test_one_query_must_be_a_vector(self):
+        space = make_space("s", {"x": (1.0, 0.0)})
+        with pytest.raises(DataError):
+            nearest_neighbor(space, [[1.0, 0.0]])
+
+
+class TestNearestNeighborMemory:
+    """No block of similarities exceeds the cap, whatever the vocabulary
+    size: the search's extra memory stays bounded."""
+
+    @staticmethod
+    def spy_blocks(monkeypatch):
+        shapes = []
+        real = embeddings._similarities
+
+        def spy(unit_rows, unit_queries):
+            block = real(unit_rows, unit_queries)
+            shapes.append(block.shape)
+            return block
+
+        monkeypatch.setattr(embeddings, "_similarities", spy)
+        return shapes
+
+    @pytest.mark.parametrize("n_rows, n_queries, n_blocks", [
+        (50_000, 12, 3),
+        # More rows than the cap has floats: one query per block, and
+        # each query's rows in two blocks.
+        ((1 << 18) + 5, 3, 6),
+    ])
+    def test_blocks_within_cap(self, monkeypatch, n_rows, n_queries,
+                               n_blocks):
+        rng = np.random.default_rng(13)
+        matrix = rng.normal(size=(n_rows, 2))
+        space = EmbeddingSpace.from_rows(
+            "s", [f"w{i}" for i in range(n_rows)], matrix)
+        picks = rng.integers(0, n_rows, size=n_queries)
+        shapes = self.spy_blocks(monkeypatch)
+        found = nearest_neighbors(space, matrix[picks] * 3.0)
+        assert len(shapes) == n_blocks
+        assert all(r * c * 8 <= embeddings._NN_BLOCK_BYTES for r, c in shapes)
+        assert sum(r * c for r, c in shapes) == n_rows * n_queries
+        # Random 2-d rows may hold other words in the same direction, so
+        # the check is the reference, not the query's own word.
+        assert found == [brute_nearest(space, matrix[i]) for i in picks]
+
+    def test_cap_is_about_two_mib(self):
+        assert embeddings._NN_BLOCK_BYTES == 1 << 21
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+class TestPipeInput:
+    """A pipe has no size and can be read only once: its header sizes
+    nothing, and the validator still reports the first bad row."""
+
+    def load(self, tmp_path, text):
+        fifo, writer = feed_fifo(tmp_path, text)
+        try:
+            return fifo, load_word2vec_text(str(fifo))
+        finally:
+            writer.join()
+
+    def load_error(self, tmp_path, text):
+        with pytest.raises(FormatError) as exc:
+            self.load(tmp_path, text)
+        return str(exc.value)
+
+    @pytest.mark.parametrize("header, message", [
+        ("1000000000000 100", ":2: expected 101 fields, got 3"),
+        ("100000000000000000000 2",
+         ": row count mismatch: header declares 100000000000000000000, "
+         "found 2"),
+    ])
+    def test_oversized_header(self, tmp_path, header, message):
+        err = self.load_error(tmp_path, f"{header}\n{TestHeaderBound.BODY}")
+        assert err == f"{tmp_path / 'v.fifo'}{message}"
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name", sorted(LOADER_CONTRACT))
+    def test_one_defect(self, tmp_path, name):
+        text, expected = LOADER_CONTRACT[name]
+        if isinstance(expected, str):
+            err = self.load_error(tmp_path, text)
+            assert err == expected.format(path=tmp_path / "v.fifo")
+        else:
+            _, space = self.load(tmp_path, text)
+            assert space.words == ("cat", "dog", "fox")
+            assert space.matrix.tobytes() == np.array(expected).tobytes()
+
+    def test_many_chunks_match_file(self, tmp_path):
+        p = tmp_path / "big.txt"
+        TestLoaderContract._large_file(p, np.random.default_rng(5))
+        text = p.read_text(encoding="utf-8")
+        _, space = self.load(tmp_path, text)
+        again = load_word2vec_text(str(p))
+        assert space.words == again.words
+        assert space.matrix.tobytes() == again.matrix.tobytes()
+
+    def test_defect_in_last_chunk_keeps_line_number(self, tmp_path):
+        p = tmp_path / "big.txt"
+        TestLoaderContract._large_file(p, np.random.default_rng(6))
+        lines = p.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[-3] = "\n"  # a blank line: the validator reads from row 1
+        word, _, rest = lines[-2].partition(" ")
+        lines[-2] = word + " nan " + rest.partition(" ")[2]
+        err = self.load_error(tmp_path, "".join(lines))
+        assert err == (f"{tmp_path / 'v.fifo'}:{len(lines) - 1}: "
+                       "non-finite component")
+
+
+class TestByteOrderMark:
+    """One UTF-8 byte order mark before the header is skipped; anywhere
+    else it is an ordinary character."""
+
+    @pytest.mark.parametrize("text", [
+        "\ufeff3 3\n" + ROWS,
+        "\ufeff3 3\r\ncat 1 0 0\r\ndog 0 1 0\r\nfox 0 0 1\r\n",
+        # A blank line sends the file through the row validator.
+        "\ufeff3 3\r\ncat 1 0 0\r\n\r\ndog 0 1 0\r\nfox 0 0 1\r\n",
+    ])
+    def test_loads(self, tmp_path, text):
+        p = tmp_path / "v.txt"
+        p.write_bytes(text.encode("utf-8"))
+        space = load_word2vec_text(str(p))
+        assert space.words == ("cat", "dog", "fox")
+        assert space.matrix.tolist() == EYE
+
+    def test_only_one_mark_is_skipped(self, tmp_path):
+        p = tmp_path / "v.txt"
+        write(p, "\ufeff\ufeff3 3\n" + ROWS)
+        with pytest.raises(FormatError, match=":1: non-integer header"):
+            load_word2vec_text(str(p))
+
+    def test_mark_in_a_row_is_part_of_the_word(self, tmp_path):
+        p = tmp_path / "v.txt"
+        write(p, "2 2\n\ufeffa 1 0\nb 0 1\n")
+        assert load_word2vec_text(str(p)).words == ("\ufeffa", "b")

@@ -1,5 +1,10 @@
+import itertools
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sweatkit import (
     FormatError,
@@ -13,8 +18,10 @@ from sweatkit import (
     refine,
     zipf_score,
 )
+from sweatkit import embeddings
+from sweatkit.embeddings import EmbeddingSpace
 
-from conftest import make_space
+from conftest import brute_nearest, make_space
 
 
 def table(counts, total):
@@ -136,6 +143,106 @@ class TestRefine:
             previous = kept
 
 
+def reference_refine(lexicon, space1, space2, table1, table2, threshold):
+    """``refine`` one word at a time, with brute-force round trips."""
+    kept_a, kept_b, rejected = [], [], []
+    for words, kept in ((lexicon.poles.words_a, kept_a),
+                        (lexicon.poles.words_b, kept_b)):
+        for w in words:
+            if w not in space1:
+                reason = "oov_space1"
+            elif w not in space2:
+                reason = "oov_space2"
+            elif w not in table1 or w not in table2:
+                reason = "oov_frequency"
+            elif (brute_nearest(space2, space1.vector(w)) != w
+                  or brute_nearest(space1, space2.vector(w)) != w):
+                reason = "unstable_roundtrip"
+            elif not table1.zipf(w) > threshold:
+                reason = "low_zipf_1"
+            elif not table2.zipf(w) > threshold:
+                reason = "low_zipf_2"
+            else:
+                kept.append(w)
+                continue
+            rejected.append((w, reason))
+    return kept_a, kept_b, rejected
+
+
+# Distinct rows of norm 1 or 2 with components in {-1, 0, 1}; scaled by
+# powers of two, their unit rows are exact and so is every cosine, whatever
+# order the products are summed in, so ties are exact in every BLAS.
+PATTERNS = [np.array(p, dtype=np.float64)
+            for p in [*itertools.product((-1, 1), repeat=4),
+                      *(sign * row for row in np.eye(4) for sign in (-1, 1))]]
+NAMES = [f"w{i}" for i in range(10)]
+
+
+@st.composite
+def refine_setup(draw):
+    """Two small spaces over the same words, most at the same vector in
+    both, some moved in space 2, and some copied onto another word's
+    vector in one space."""
+    order = draw(st.permutations(range(len(PATTERNS))))
+    vectors = [{w: PATTERNS[order[i]] for i, w in enumerate(NAMES)}]
+    vectors.append(dict(vectors[0]))
+    for w in draw(st.sets(st.sampled_from(NAMES), max_size=4)):
+        vectors[1][w] = PATTERNS[draw(st.integers(0, len(PATTERNS) - 1))]
+    for src, dst, side in draw(st.lists(st.tuples(
+            st.sampled_from(NAMES), st.sampled_from(NAMES),
+            st.integers(0, 1)), max_size=4)):
+        vectors[side][dst] = vectors[side][src]
+
+    def space(label, vecs):
+        chosen = draw(st.lists(st.sampled_from(NAMES), min_size=7,
+                               unique=True))
+        rows = [vecs[w] * 2.0 ** draw(st.integers(-2, 2)) for w in chosen]
+        return EmbeddingSpace.from_rows(label, chosen, np.array(rows))
+
+    def freq():
+        words = draw(st.lists(st.sampled_from(NAMES), min_size=8,
+                              unique=True))
+        return table({w: draw(st.integers(1, 1000)) for w in words}, 10**6)
+
+    space1, space2 = space("s1", vectors[0]), space("s2", vectors[1])
+    candidates = draw(st.lists(st.sampled_from(NAMES + ["ghost"]),
+                               min_size=2, unique=True))
+    split = draw(st.integers(1, len(candidates) - 1))
+    lexicon = Lexicon(PoleWordsets("A", "B", candidates[:split],
+                                   candidates[split:]))
+    cap_floats = draw(st.sampled_from([1, 3, 10, 1 << 18]))
+    return lexicon, space1, space2, freq(), freq(), cap_floats
+
+
+class TestRefineBatch:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(setup=refine_setup())
+    def test_matches_word_by_word(self, setup):
+        lexicon, space1, space2, t1, t2, cap_floats = setup
+        expected = reference_refine(lexicon, space1, space2, t1, t2, 5.0)
+        with mock.patch.object(embeddings, "_NN_BLOCK_BYTES", 8 * cap_floats):
+            report = refine(lexicon, space1, space2, t1, t2, 5.0)
+        assert (report.kept_a, report.kept_b, report.rejected) == expected
+
+    def test_only_stable_words_search_back(self, monkeypatch):
+        # x and y fail the first direction, so only p and q search back.
+        space1, space2, t1, t2 = four_word_setup(zipf=6.0, swap=True)
+        sizes = []
+        real = embeddings.nearest_neighbors
+
+        def spy(space, queries):
+            sizes.append((space.label, len(queries)))
+            return real(space, queries)
+
+        monkeypatch.setattr("sweatkit.alignment.nearest_neighbors", spy)
+        lex = Lexicon(PoleWordsets("A", "B", ["p", "x", "ghost"], ["q", "y"]))
+        report = refine(lex, space1, space2, t1, t2)
+        assert sizes == [("s2", 4), ("s1", 2)]
+        assert report.rejected == [("x", "unstable_roundtrip"),
+                                   ("ghost", "oov_space1"),
+                                   ("y", "unstable_roundtrip")]
+
+
 class TestCandidates:
     def test_ranked_by_mean_zipf(self):
         vectors = {"low": (1.0, 0.0), "high": (0.0, 1.0), "the": (1.0, 1.0)}
@@ -177,3 +284,21 @@ class TestFiles:
         p.write_text('{"label_a": "pos"}', encoding="utf-8")
         with pytest.raises(FormatError, match="missing fields"):
             load_lexicon(str(p))
+
+
+class TestFrequencyTableByteOrderMark:
+    @pytest.mark.parametrize("raw", [
+        b"\xef\xbb\xbf#total\t1000\nfoo\t10\nbar\t5\n",
+        b"\xef\xbb\xbf#total\t1000\r\nfoo\t10\r\nbar\t5\r\n",
+    ])
+    def test_leading_mark_skipped(self, tmp_path, raw):
+        p = tmp_path / "freq.tsv"
+        p.write_bytes(raw)
+        t = load_frequency_table(str(p))
+        assert t.total_tokens == 1000
+        assert t.counts == {"foo": 10, "bar": 5}
+
+    def test_mark_after_first_line_is_part_of_the_word(self, tmp_path):
+        p = tmp_path / "freq.tsv"
+        p.write_text("#total\t1000\n\ufefffoo\t10\n", encoding="utf-8")
+        assert load_frequency_table(str(p)).counts == {"\ufefffoo": 10}
