@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 import os
-import stat
 import sys
 from collections import deque
 from dataclasses import dataclass, field
@@ -48,10 +47,15 @@ class EmbeddingSpace:
             raise DataError("duplicate words in vocabulary")
         if not np.all(np.isfinite(matrix)):
             raise DataError(f"space '{label}' contains non-finite components")
-        norms = np.linalg.norm(matrix, axis=1)
-        if np.any(norms == 0.0):
-            bad = [w for w, n in zip(words, norms) if n == 0.0]
-            raise DataError(f"zero-norm vector for words: {', '.join(sorted(bad))}")
+        # A finite row can still square past the float range; its norm reads
+        # inf and its unit row would be all zeros.
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(matrix, axis=1)
+        for broken, what in ((norms == 0.0, "zero-norm vector"),
+                             (np.isinf(norms), "vector norm overflows")):
+            if broken.any():
+                bad = sorted(words[i] for i in np.flatnonzero(broken))
+                raise DataError(f"{what} for words: {', '.join(bad)}")
         matrix = matrix.copy()
         matrix.flags.writeable = False
         unit = matrix / norms[:, None]
@@ -93,7 +97,7 @@ class EmbeddingSpace:
         return self.matrix[idx]
 
     def missing(self, words) -> list[str]:
-        """Subset of ``words`` absent from this vocabulary, input order kept."""
+        """Subset of ``words`` absent from this vocabulary, in input order."""
         return [w for w in words if w not in self._index]
 
     def require(self, words, context: str = "") -> None:
@@ -242,34 +246,31 @@ def load_word2vec_text(path: str, label: str | None = None) -> EmbeddingSpace:
     trailing space (as the original word2vec tool writes). Any malformed row
     aborts the load with its line number.
 
-    Well-formed files are parsed in bulk, a chunk of rows per numpy call.
-    Anything the bulk parse does not accept is re-read by the row-by-row
-    validator, which alone raises the ``FormatError``. One UTF-8 byte order
-    mark before the header is skipped.
+    The input is read once, files and pipes alike, a chunk of lines at a
+    time. Each chunk is parsed in bulk, and the matrix grows with the rows
+    read. From the first chunk the bulk parse does not accept, the row-by-row
+    validator reads on; it alone raises the ``FormatError`` of a row. One
+    UTF-8 byte order mark before the header is skipped.
     """
     if label is None:
         label = os.path.splitext(os.path.basename(path))[0]
     with open_text(path) as fh:
         vocab_size, dim = _read_header(fh, path)
-        info = os.fstat(fh.fileno())
-        if stat.S_ISREG(info.st_mode):
-            # The bulk parse sizes its matrix from the header; a header that
-            # declares more rows than the file holds is left to the validator.
-            parsed = (_parse_bulk(_chunks(fh), vocab_size, dim, grow=False)
-                      if _fits(info.st_size, vocab_size, dim) else None)
-        else:
-            # A pipe has no size to check the header against and can be read
-            # only once: the bulk parse grows its matrix chunk by chunk, and
-            # the validator reads the lines it kept, then the rest.
-            kept: list[list[str]] = []
-            parsed = _parse_bulk(_chunks(fh, kept), vocab_size, dim, grow=True)
-            if parsed is None:
-                parsed = _parse_rows(chain(*kept, fh), path, vocab_size, dim)
-    if parsed is None:
-        with open_text(path) as fh:
-            fh.readline()
-            parsed = _parse_rows(fh, path, vocab_size, dim)
-    words, rows = parsed
+        # Words in row order, held as dict keys so a repeat is one lookup.
+        words: dict[str, None] = {}
+        rows = np.empty((0, dim))
+        lineno = 2
+        while lines := fh.readlines(_CHUNK_CHARS):
+            block = _parse_bulk(lines, dim, words, vocab_size)
+            if block is None:
+                break
+            _append(rows, block)
+            lineno += len(lines)
+        # Lines are left only after a rejected chunk; from it on, or when
+        # rows are missing, the validator reads on and names the defect.
+        if lines or len(words) != vocab_size:
+            _append(rows, _parse_rows(chain(lines, fh), path, vocab_size, dim,
+                                      words, lineno))
     return EmbeddingSpace.from_rows(label, words, rows)
 
 
@@ -288,85 +289,61 @@ def _read_header(fh, path: str) -> tuple[int, int]:
     return vocab_size, dim
 
 
-def _fits(size: int, vocab_size: int, dim: int) -> bool:
-    """Whether a regular file of ``size`` bytes is large enough for the rows
-    its header declares.
-
-    A row is a word, then dim fields of a space and at least one character
-    each, then a newline: 2 * (dim + 1) bytes or more. Only one word can be
-    empty and only the last newline can be missing, and the header's 4 or
-    more bytes make up for both, so no valid file fails this test.
-    """
-    return vocab_size * 2 * (dim + 1) <= size
-
-
-def _chunks(fh, kept: list | None = None):
-    """Lists of lines of about ``_CHUNK_CHARS`` characters from ``fh``, each
-    also appended to ``kept`` when given."""
-    while lines := fh.readlines(_CHUNK_CHARS):
-        if kept is not None:
-            kept.append(lines)
-        yield lines
-
-
-def _parse_bulk(chunks, vocab_size: int, dim: int, grow: bool):
-    """Rows from ``chunks`` as ``(words, matrix)``, or None if any row is
-    not plainly well-formed. The matrix is sized from the header, or with
-    ``grow`` built from the blocks read.
+def _parse_bulk(lines: list[str], dim: int, words: dict, vocab_size: int):
+    """The rows of ``lines`` as a matrix, their words added to ``words``; or
+    None, with ``words`` unchanged, if any row is not plainly well-formed or
+    repeats a word, or the rows would exceed ``vocab_size``.
 
     Accepts only what ``_parse_rows`` accepts, with bit-identical values:
     numpy's loadtxt converts through the same ``PyOS_string_to_double`` as
     ``float()``, strips the same whitespace except ``_SEPARATORS``, and
     rejects what only ``float()`` reads (underscores, non-ASCII digits).
     """
-    words: list[str] = []
-    blocks = [np.empty((0, dim))]
-    rows = None if grow else np.empty((vocab_size, dim), dtype=np.float64)
-    n = 0
-    for lines in chunks:
-        if n + len(lines) > vocab_size:
-            return None
-        bodies = []
-        for line in lines:
-            word, _, body = line.rstrip("\n").partition(" ")
-            if body.endswith(" "):
-                body = body[:-1]
-            if not body:
-                return None  # loadtxt would skip the row, and warn
-            words.append(word)
-            bodies.append(body)
-        text = "\n".join(bodies)
-        if any(c in text for c in _SEPARATORS):
-            return None
-        try:
-            block = np.loadtxt(bodies, dtype=np.float64, delimiter=" ",
-                               comments=None, ndmin=2)
-        except ValueError:
-            return None
-        if block.shape != (len(lines), dim):
-            return None
-        if grow:
-            blocks.append(block)
-        else:
-            rows[n:n + len(lines)] = block
-        n += len(lines)
-    if n != vocab_size or len(set(words)) != n:
+    if len(words) + len(lines) > vocab_size:
         return None
-    if grow:
-        rows = np.concatenate(blocks)
-    if not np.isfinite(rows).all() or not rows.any(axis=1).all():
+    new: dict[str, None] = {}
+    bodies = []
+    for line in lines:
+        word, _, body = line.rstrip("\n").partition(" ")
+        if body.endswith(" "):
+            body = body[:-1]
+        if not body:
+            return None  # loadtxt would skip the row, and warn
+        new[word] = None
+        bodies.append(body)
+    if len(new) != len(lines) or not words.keys().isdisjoint(new):
         return None
-    return words, rows
+    text = "\n".join(bodies)
+    if any(c in text for c in _SEPARATORS):
+        return None
+    try:
+        block = np.loadtxt(bodies, dtype=np.float64, delimiter=" ",
+                           comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if (block.shape != (len(lines), dim) or not np.isfinite(block).all()
+            or not block.any(axis=1).all()):
+        return None
+    words.update(new)
+    return block
 
 
-def _parse_rows(fh, path: str, vocab_size: int, dim: int):
-    """Row-by-row validator: the first malformed row raises a
-    ``FormatError`` naming its line. It keeps only the rows it has read, so
-    a header declaring too many costs no memory."""
-    words: list[str] = []
+def _append(rows: np.ndarray, block) -> None:
+    """Extend ``rows`` in place by the rows of ``block``. The buffer is
+    reallocated, so the rows read are never held twice."""
+    n = len(rows)
+    rows.resize((n + len(block), rows.shape[1]), refcheck=False)
+    rows[n:] = block
+
+
+def _parse_rows(lines, path: str, vocab_size: int, dim: int, words: dict,
+                start: int) -> np.ndarray:
+    """Row-by-row validator for ``lines``, numbered from ``start`` and read
+    after the rows of ``words``: the first malformed row raises a
+    ``FormatError`` naming its line. Returns the rows read as a matrix and
+    adds their words to ``words``."""
     rows: list = []
-    seen: set[str] = set()
-    for lineno, line in enumerate(fh, start=2):
+    for lineno, line in enumerate(lines, start=start):
         if line.strip() == "":
             continue
         fields = line.rstrip("\n").split(" ")
@@ -377,7 +354,7 @@ def _parse_rows(fh, path: str, vocab_size: int, dim: int):
                 f"{path}:{lineno}: expected {dim + 1} fields, got {len(fields)}"
             )
         word = fields[0]
-        if word in seen:
+        if word in words:
             raise FormatError(f"{path}:{lineno}: duplicate word '{word}'")
         try:
             vec = np.fromiter(map(float, fields[1:]), dtype=np.float64, count=dim)
@@ -387,20 +364,19 @@ def _parse_rows(fh, path: str, vocab_size: int, dim: int):
             raise FormatError(f"{path}:{lineno}: non-finite component")
         if not np.any(vec):
             raise FormatError(f"{path}:{lineno}: zero-norm vector for '{word}'")
-        if len(rows) >= vocab_size:
+        if len(words) >= vocab_size:
             raise FormatError(
                 f"{path}:{lineno}: row count exceeds declared vocab size "
                 f"{vocab_size}"
             )
-        seen.add(word)
-        words.append(word)
+        words[word] = None
         rows.append(vec)
-    if len(rows) != vocab_size:
+    if len(words) != vocab_size:
         raise FormatError(
             f"{path}: row count mismatch: header declares {vocab_size}, "
-            f"found {len(rows)}"
+            f"found {len(words)}"
         )
-    return words, np.array(rows, dtype=np.float64).reshape(vocab_size, dim)
+    return np.array(rows, dtype=np.float64).reshape(-1, dim)
 
 
 # Components per formatting block, about 2 MB of text. The parallel write

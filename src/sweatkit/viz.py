@@ -28,6 +28,14 @@ def _text(value, what: str) -> str:
     return value
 
 
+def _finite(values, what: str) -> None:
+    """Raise a ValueError if any of ``values``, which a chart places, is not
+    a finite number."""
+    for value in values:
+        if not math.isfinite(value):
+            raise ValueError(f"{what} must be finite, got {value!r}")
+
+
 def _labels(raw) -> dict:
     """The topic and pole labels of a chart's dict."""
     return {key: _text(raw[key], key)
@@ -60,6 +68,7 @@ class CumulativePlotData:
         bars = [SpaceBar(**b) for b in raw["bars"]]
         for bar in bars:
             _text(bar.label, "bar label")
+            _finite((bar.beta_a, bar.beta_b, bar.cumulate), "bar value")
         return cls(**_labels(raw), bars=bars)
 
 
@@ -93,12 +102,16 @@ class DetailPlotData:
 
     @classmethod
     def from_dict(cls, raw):
-        return cls(
+        data = cls(
             **_labels(raw),
             space_labels=[_text(s, "space label") for s in raw["space_labels"]],
             words=[_text(w, "word") for w in raw["words"]],
             distributions=[WordDistribution(**d) for d in raw["distributions"]],
         )
+        for d in data.distributions:
+            _finite([*d.delta_a, *d.delta_b, d.mean_a, d.mean_b],
+                    "association")
+        return data
 
 
 def cumulative_data(

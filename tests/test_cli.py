@@ -232,6 +232,16 @@ def test_pipe_header_sizes_nothing(tmp_path, capsys):
     assert err == f"data error: {fifo}:2: expected 101 fields, got 2\n"
 
 
+@pytest.mark.filterwarnings("error")
+def test_norm_overflow_is_data_error(tmp_path, capsys):
+    # Finite components whose squares pass the float range.
+    path = tmp_path / "v.txt"
+    path.write_text("3 2\nb 1 0\na 1e200 1e200\nc 0 -1e300\n", encoding="utf-8")
+    assert main(["inspect", "--embeddings", str(path)]) == 2
+    err = one_line_error(capsys, "data error:")
+    assert err == "data error: vector norm overflows for words: a, c\n"
+
+
 class TestConfigTypes:
     """Bad overrides and wrongly typed config values are config errors."""
 
@@ -901,6 +911,28 @@ class TestPlotReportFaults:
         err = one_line_error(capsys, "data error:")
         assert f"report '{tmp_path / 'report.json'}'" in err
         assert "must be a string" in err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("chart, keys, value", [
+        ("detail", ("plots", "detail", "distributions", 0, "delta_b", 0),
+         math.nan),
+        ("detail", ("plots", "detail", "distributions", 0, "delta_b", 0),
+         math.inf),
+        ("detail", ("plots", "detail", "distributions", 1, "mean_a"),
+         -math.inf),
+        ("cumulative", ("plots", "cumulative", "bars", 0, "cumulate"),
+         math.nan),
+    ], ids=["nan-delta_b", "inf-delta_b", "-inf-mean_a", "nan-cumulate"])
+    def test_non_finite_number(self, plot_report, tmp_path, capsys, chart,
+                               keys, value):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(_put(plot_report, keys, value)),
+                        encoding="utf-8")
+        assert main(["plot", "--report", str(path),
+                     f"--{chart}", str(tmp_path / "chart.svg")]) == 2
+        err = one_line_error(capsys, "data error:")
+        assert f"must be finite, got {value!r}" in err
+        assert not list(tmp_path.glob("*.svg"))
 
     @pytest.mark.parametrize("keys", PLOT_TARGETS,
                              ids=[".".join(map(str, k)) for k in PLOT_TARGETS])

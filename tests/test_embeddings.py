@@ -17,6 +17,7 @@ from sweatkit import (
 )
 from sweatkit import embeddings
 from sweatkit.embeddings import EmbeddingSpace
+from sweatkit.errors import open_text
 
 from conftest import brute_nearest, feed_fifo, make_space
 
@@ -241,6 +242,47 @@ class TestLoaderContract:
         with pytest.raises(FormatError) as exc:
             load_word2vec_text(str(p))
         assert str(exc.value) == f"{p}:{len(lines) - 1}: non-finite component"
+
+    def test_defect_in_last_chunk_opens_file_once(self, tmp_path, monkeypatch):
+        p = tmp_path / "big.txt"
+        self._large_file(p, np.random.default_rng(7))
+        lines = p.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[-1] = lines[-1].replace(" ", "  ", 1)
+        p.write_text("".join(lines), encoding="utf-8")
+        opened = []
+
+        def spy(path):
+            opened.append(path)
+            return open_text(path)
+
+        monkeypatch.setattr(embeddings, "open_text", spy)
+        with pytest.raises(FormatError) as exc:
+            load_word2vec_text(str(p))
+        assert opened == [str(p)]
+        assert str(exc.value) == f"{p}:{len(lines)}: expected 101 fields, got 102"
+
+    def test_word_of_first_chunk_repeated_in_last(self, tmp_path):
+        p = tmp_path / "big.txt"
+        words, _ = self._large_file(p, np.random.default_rng(9))
+        lines = p.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[-1] = lines[-1].replace(words[-1], words[0], 1)
+        p.write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(FormatError) as exc:
+            load_word2vec_text(str(p))
+        assert str(exc.value) == f"{p}:{len(lines)}: duplicate word 'w0'"
+
+    def test_blank_line_in_early_chunk_changes_nothing(self, tmp_path):
+        p = tmp_path / "big.txt"
+        self._large_file(p, np.random.default_rng(8), n_rows=3000)
+        expected = load_word2vec_text(str(p))
+        lines = p.read_text(encoding="utf-8").splitlines(keepends=True)
+        # Past the first chunk, so bulk-parsed rows precede the validator's.
+        lines.insert(len(lines) // 2, "\n")
+        blank = tmp_path / "blank.txt"
+        blank.write_text("".join(lines), encoding="utf-8")
+        space = load_word2vec_text(str(blank))
+        assert space.words == expected.words
+        assert space.matrix.tobytes() == expected.matrix.tobytes()
 
 
 class TestCosine:
