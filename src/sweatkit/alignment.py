@@ -10,6 +10,10 @@ import numpy as np
 from .embeddings import EmbeddingSpace, nearest_neighbors
 from .errors import DataError, VocabularyError
 
+# Largest block of rows ``procrustes_align`` maps at once, in bytes of
+# float64: each block's temporaries add about this much to peak memory.
+_BLOCK_BYTES = 1 << 22
+
 
 @dataclass
 class AlignmentReport:
@@ -54,24 +58,43 @@ def procrustes_align(
             missing=missing,
         )
 
+    # One gathered copy per side, centered in place.
     src = source.rows(anchors)
     tgt = target.rows(anchors)
     mu_src = src.mean(axis=0)
     mu_tgt = tgt.mean(axis=0)
-    src_c = src - mu_src
-    tgt_c = tgt - mu_tgt
+    src -= mu_src
+    tgt -= mu_tgt
 
     try:
-        u, _, vt = np.linalg.svd(src_c.T @ tgt_c)
+        u, _, vt = np.linalg.svd(src.T @ tgt)
     except np.linalg.LinAlgError as exc:
         raise DataError(f"SVD failed during alignment: {exc}") from exc
     rotation = u @ vt
+    # Each copy is freed as soon as it is no longer needed, so neither is
+    # alive while the aligned space is built.
+    del tgt
 
-    mapped_anchors = src_c @ rotation + mu_tgt
-    residual = float(np.mean(np.sum((mapped_anchors - tgt) ** 2, axis=1)))
+    # Squared distance of each mapped anchor to its raw target row.
+    step = max(1, _BLOCK_BYTES // (8 * source.dimension))
+    sq_dist = np.empty(len(anchors))
+    for lo in range(0, len(anchors), step):
+        diff = src[lo:lo + step] @ rotation
+        diff += mu_tgt
+        diff -= target.rows(anchors[lo:lo + step])
+        sq_dist[lo:lo + step] = np.sum(np.square(diff, out=diff), axis=1)
+    residual = float(np.mean(sq_dist))
+    del src
 
-    mapped = (source.matrix - mu_src) @ rotation + mu_tgt
-    aligned = EmbeddingSpace.from_rows(source.label, source.words, mapped)
+    # v -> (v - mu_src) R + mu_tgt, written block by block into one array.
+    mapped = np.empty_like(source.matrix)
+    for lo in range(0, len(source), step):
+        np.matmul(source.matrix[lo:lo + step] - mu_src, rotation,
+                  out=mapped[lo:lo + step])
+    mapped += mu_tgt
+    if not np.isfinite(mapped).all():
+        raise DataError(f"space '{source.label}' contains non-finite components")
+    aligned = EmbeddingSpace._adopt(source.label, source.words, mapped)
     report = AlignmentReport(
         rotation=rotation,
         anchors_used=anchors,

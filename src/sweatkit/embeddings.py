@@ -35,7 +35,8 @@ class EmbeddingSpace:
 
     @classmethod
     def from_rows(cls, label: str, words, matrix) -> "EmbeddingSpace":
-        matrix = np.asarray(matrix, dtype=np.float64)
+        # Always a copy, so the caller's array can never change the space.
+        matrix = np.array(matrix, dtype=np.float64, order="C")
         words = tuple(words)
         if matrix.ndim != 2 or matrix.shape[0] != len(words):
             raise DataError(
@@ -47,16 +48,28 @@ class EmbeddingSpace:
             raise DataError("duplicate words in vocabulary")
         if not np.all(np.isfinite(matrix)):
             raise DataError(f"space '{label}' contains non-finite components")
+        return cls._adopt(label, words, matrix)
+
+    @classmethod
+    def _adopt(cls, label: str, words, matrix: np.ndarray) -> "EmbeddingSpace":
+        """Space owning ``matrix``, which is not copied: a fresh C-ordered
+        float64 array of finite rows, one per word of ``words``, all
+        distinct, that no one else writes. Rows whose norm reads 0 or inf
+        are rejected; ``matrix`` and the unit rows are made read-only."""
+        words = tuple(words)
         # A finite row can still square past the float range; its norm reads
-        # inf and its unit row would be all zeros.
+        # inf and its unit row would be all zeros. A nonzero row whose
+        # squares all underflow reads 0.
         with np.errstate(over="ignore"):
             norms = np.linalg.norm(matrix, axis=1)
-        for broken, what in ((norms == 0.0, "zero-norm vector"),
+        zero = norms == 0.0
+        underflow = zero & matrix.any(axis=1) if zero.any() else zero
+        for broken, what in ((zero & ~underflow, "zero-norm vector"),
+                             (underflow, "vector norm underflows"),
                              (np.isinf(norms), "vector norm overflows")):
             if broken.any():
                 bad = sorted(words[i] for i in np.flatnonzero(broken))
                 raise DataError(f"{what} for words: {', '.join(bad)}")
-        matrix = matrix.copy()
         matrix.flags.writeable = False
         unit = matrix / norms[:, None]
         unit.flags.writeable = False
@@ -271,7 +284,8 @@ def load_word2vec_text(path: str, label: str | None = None) -> EmbeddingSpace:
         if lines or len(words) != vocab_size:
             _append(rows, _parse_rows(chain(lines, fh), path, vocab_size, dim,
                                       words, lineno))
-    return EmbeddingSpace.from_rows(label, words, rows)
+    # Both parsers checked the shape, the words and every value.
+    return EmbeddingSpace._adopt(label, words, rows)
 
 
 def _read_header(fh, path: str) -> tuple[int, int]:

@@ -180,6 +180,10 @@ def detail_data(
 
 
 def _f(v: float) -> str:
+    """A coordinate or length as SVG text; a value the chart cannot place
+    is a ValueError."""
+    if not math.isfinite(v):
+        raise ValueError(f"value maps to a non-finite coordinate ({v!r})")
     return f"{v:.2f}"
 
 
@@ -252,6 +256,9 @@ def _symmetric_domain(magnitudes):
     m = max((abs(v) for v in magnitudes), default=0.0)
     if m == 0.0:
         m = 1.0
+    # The scale divides by the domain's width, 2.2 m, which must be finite.
+    if not math.isfinite(2 * (1.1 * m)):
+        raise ValueError(f"plot value {m!r} is too large to scale")
     return -1.1 * m, 1.1 * m
 
 

@@ -1,5 +1,6 @@
 import os
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,18 @@ def brute_nearest(space, query):
     sims = [float(np.dot(row, q)) for row in space._unit]
     best = max(sims)
     return min(w for w, s in zip(space.words, sims) if s == best)
+
+
+def traced_peak(call):
+    """Peak bytes that ``call()`` allocates above what is allocated before
+    it, as tracemalloc counts them (numpy reports its buffers to it)."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
 
 
 def feed_fifo(tmp_path, text):

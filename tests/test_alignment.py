@@ -8,9 +8,10 @@ from sweatkit import (
     procrustes_align,
     round_trip_stable,
 )
+from sweatkit import alignment
 from sweatkit.embeddings import EmbeddingSpace
 
-from conftest import make_space, random_space
+from conftest import make_space, random_space, traced_peak
 
 
 def random_rotation(rng, dim):
@@ -75,6 +76,68 @@ class TestProcrustes:
                 before = cosine(source.vector(words[i]), source.vector(words[j]))
                 after = cosine(aligned.vector(words[i]), aligned.vector(words[j]))
                 assert abs(before - after) <= 1e-9
+
+
+class TestProcrustesLean:
+    """The alignment leaves its inputs alone, returns a read-only space and
+    holds no array it does not need, with the numbers of the plain
+    centered-copy computation."""
+
+    @staticmethod
+    def rotated_pair(rng, n, dim):
+        words = [f"w{i}" for i in range(n)]
+        source = random_space(rng, "src", words, dim)
+        target = EmbeddingSpace.from_rows(
+            "tgt", words, source.matrix @ random_rotation(rng, dim)
+            + rng.normal(scale=0.01, size=(n, dim)) + 0.5)
+        return words, source, target
+
+    def test_inputs_unchanged(self):
+        rng = np.random.default_rng(6)
+        words, source, target = self.rotated_pair(rng, 300, 7)
+        before = [a.tobytes() for a in (source.matrix, source._unit,
+                                        target.matrix, target._unit)]
+        procrustes_align(source, target, words[::2])
+        after = [a.tobytes() for a in (source.matrix, source._unit,
+                                       target.matrix, target._unit)]
+        assert after == before
+
+    def test_aligned_space_is_readonly(self):
+        rng = np.random.default_rng(7)
+        words, source, target = self.rotated_pair(rng, 50, 4)
+        aligned, _ = procrustes_align(source, target, words)
+        assert not aligned.matrix.flags.writeable
+        assert not aligned._unit.flags.writeable
+
+    def test_matches_centered_copy_reference(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        words, source, target = self.rotated_pair(rng, 2_000, 6)
+        anchors = list(rng.permutation(words)[:1_500])
+        # Small blocks, so the blocked residual and map run many blocks.
+        monkeypatch.setattr(alignment, "_BLOCK_BYTES", 8 * 6 * 37)
+        aligned, report = procrustes_align(source, target, anchors)
+
+        src = np.array([source.vector(w) for w in anchors])
+        tgt = np.array([target.vector(w) for w in anchors])
+        src_c = src - src.mean(axis=0)
+        tgt_c = tgt - tgt.mean(axis=0)
+        u, _, vt = np.linalg.svd(src_c.T @ tgt_c)
+        rotation = u @ vt
+        residual = np.mean(np.sum(
+            (src_c @ rotation + tgt.mean(axis=0) - tgt) ** 2, axis=1))
+        mapped = ((source.matrix - src.mean(axis=0)) @ rotation
+                  + tgt.mean(axis=0))
+        assert np.abs(report.rotation - rotation).max() <= 1e-12
+        assert abs(report.residual - residual) <= 1e-12
+        assert np.abs(aligned.matrix - mapped).max() <= 1e-12
+        assert report.anchors_used == anchors
+
+    def test_peak_within_bound(self):
+        rng = np.random.default_rng(9)
+        n, dim = 20_000, 50
+        words, source, target = self.rotated_pair(rng, n, dim)
+        peak = traced_peak(lambda: procrustes_align(source, target, words))
+        assert peak <= 3 * n * dim * 8
 
 
 class TestRoundTripStability:

@@ -242,6 +242,20 @@ def test_norm_overflow_is_data_error(tmp_path, capsys):
     assert err == "data error: vector norm overflows for words: a, c\n"
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("row, message", [
+    # Nonzero components whose squares all underflow.
+    ("a 1e-200 1e-200", "vector norm underflows for words: a"),
+    ("a 0 0", "{path}:3: zero-norm vector for 'a'"),
+], ids=["underflow", "zero"])
+def test_norm_reading_zero_is_data_error(tmp_path, capsys, row, message):
+    path = tmp_path / "v.txt"
+    path.write_text(f"2 2\nb 1 0\n{row}\n", encoding="utf-8")
+    assert main(["inspect", "--embeddings", str(path)]) == 2
+    err = one_line_error(capsys, "data error:")
+    assert err == f"data error: {message.format(path=path)}\n"
+
+
 class TestConfigTypes:
     """Bad overrides and wrongly typed config values are config errors."""
 
@@ -932,6 +946,29 @@ class TestPlotReportFaults:
                      f"--{chart}", str(tmp_path / "chart.svg")]) == 2
         err = one_line_error(capsys, "data error:")
         assert f"must be finite, got {value!r}" in err
+        assert not list(tmp_path.glob("*.svg"))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("chart, keys", [
+        ("cumulative", ("plots", "cumulative", "bars", 0)),
+        ("detail", ("plots", "detail", "distributions", 0, "delta_a", 0)),
+        ("detail", ("plots", "detail", "distributions", 0, "mean_b")),
+    ], ids=["bar", "delta_a", "mean_b"])
+    def test_value_past_drawable_range(self, plot_report, tmp_path, capsys,
+                                       chart, keys):
+        big = 1.7e308
+        if chart == "cumulative":
+            value = {"label": "s", "beta_a": big, "beta_b": 0.0,
+                     "cumulate": big}
+        else:
+            value = big
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(_put(plot_report, keys, value)),
+                        encoding="utf-8")
+        assert main(["plot", "--report", str(path),
+                     f"--{chart}", str(tmp_path / "chart.svg")]) == 2
+        err = one_line_error(capsys, "data error:")
+        assert "malformed plot data (ValueError:" in err
         assert not list(tmp_path.glob("*.svg"))
 
     @pytest.mark.parametrize("keys", PLOT_TARGETS,

@@ -19,7 +19,7 @@ from sweatkit import embeddings
 from sweatkit.embeddings import EmbeddingSpace
 from sweatkit.errors import open_text
 
-from conftest import brute_nearest, feed_fifo, make_space
+from conftest import brute_nearest, feed_fifo, make_space, traced_peak
 
 
 def write(path, text):
@@ -377,10 +377,37 @@ class TestSpaceValidation:
         with pytest.raises(ValueError):
             space.matrix[0, 0] = 2.0
 
+    def test_from_rows_copies_its_input(self):
+        rows = np.array([[1.0, 0.0], [0.0, 2.0]])
+        space = EmbeddingSpace.from_rows("s", ["x", "y"], rows)
+        rows[:] = 7.0
+        assert space.matrix.tolist() == [[1.0, 0.0], [0.0, 2.0]]
+        assert space._unit.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("rows, message", [
+        ([[1.0, 0.0], [0.0, 0.0], [1e-200, 1e-200]],
+         "zero-norm vector for words: b"),
+        ([[1.0, 0.0], [-1e-170, 0.0], [1e-200, 1e-200]],
+         "vector norm underflows for words: b, c"),
+    ], ids=["zero", "underflow"])
+    def test_norm_reading_zero(self, rows, message):
+        with pytest.raises(DataError) as exc:
+            EmbeddingSpace.from_rows("s", ["a", "b", "c"], rows)
+        assert str(exc.value) == message
+
+    def test_loaded_space_is_readonly(self, tmp_path):
+        p = tmp_path / "v.txt"
+        write(p, "2 2\ncat 1 0\ndog 0 3\n")
+        space = load_word2vec_text(str(p))
+        assert not space.matrix.flags.writeable
+        assert not space._unit.flags.writeable
+
 
 class TestHeaderBound:
-    """The header sizes the row array before any row is read, so it may
-    declare no more rows than the file's bytes can hold."""
+    """The header sizes nothing: the matrix grows with the rows read, so a
+    header declaring more rows than the file holds ends in a row's error or
+    a row-count mismatch, never in an allocation of the declared size."""
 
     BODY = "a 1.0 2.0\nb 3.0 4.0\n"
 
@@ -561,6 +588,21 @@ class TestNearestNeighborMemory:
 
     def test_cap_is_about_two_mib(self):
         assert embeddings._NN_BLOCK_BYTES == 1 << 21
+
+
+class TestLoadMemory:
+    """A load holds the rows read, their unit rows and one norm-sized
+    temporary, never a second copy of the rows."""
+
+    def test_peak_within_bound(self, tmp_path):
+        rng = np.random.default_rng(17)
+        n, dim = 20_000, 50
+        p = tmp_path / "v.txt"
+        save_word2vec_text(EmbeddingSpace.from_rows(
+            "s", [f"w{i}" for i in range(n)], rng.normal(size=(n, dim))),
+            str(p))
+        peak = traced_peak(lambda: load_word2vec_text(str(p)))
+        assert peak <= 2.8 * n * dim * 8
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")

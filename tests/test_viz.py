@@ -173,6 +173,43 @@ class TestRendering:
         render_cumulative(data, str(out))
         ET.parse(str(out))
 
+    @pytest.mark.parametrize("big", [1e307, 7e307, 8e307, 1.7e308,
+                                     1.7976931348623157e308])
+    @pytest.mark.parametrize("where", ["bar", "delta", "mean"])
+    def test_no_non_finite_coordinate(self, tmp_path, where, big):
+        # Values near the float maximum either draw at finite coordinates
+        # or are rejected before anything is written.
+        space1, space2, topic, poles = random_fixture(7)
+        if where == "bar":
+            data = cumulative_data(topic, space1, space2, poles)
+            data.bars[0] = dict_bar("s1", big, -big / 2)
+            render = render_cumulative
+        else:
+            data = detail_data(topic, space1, space2, poles)
+            d = data.distributions[0]
+            if where == "delta":
+                d.delta_a[0] = big
+                d.delta_b[-1] = -big
+            else:
+                d.mean_b = -big
+            render = render_detail
+        out = tmp_path / "chart.svg"
+        try:
+            render(data, str(out))
+        except ValueError:
+            assert not out.exists()
+            return
+        numbers = []
+        for el in ET.parse(str(out)).getroot().iter():
+            for name, text in el.attrib.items():
+                if name in ("x", "y", "x1", "y1", "x2", "y2", "cx", "cy",
+                            "width", "height", "r"):
+                    numbers.append(float(text))
+                elif name == "points":
+                    numbers += [float(v) for pt in text.split()
+                                for v in pt.split(",")]
+        assert numbers and all(math.isfinite(v) for v in numbers)
+
     def test_unwritable_path(self, tmp_path, toy_pair):
         space1, space2, topic, poles = toy_pair
         data = cumulative_data(topic, space1, space2, poles)
