@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from itertools import chain, combinations, islice
 
 import numpy as np
 
@@ -41,9 +40,13 @@ _TIE_EPS = 1e-10
 
 TAILS = ("directional", "two_sided")
 
-# Partitions scored per numpy step of the permutation test: the test holds
-# one block of index rows at a time, whatever the number of partitions.
+# Partitions scored per numpy step of the Monte Carlo test: the test holds
+# one block of index rows at a time, whatever the number of samples.
 _BLOCK = 1 << 14
+
+# Most subset sums the exact test builds for one half of the pool: 2**n
+# float64 values for a topic of n words, 128 MiB at n = 24.
+_EXACT_MAX_SUMS = 1 << 24
 
 
 def _words(words, what: str) -> list:
@@ -268,15 +271,55 @@ def effect_size(values_1, values_2) -> float:
     return (mean1 - mean2) / std
 
 
-def _exact_blocks(size: int, n: int):
-    """Every n-subset of range(size), as blocks of index rows."""
-    subsets = combinations(range(size), n)
-    while True:
-        flat = chain.from_iterable(islice(subsets, _BLOCK))
-        block = np.fromiter(flat, dtype=np.intp).reshape(-1, n)
-        if not len(block):
-            return
-        yield block
+def _subset_sums(values) -> list:
+    """Sums of the subsets of ``values`` by size: entry k holds the sums of
+    all C(len(values), k) subsets of k values."""
+    sums = [np.zeros(1)]
+    for v in values:
+        sums = [sums[0], *(np.concatenate((sums[k], sums[k - 1] + v))
+                           for k in range(1, len(sums))), sums[-1] + v]
+    return sums
+
+
+def _exact_count(pool, s_obs, tail) -> int:
+    """Number of equal-size partitions of ``pool`` scoring at least as
+    extreme as ``s_obs``, counted by Horowitz and Sahni's split.
+
+    A partition takes k values from the first half of the pool and n - k
+    from the second, with subset sums l and r, and scores 2 (l + r) - total.
+    For each k the second half's sums are sorted once, and each sum of the
+    first half finds its count of partners past the bound by bisection: about
+    n 2**n steps instead of C(2n, n).
+    """
+    n = len(pool) // 2
+    if 2 ** n > _EXACT_MAX_SUMS:
+        raise DataError(
+            f"exact permutation test over {2 * n} values needs 2^{n} subset "
+            f"sums per half, more than {_EXACT_MAX_SUMS}; use mode montecarlo")
+    pool = np.asarray(pool, dtype=np.float64)
+    total = pool.sum()
+    # Scores at least as extreme, on the slack of ``_tail_fraction``: those
+    # >= bound on the side of s_obs, and for two_sided also <= -bound.
+    bound = abs(s_obs) - _TIE_EPS
+    if tail == "two_sided" and bound <= 0:
+        return math.comb(2 * n, n)
+    edges = []
+    if tail == "two_sided" or s_obs >= 0:
+        edges.append((bound, "left"))
+    if tail == "two_sided" or s_obs < 0:
+        edges.append((-bound, "right"))
+    left, right = _subset_sums(pool[:n]), _subset_sums(pool[n:])
+    count = 0
+    for k in range(n + 1):
+        sums_l, sums_r = left[k], right[n - k]
+        sums_r.sort()
+        for edge, side in edges:
+            # 2 (l + r) - total lies past edge where r lies past
+            # (edge + total) / 2 - l.
+            at = int(np.searchsorted(sums_r, (edge + total) / 2 - sums_l,
+                                     side).sum())
+            count += len(sums_l) * len(sums_r) - at if side == "left" else at
+    return count
 
 
 def _montecarlo_blocks(size: int, n: int, samples: int, seed: int):
@@ -345,10 +388,11 @@ def permutation_test(
     if method == "auto":
         method = "exact" if math.comb(2 * n, n) <= cfg.exact_limit else "montecarlo"
     if method == "exact":
-        blocks = _exact_blocks(2 * n, n)
+        total = math.comb(2 * n, n)
+        p = _exact_count(pool, s_obs, tail) / total
     else:
         blocks = _montecarlo_blocks(2 * n, n, cfg.samples, cfg.seed)
-    p, total = _tail_fraction(pool, blocks, s_obs, tail)
+        p, total = _tail_fraction(pool, blocks, s_obs, tail)
     return p, total, method, tail
 
 

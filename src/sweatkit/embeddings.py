@@ -17,6 +17,9 @@ from .errors import DataError, FormatError, VocabularyError, open_text
 # broken inputs rather than float overshoot.
 _COSINE_OVERSHOOT = 1e-9
 
+# Norms below this have a sum of squares below the smallest normal float.
+_SMALL_NORM = math.sqrt(np.finfo(np.float64).tiny)
+
 
 @dataclass(frozen=True)
 class EmbeddingSpace:
@@ -72,6 +75,13 @@ class EmbeddingSpace:
                 raise DataError(f"{what} for words: {', '.join(bad)}")
         matrix.flags.writeable = False
         unit = matrix / norms[:, None]
+        # Squares in the subnormal range lose bits, so such a norm is
+        # inexact; those rows are normalized again from a copy scaled to a
+        # largest component of 1.
+        small = np.flatnonzero(norms < _SMALL_NORM)
+        if len(small):
+            scaled = matrix[small] / np.abs(matrix[small]).max(axis=1)[:, None]
+            unit[small] = scaled / np.linalg.norm(scaled, axis=1)[:, None]
         unit.flags.writeable = False
         index = {w: i for i, w in enumerate(words)}
         return cls(label, words, matrix, index, unit)
@@ -166,7 +176,7 @@ def cosines(space: EmbeddingSpace, words, others) -> np.ndarray:
 
 
 # Largest block of similarities ``nearest_neighbors`` holds at once, in
-# bytes: vocabulary rows x query columns of float64. Larger blocks save
+# bytes: query rows x vocabulary columns of float64. Larger blocks save
 # little time and add their size to peak memory.
 _NN_BLOCK_BYTES = 1 << 21
 
@@ -187,7 +197,9 @@ def nearest_neighbors(space: EmbeddingSpace, queries) -> list[str]:
     Exact scan over the whole vocabulary; ties break to the
     lexicographically smallest word so results are deterministic. The unit
     queries are scored in blocks, one product with the unit rows per block,
-    and no block of similarities exceeds ``_NN_BLOCK_BYTES``.
+    and no block of similarities exceeds ``_NN_BLOCK_BYTES``. Each block
+    holds one query per row, so every reduction runs along contiguous
+    memory.
     """
     queries = np.asarray(queries, dtype=np.float64)
     if queries.ndim != 2 or queries.shape[1] != space.dimension:
@@ -203,18 +215,18 @@ def nearest_neighbors(space: EmbeddingSpace, queries) -> list[str]:
     if not np.isfinite(norms).all():
         raise DataError("nearest_neighbor undefined for query of non-finite norm")
     unit = queries / norms[:, None]
-    # Vocabularies of more than one block's floats are scanned in row
-    # blocks too, one query at a time.
-    rows = max(1, min(len(space), _NN_BLOCK_BYTES // 8))
-    cols = max(1, _NN_BLOCK_BYTES // 8 // rows)
+    # Vocabularies of more than one block's floats are scanned in blocks of
+    # vocabulary rows too, one query at a time.
+    cols = max(1, min(len(space), _NN_BLOCK_BYTES // 8))
+    rows = max(1, _NN_BLOCK_BYTES // 8 // cols)
     picks = []
-    for c in range(0, len(unit), cols):
-        block = unit[c:c + cols]
+    for r in range(0, len(unit), rows):
+        block = unit[r:r + rows]
         best = np.full(len(block), -np.inf)
         pick = np.zeros(len(block), dtype=np.intp)
-        for lo in range(0, len(space), rows):
-            top, at = _column_best(space, lo, _similarities(
-                space._unit[lo:lo + rows], block))
+        for lo in range(0, len(space), cols):
+            top, at = _row_best(space, lo, _similarities(
+                space._unit[lo:lo + cols], block))
             take = top > best
             for j in np.flatnonzero(top == best):
                 take[j] = space.words[at[j]] < space.words[pick[j]]
@@ -225,19 +237,19 @@ def nearest_neighbors(space: EmbeddingSpace, queries) -> list[str]:
 
 
 def _similarities(unit_rows: np.ndarray, unit_queries: np.ndarray) -> np.ndarray:
-    """Rows x queries block of cosines between unit vectors."""
-    return unit_rows @ unit_queries.T
+    """Queries x rows block of cosines between unit vectors."""
+    return unit_queries @ unit_rows.T
 
 
-def _column_best(space: EmbeddingSpace, lo: int, sims: np.ndarray):
-    """Each column's maximum in a block of similarities whose first row is
-    vocabulary row ``lo``, and the row holding it; among exact maxima, the
-    row of the lexicographically smallest word."""
-    top = sims.max(axis=0)
-    at = sims.argmax(axis=0)
-    is_top = sims == top
-    for j in np.flatnonzero(np.count_nonzero(is_top, axis=0) > 1):
-        at[j] = min(np.flatnonzero(is_top[:, j]),
+def _row_best(space: EmbeddingSpace, lo: int, sims: np.ndarray):
+    """Each row's maximum in a block of similarities whose first column is
+    vocabulary row ``lo``, and the vocabulary row holding it; among exact
+    maxima, the row of the lexicographically smallest word."""
+    top = sims.max(axis=1)
+    at = sims.argmax(axis=1)
+    is_top = sims == top[:, None]
+    for j in np.flatnonzero(np.count_nonzero(is_top, axis=1) > 1):
+        at[j] = min(np.flatnonzero(is_top[j]),
                     key=lambda i: space.words[lo + i])
     return top, at + lo
 
@@ -425,7 +437,8 @@ def save_word2vec_text(space: EmbeddingSpace, path: str) -> None:
         import multiprocessing
 
         fork = multiprocessing.get_context("fork")
-        with fork.Pool(workers, _inherit, (space,)) as pool:
+        pool = fork.Pool(workers, _inherit, (space,))
+        try:
             pending = deque()
             for lo, hi in blocks:
                 if len(pending) == 2 * workers:
@@ -433,6 +446,13 @@ def save_word2vec_text(space: EmbeddingSpace, path: str) -> None:
                 pending.append(pool.apply_async(_format_inherited, (lo, hi)))
             for result in pending:
                 fh.write(result.get())
+        finally:
+            # Closed and joined, never terminated: terminate() races the
+            # pool's worker-handler thread, which can fork replacements for
+            # workers it sees exit. The at most 2 blocks per worker still
+            # queued after a failed write are formatted and dropped.
+            pool.close()
+            pool.join()
 
 
 def _format_block(space: EmbeddingSpace, lo: int, hi: int) -> str:

@@ -7,8 +7,7 @@ coordinates, so identical data always produces byte-identical files.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
-from xml.sax.saxutils import escape
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -36,6 +35,16 @@ def _finite(values, what: str) -> None:
             raise ValueError(f"{what} must be finite, got {value!r}")
 
 
+def _escape(text: str) -> str:
+    """``text`` with ``&``, ``<`` and ``>`` as XML character entities."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
+def _fields(obj) -> dict:
+    """The fields of a flat dataclass instance as a dict, values shared."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+
+
 def _labels(raw) -> dict:
     """The topic and pole labels of a chart's dict."""
     return {key: _text(raw[key], key)
@@ -50,7 +59,7 @@ class SpaceBar:
     cumulate: float
 
     def to_dict(self):
-        return asdict(self)
+        return _fields(self)
 
 
 @dataclass
@@ -61,7 +70,7 @@ class CumulativePlotData:
     bars: list  # one SpaceBar per space, space1 first
 
     def to_dict(self):
-        return asdict(self)
+        return {**_fields(self), "bars": [b.to_dict() for b in self.bars]}
 
     @classmethod
     def from_dict(cls, raw):
@@ -85,7 +94,7 @@ class WordDistribution:
     dominant_pole: str  # "A" | "B"
 
     def to_dict(self):
-        return asdict(self)
+        return _fields(self)
 
 
 @dataclass
@@ -98,7 +107,8 @@ class DetailPlotData:
     distributions: list  # WordDistribution, word-major then space order
 
     def to_dict(self):
-        return asdict(self)
+        return {**_fields(self),
+                "distributions": [d.to_dict() for d in self.distributions]}
 
     @classmethod
     def from_dict(cls, raw):
@@ -229,7 +239,7 @@ class _Svg:
         self.parts.append(
             f'<text x="{_f(x)}" y="{_f(y)}" font-family="sans-serif" '
             f'font-size="{size}" text-anchor="{anchor}" fill="{fill}">'
-            f"{escape(s)}</text>\n"
+            f"{_escape(s)}</text>\n"
         )
 
     def write(self, path):

@@ -3,6 +3,10 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import sweatkit.association as association
 
 from sweatkit import (
     DataError,
@@ -52,6 +56,15 @@ def brute_force_exact_p(values_1, values_2, tail="directional"):
         if hit:
             count += 1
     return count / total, total
+
+
+def dyadic_groups(scale):
+    """Two groups of n <= 7 multiples of 1 / ``scale`` in [-1, 1]. Every
+    subset sum is exact, so partitions that tie do so exactly, and distinct
+    scores differ far beyond any slack; a small ``scale`` gives many ties."""
+    value = st.integers(-scale, scale).map(lambda x: x / scale)
+    return st.integers(1, 7).flatmap(lambda n: st.tuples(
+        *[st.lists(value, min_size=n, max_size=n)] * 2))
 
 
 class TestSingleWordAssociation:
@@ -297,6 +310,41 @@ class TestPermutationTest:
         with pytest.raises(DataError, match="at least 100"):
             permutation_test([1.0], [2.0],
                              PermutationConfig(mode="montecarlo", samples=50))
+
+
+class TestExactSplit:
+    """The exact test counts partitions by splitting the pool in halves and
+    pairing their subset sums; it must count exactly what enumeration
+    counts."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(groups=dyadic_groups(1 << 20) | dyadic_groups(4),
+           tail=st.sampled_from(["directional", "two_sided"]))
+    def test_matches_enumeration(self, groups, tail):
+        v1, v2 = groups
+        p, total, method, _ = permutation_test(
+            v1, v2, PermutationConfig(mode="exact"), tail)
+        assert method == "exact"
+        assert (p, total) == brute_force_exact_p(v1, v2, tail)
+
+    def test_ties_everywhere(self):
+        # Every partition ties the observed score.
+        for tail in ("directional", "two_sided"):
+            assert permutation_test([0.25] * 7, [0.25] * 7,
+                                    PermutationConfig(mode="exact"),
+                                    tail)[:2] == (1.0, math.comb(14, 7))
+
+    @pytest.mark.parametrize("n", [association._EXACT_MAX_SUMS.bit_length(),
+                                   200])
+    def test_large_topic_is_data_error_at_once(self, n):
+        # Past the guard the split would need 2**n sums per half; without
+        # it, n = 200 would never finish.
+        v = np.random.default_rng(20).normal(size=2 * n).tolist()
+        with pytest.raises(DataError, match=f"needs 2\\^{n} subset sums"):
+            permutation_test(v[:n], v[n:], PermutationConfig(mode="exact"))
+
+    def test_guard_is_two_to_the_24(self):
+        assert association._EXACT_MAX_SUMS == 1 << 24
 
 
 class TestRunners:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import sweatkit.association as association
 from sweatkit import load_word2vec_text, save_word2vec_text
 from sweatkit.cli import main, validate_config
 from sweatkit.errors import ConfigError
@@ -240,6 +241,23 @@ def test_norm_overflow_is_data_error(tmp_path, capsys):
     assert main(["inspect", "--embeddings", str(path)]) == 2
     err = one_line_error(capsys, "data error:")
     assert err == "data error: vector norm overflows for words: a, c\n"
+
+
+def test_exact_test_past_its_table_is_data_error(tmp_path, capsys,
+                                                 monkeypatch):
+    # A 24-word topic against a guard lowered to 2^23 sums per half: the
+    # run stops before building any table, on one line.
+    monkeypatch.setattr(association, "_EXACT_MAX_SUMS", 1 << 23)
+    fx = write_fixture(tmp_path)
+    path, raw = base_config(tmp_path, fx)
+    raw["topic"]["words"] = fx["topic"].words + fx["control"].words
+    raw["permutations"] = {"mode": "exact"}
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["sweat", "--config", str(path)]) == 2
+    err = one_line_error(capsys, "data error:")
+    assert err == ("data error: exact permutation test over 48 values needs "
+                   "2^24 subset sums per half, more than 8388608; use mode "
+                   "montecarlo\n")
 
 
 @pytest.mark.filterwarnings("error")

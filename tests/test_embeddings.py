@@ -396,6 +396,18 @@ class TestSpaceValidation:
             EmbeddingSpace.from_rows("s", ["a", "b", "c"], rows)
         assert str(exc.value) == message
 
+    @pytest.mark.filterwarnings("error")
+    def test_tiny_norms_give_unit_rows(self):
+        # Squares of these rows fall in the subnormal range, where a norm
+        # taken directly loses bits; the largest is about 1.49e-154.
+        rows = [[1e-160, 1e-161], [1.0, 0.1], [1e-155, -3e-156],
+                [2e-154, 1e-170], [0.0, -2.0 ** -520]]
+        space = EmbeddingSpace.from_rows("s", list("abcde"), rows)
+        norms = np.linalg.norm(space._unit, axis=1)
+        assert np.all(np.abs(norms - 1.0) <= 4 * np.finfo(float).eps)
+        assert space._unit[4].tolist() == [0.0, -1.0]
+        assert not space._unit.flags.writeable
+
     def test_loaded_space_is_readonly(self, tmp_path):
         p = tmp_path / "v.txt"
         write(p, "2 2\ncat 1 0\ndog 0 3\n")

@@ -156,3 +156,18 @@ def test_cli_import_loads_no_multiprocessing():
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}).stdout
     assert out == "[]\n"
+
+
+def test_cli_import_loads_no_xml_or_network_modules():
+    # The charts escape their own text; importing xml.sax.saxutils for it
+    # would pull in urllib.request and http.client at every start.
+    # urllib.parse is not asked about: numpy's own import of pathlib loads
+    # it.
+    src = os.path.dirname(os.path.dirname(embeddings.__file__))
+    code = ("import sys, sweatkit.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('xml', 'http', 'email') "
+            "or m.startswith('urllib.') and m != 'urllib.parse'))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out == "[]\n"
