@@ -27,6 +27,7 @@ from .association import (
 from .embeddings import (
     EmbeddingSpace,
     cosine,
+    load_word2vec_pair,
     load_word2vec_text,
     nearest_neighbor,
     nearest_neighbors,

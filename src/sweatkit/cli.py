@@ -27,7 +27,11 @@ from .association import (
     run_sweat,
     run_weat,
 )
-from .embeddings import load_word2vec_text, save_word2vec_text
+from .embeddings import (
+    load_word2vec_pair,
+    load_word2vec_text,
+    save_word2vec_text,
+)
 from .errors import ConfigError, DataError, open_text
 from .lexicon import (
     Lexicon,
@@ -108,8 +112,13 @@ def _number(text: str):
 
 
 def _read_wordlist(path: str) -> list:
+    """The nonblank lines of ``path``, stripped. One UTF-8 byte order mark
+    at the start of the file is skipped."""
     with open_text(path) as fh:
-        return [line.strip() for line in fh if line.strip()]
+        lines = list(fh)
+    if lines:
+        lines[0] = lines[0].removeprefix("\ufeff")
+    return [word for word in map(str.strip, lines) if word]
 
 
 def _readable(path, name, errors) -> bool:
@@ -368,8 +377,9 @@ def cmd_sweat(args) -> int:
     timings: dict = {}
 
     t0 = time.perf_counter()
-    space1 = load_word2vec_text(cfg.embeddings[0].path, cfg.embeddings[0].label)
-    space2 = load_word2vec_text(cfg.embeddings[1].path, cfg.embeddings[1].label)
+    entry1, entry2 = cfg.embeddings[:2]
+    space1, space2 = load_word2vec_pair((entry1.path, entry1.label),
+                                        (entry2.path, entry2.label))
     table1, table2 = _load_tables(cfg)
     timings["load"] = time.perf_counter() - t0
 
@@ -447,8 +457,8 @@ def cmd_weat(args) -> int:
 
 
 def cmd_align(args) -> int:
-    source = load_word2vec_text(args.source)
-    target = load_word2vec_text(args.target)
+    source, target = load_word2vec_pair((args.source, None),
+                                        (args.target, None))
     if args.anchors == "auto":
         anchors = default_anchors(source, target)
     else:
@@ -468,8 +478,8 @@ def cmd_align(args) -> int:
 
 def cmd_refine(args) -> int:
     lexicon = load_lexicon(args.lexicon)
-    space1 = load_word2vec_text(args.space1)
-    space2 = load_word2vec_text(args.space2)
+    space1, space2 = load_word2vec_pair((args.space1, None),
+                                        (args.space2, None))
     table1 = load_frequency_table(args.freq1)
     table2 = load_frequency_table(args.freq2)
     report = refine(lexicon, space1, space2, table1, table2,
@@ -485,8 +495,8 @@ def cmd_refine(args) -> int:
 
 
 def cmd_candidates(args) -> int:
-    space1 = load_word2vec_text(args.space1)
-    space2 = load_word2vec_text(args.space2)
+    space1, space2 = load_word2vec_pair((args.space1, None),
+                                        (args.space2, None))
     table1 = load_frequency_table(args.freq1)
     table2 = load_frequency_table(args.freq2)
     stopwords = _read_wordlist(args.stopwords) if args.stopwords else []

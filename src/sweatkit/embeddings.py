@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 import os
+import pickle
+import stat
 import sys
 from collections import deque
 from dataclasses import dataclass, field
@@ -74,14 +76,7 @@ class EmbeddingSpace:
                 bad = sorted(words[i] for i in np.flatnonzero(broken))
                 raise DataError(f"{what} for words: {', '.join(bad)}")
         matrix.flags.writeable = False
-        unit = matrix / norms[:, None]
-        # Squares in the subnormal range lose bits, so such a norm is
-        # inexact; those rows are normalized again from a copy scaled to a
-        # largest component of 1.
-        small = np.flatnonzero(norms < _SMALL_NORM)
-        if len(small):
-            scaled = matrix[small] / np.abs(matrix[small]).max(axis=1)[:, None]
-            unit[small] = scaled / np.linalg.norm(scaled, axis=1)[:, None]
+        unit = _unit_rows(matrix, norms)
         unit.flags.writeable = False
         index = {w: i for i, w in enumerate(words)}
         return cls(label, words, matrix, index, unit)
@@ -134,6 +129,21 @@ class EmbeddingSpace:
             )
 
 
+def _unit_rows(rows: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """Each row of ``rows`` divided by its nonzero norm in ``norms``.
+
+    Squares in the subnormal range lose bits, so a norm below
+    ``_SMALL_NORM`` is inexact; those rows are normalized again from a copy
+    scaled to a largest component of 1.
+    """
+    unit = rows / norms[:, None]
+    small = np.flatnonzero(norms < _SMALL_NORM)
+    if len(small):
+        scaled = rows[small] / np.abs(rows[small]).max(axis=1)[:, None]
+        unit[small] = scaled / np.linalg.norm(scaled, axis=1)[:, None]
+    return unit
+
+
 def cosine(u, v) -> float:
     """Cosine similarity of two vectors, clamped only against fp overshoot."""
     u = np.asarray(u, dtype=np.float64)
@@ -146,6 +156,10 @@ def cosine(u, v) -> float:
         raise DataError("cosine undefined for zero-norm vector")
     if np.array_equal(u, v):
         return 1.0
+    if min(nu, nv) < _SMALL_NORM:
+        u, v = _unit_rows(np.stack([u.ravel(), v.ravel()]),
+                          np.array([nu, nv]))
+        nu = nv = 1.0
     c = float(np.dot(u, v) / (nu * nv))
     if not math.isfinite(c):
         raise DataError("cosine produced a non-finite value")
@@ -277,8 +291,20 @@ def load_word2vec_text(path: str, label: str | None = None) -> EmbeddingSpace:
     validator reads on; it alone raises the ``FormatError`` of a row. One
     UTF-8 byte order mark before the header is skipped.
     """
+    # Both parsers checked the shape, the words and every value.
+    words, rows = _read_word2vec_text(path)
+    return EmbeddingSpace._adopt(_label(path, label), words, rows)
+
+
+def _label(path: str, label: str | None) -> str:
     if label is None:
-        label = os.path.splitext(os.path.basename(path))[0]
+        return os.path.splitext(os.path.basename(path))[0]
+    return label
+
+
+def _read_word2vec_text(path: str) -> tuple[dict, np.ndarray]:
+    """The words of a word2vec text file, in row order as the keys of a
+    dict, and its rows as a fresh C-ordered matrix."""
     with open_text(path) as fh:
         vocab_size, dim = _read_header(fh, path)
         # Words in row order, held as dict keys so a repeat is one lookup.
@@ -296,8 +322,135 @@ def load_word2vec_text(path: str, label: str | None = None) -> EmbeddingSpace:
         if lines or len(words) != vocab_size:
             _append(rows, _parse_rows(chain(lines, fh), path, vocab_size, dim,
                                       words, lineno))
-    # Both parsers checked the shape, the words and every value.
-    return EmbeddingSpace._adopt(label, words, rows)
+    return words, rows
+
+
+# Smallest file, in bytes, whose parse is worth a second process: a pair of
+# spaces is read concurrently only when both files are at least this large.
+# Measured with pairs of equal 100-dimension files of 5-decimal components
+# (the benchmark's format), each pair loaded by load_word2vec_pair with this
+# constant set to 0 and to more than the files, alternately, median of 9 to
+# 11 loads, 2 vCPU, BLAS on one thread; three series. At 4.3 MB the fork
+# won one series and lost two (0.115-0.206 s against 0.116-0.166 s); at
+# 6.4 MB it won both series run (0.16 s against 0.23 s), at 8.6 MB every
+# series (0.19-0.25 s against 0.26-0.32 s), and at 17 MB every series
+# (0.40-0.49 s against 0.54-0.67 s). The bound sits above the largest size
+# without a steady gain.
+_CONCURRENT_BYTES = 8 << 20
+
+
+def load_word2vec_pair(first: tuple, second: tuple) -> tuple:
+    """Load two word2vec text files, each given as ``(path, label)``, as
+    two ``load_word2vec_text`` calls would, with the same spaces and the
+    same first error.
+
+    When this process may use two CPUs, ``os.fork`` exists and both paths
+    are distinct regular files of at least ``_CONCURRENT_BYTES``, a forked
+    child reads the second file while this process loads the first. The
+    child sends back a pickled header, the words and the matrix shape or
+    the exception it raised, then the raw matrix bytes, through a pipe.
+    Otherwise, or if the fork fails, the two files are loaded here, one
+    after the other.
+    """
+    if not _concurrent(first[0], second[0]):
+        return load_word2vec_text(*first), load_word2vec_text(*second)
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare: both files are read here
+        os.close(read_fd)
+        os.close(write_fd)
+        return load_word2vec_text(*first), load_word2vec_text(*second)
+    if pid == 0:
+        # The child parses text and calls no BLAS, so threads the parent's
+        # BLAS may have started hold nothing it needs; it leaves by
+        # os._exit, running none of the parent's exit handlers.
+        os.close(read_fd)
+        _send_read(write_fd, second[0])  # never returns
+    os.close(write_fd)
+    try:
+        with open(read_fd, "rb", buffering=0) as pipe:
+            # The first file is read and adopted before the second is
+            # collected, so its error is the one raised, as in a serial load.
+            space1 = load_word2vec_text(*first)
+            words, rows = _receive_read(pipe, second[0])
+    except BaseException:
+        import signal  # only here, so that no successful run imports it
+
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        os.waitpid(pid, 0)
+    return space1, EmbeddingSpace._adopt(_label(*second), words, rows)
+
+
+def _concurrent(path1: str, path2: str) -> bool:
+    """Whether ``load_word2vec_pair`` reads the second file in a child.
+
+    Each file must be a regular file, so that reading it in another process
+    reads the same bytes (a pipe can be read only once), and they must be
+    two files (``/dev/stdin`` twice keeps its serial meaning everywhere).
+    """
+    if _usable_cpus() < 2 or not hasattr(os, "fork"):
+        return False
+    try:
+        st1, st2 = os.stat(path1), os.stat(path2)
+    except (OSError, ValueError):  # the serial load raises it in order
+        return False
+    return (stat.S_ISREG(st1.st_mode) and stat.S_ISREG(st2.st_mode)
+            and not os.path.samestat(st1, st2)
+            and min(st1.st_size, st2.st_size) >= _CONCURRENT_BYTES)
+
+
+def _send_read(fd: int, path: str) -> None:
+    """Body of the forked reader: reads ``path`` and writes to ``fd`` the
+    length of a pickled header, the header, and the matrix bytes; then
+    exits the process without unwinding the parent's stack."""
+    code = 1
+    try:
+        try:
+            words, rows = _read_word2vec_text(path)
+            header = (tuple(words), rows.shape)
+        except Exception as exc:
+            header, rows = exc, None
+        blob = pickle.dumps(header)
+        with open(fd, "wb") as out:
+            out.write(len(blob).to_bytes(8, "little"))
+            out.write(blob)
+            if rows is not None:
+                out.write(rows.reshape(-1).view(np.uint8))
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _receive_read(pipe, path: str) -> tuple[tuple, np.ndarray]:
+    """The words and matrix ``_send_read`` wrote for ``path``, or the
+    exception it sent, raised here; a reader that ended before sending all
+    of it is an ``OSError`` naming ``path``."""
+    size = bytearray(8)
+    if _fill(pipe, size):
+        blob = bytearray(int.from_bytes(size, "little"))
+        if _fill(pipe, blob):
+            header = pickle.loads(blob)
+            if isinstance(header, BaseException):
+                raise header
+            words, shape = header
+            rows = np.empty(shape)
+            if _fill(pipe, rows.reshape(-1).view(np.uint8)):
+                return words, rows
+    raise OSError(f"{path}: the process reading it ended without a result")
+
+
+def _fill(pipe, buf) -> bool:
+    """Whether ``buf`` was filled from ``pipe`` before its end."""
+    view = memoryview(buf)
+    while view:
+        n = pipe.readinto(view)
+        if not n:
+            return False
+        view = view[n:]
+    return True
 
 
 def _read_header(fh, path: str) -> tuple[int, int]:

@@ -1,3 +1,4 @@
+import multiprocessing
 import os
 import threading
 import tracemalloc
@@ -54,6 +55,40 @@ def feed_fifo(tmp_path, text):
     writer = threading.Thread(target=feed)
     writer.start()
     return fifo, writer
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Pids of the processes forked while the test runs."""
+    pids = []
+    real_fork = os.fork
+
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return pids
+
+
+def use_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
+
+
+def assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+    assert multiprocessing.active_children() == []
+
+
+def assert_no_children():
+    """This process has no child process left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def perturbed_unit(rng, center, sigma=0.1):

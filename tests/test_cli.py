@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import os
+import signal
 
 import numpy as np
 import pytest
@@ -9,11 +10,18 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import sweatkit.association as association
+import sweatkit.embeddings as embeddings
 from sweatkit import load_word2vec_text, save_word2vec_text
-from sweatkit.cli import main, validate_config
+from sweatkit.cli import UNDERDETERMINED_WARNING, main, validate_config
 from sweatkit.errors import ConfigError
 
-from conftest import feed_fifo, polarized_fixture, random_space
+from conftest import (
+    assert_no_children,
+    feed_fifo,
+    polarized_fixture,
+    random_space,
+    use_cpus,
+)
 
 
 def write_fixture(tmp_path, seed=12345, counts_zipf=6.0):
@@ -442,6 +450,189 @@ class TestOtherCommands:
         out = capsys.readouterr().out.splitlines()
         assert out[0].startswith("# label=")
         assert "\t" in out[1]
+
+
+PAIR_COMMANDS = ("sweat", "align", "refine", "candidates")
+NAN_ROW = "3 3\ncat 1 0 0\ndog 0 nan 0\nfox 0 0 1\n"
+REPEATED_WORD = "3 3\ncat 1 0 0\ndog 0 1 0\ncat 0 0 1\n"
+
+
+def pair_argv(command, tmp_path, fx, space1, space2):
+    """Arguments that make ``command`` read ``space1`` and ``space2`` and
+    write its outputs, if any, into ``tmp_path / "out"``."""
+    out = tmp_path / "out"
+    out.mkdir(exist_ok=True)
+    if command == "sweat":
+        path, raw = base_config(tmp_path, fx)
+        raw["embeddings"][0]["path"] = str(space1)
+        raw["embeddings"][1]["path"] = str(space2)
+        raw["alignment"] = {"mode": "procrustes", "anchors": "auto"}
+        raw["outputs"]["report"] = str(out / "report.json")
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        return ["sweat", "--config", str(path)]
+    if command == "align":
+        return ["align", "--source", str(space1), "--target", str(space2),
+                "--out", str(out / "aligned.txt"),
+                "--report", str(out / "align.json")]
+    tables = ["--freq1", str(fx["freq1"]), "--freq2", str(fx["freq2"])]
+    spaces = ["--space1", str(space1), "--space2", str(space2)]
+    if command == "candidates":
+        return ["candidates", *spaces, *tables, "--top", "5"]
+    lexicon = tmp_path / "lex.json"
+    lexicon.write_text(json.dumps({
+        "label_a": "pos", "label_b": "neg", "words_a": fx["poles"].words_a,
+        "words_b": fx["poles"].words_b}), encoding="utf-8")
+    return ["refine", "--lexicon", str(lexicon), *spaces, *tables,
+            "--out", str(out / "refined.json")]
+
+
+class TestConcurrentLoad:
+    """Every command that reads two spaces prints, writes and exits as with
+    two serial loads when the second is read in a forked process, and
+    leaves no process behind."""
+
+    @staticmethod
+    def run(monkeypatch, capsys, tmp_path, argv, concurrent):
+        """Exit code, stdout, stderr and outputs (reports without ``meta``)
+        of one run; the outputs are removed."""
+        use_cpus(monkeypatch, 2)
+        monkeypatch.setattr(embeddings, "_CONCURRENT_BYTES",
+                            0 if concurrent else 1 << 62)
+        capsys.readouterr()
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert_no_children()
+        written = {}
+        for path in sorted((tmp_path / "out").iterdir()):
+            if path.suffix == ".json":
+                doc = json.loads(path.read_text(encoding="utf-8"))
+                doc.pop("meta", None)
+                written[path.name] = doc
+            else:
+                written[path.name] = path.read_bytes()
+            path.unlink()
+        return code, out, err, written
+
+    def compare(self, monkeypatch, capsys, tmp_path, forks, argv):
+        serial = self.run(monkeypatch, capsys, tmp_path, argv,
+                          concurrent=False)
+        assert forks == []
+        together = self.run(monkeypatch, capsys, tmp_path, argv,
+                            concurrent=True)
+        assert len(forks) == 1
+        assert together == serial
+        return together
+
+    @pytest.mark.parametrize("command", PAIR_COMMANDS)
+    def test_same_output(self, tmp_path, monkeypatch, capsys, forks,
+                         command):
+        fx = write_fixture(tmp_path)
+        argv = pair_argv(command, tmp_path, fx, fx["space1"], fx["space2"])
+        code, out, err, written = self.compare(monkeypatch, capsys,
+                                               tmp_path, forks, argv)
+        assert code == 0 and out
+        assert len(written) == {"sweat": 1, "align": 2, "refine": 1,
+                                "candidates": 0}[command]
+
+    @pytest.mark.parametrize("where", ["first", "second", "both"])
+    @pytest.mark.parametrize("command", PAIR_COMMANDS)
+    def test_same_error(self, tmp_path, monkeypatch, capsys, forks, command,
+                        where):
+        fx = write_fixture(tmp_path)
+        bad1, bad2 = tmp_path / "bad1.txt", tmp_path / "bad2.txt"
+        bad1.write_text(NAN_ROW, encoding="utf-8")
+        bad2.write_text(REPEATED_WORD, encoding="utf-8")
+        space1 = fx["space1"] if where == "second" else bad1
+        space2 = fx["space2"] if where == "first" else bad2
+        argv = pair_argv(command, tmp_path, fx, space1, space2)
+        code, out, err, written = self.compare(monkeypatch, capsys,
+                                               tmp_path, forks, argv)
+        assert (code, out, written) == (2, "", {})
+        # The first file's error wins when both are bad.
+        assert err == (f"data error: {bad1}:3: non-finite component\n"
+                       if where != "second" else
+                       f"data error: {bad2}:4: duplicate word 'cat'\n")
+
+    @pytest.mark.parametrize("command", ["align", "refine", "candidates"])
+    def test_missing_second_file(self, tmp_path, monkeypatch, capsys, forks,
+                                 command):
+        fx = write_fixture(tmp_path)
+        gone = tmp_path / "gone.txt"
+        argv = pair_argv(command, tmp_path, fx, fx["space1"], gone)
+        use_cpus(monkeypatch, 2)
+        monkeypatch.setattr(embeddings, "_CONCURRENT_BYTES", 0)
+        assert main(argv) == 3
+        err = one_line_error(capsys, "io error:")
+        assert str(gone) in err
+        assert forks == []
+        assert_no_children()
+
+    def test_killed_reader_is_io_error(self, tmp_path, monkeypatch, capsys,
+                                       forks):
+        fx = write_fixture(tmp_path)
+        read = embeddings._read_word2vec_text
+
+        def killed(path):
+            if path == str(fx["space2"]):
+                os.kill(os.getpid(), signal.SIGKILL)
+            return read(path)
+
+        monkeypatch.setattr(embeddings, "_read_word2vec_text", killed)
+        argv = pair_argv("align", tmp_path, fx, fx["space1"], fx["space2"])
+        code, out, err, written = self.run(monkeypatch, capsys, tmp_path,
+                                           argv, concurrent=True)
+        assert (code, out, written) == (3, "", {})
+        assert err == (f"io error: {fx['space2']}: the process reading it "
+                       "ended without a result\n")
+        assert len(forks) == 1
+
+
+class TestByteOrderMarkInWordLists:
+    """One UTF-8 byte order mark at the start of a word list is skipped."""
+
+    def test_topic_file(self, tmp_path, capsys):
+        fx = write_fixture(tmp_path)
+        topic = tmp_path / "topic.txt"
+        topic.write_text("\ufeff" + "\n".join(fx["topic"].words) + "\n",
+                         encoding="utf-8")
+        path, raw = base_config(tmp_path, fx)
+        raw["topic"] = {"label": "t", "file": str(topic)}
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["sweat", "--config", str(path)]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["config"]["topic"]["words"] == list(fx["topic"].words)
+
+    def test_anchors_file_of_align(self, tmp_path, capsys):
+        fx = write_fixture(tmp_path)
+        anchors = tmp_path / "anchors.txt"
+        anchors.write_text("\ufeffctrl0\r\nctrl1\r\n", encoding="utf-8")
+        assert main(["align", "--source", str(fx["space2"]),
+                     "--target", str(fx["space1"]), "--anchors", str(anchors),
+                     "--out", str(tmp_path / "aligned.txt")]) == 0
+        out, err = capsys.readouterr()
+        assert "with 2 anchors" in out
+        assert err == UNDERDETERMINED_WARNING + "\n"
+
+    def test_anchors_file_of_config(self, tmp_path, capsys):
+        fx = write_fixture(tmp_path)
+        anchors = tmp_path / "anchors.txt"
+        anchors.write_text("\ufeffctrl0\nctrl1\n", encoding="utf-8")
+        path, raw = base_config(tmp_path, fx)
+        raw["alignment"] = {"mode": "procrustes", "anchors": str(anchors)}
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["sweat", "--config", str(path)]) == 0
+        assert capsys.readouterr().err == UNDERDETERMINED_WARNING + "\n"
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["alignment"]["n_anchors"] == 2
+
+    def test_only_the_first_mark_is_skipped(self, tmp_path, capsys):
+        fx = write_fixture(tmp_path)
+        anchors = tmp_path / "anchors.txt"
+        anchors.write_text("\ufeffctrl0\n\ufeffctrl1\n", encoding="utf-8")
+        assert main(["align", "--source", str(fx["space2"]),
+                     "--target", str(fx["space1"]), "--anchors", str(anchors),
+                     "--out", str(tmp_path / "aligned.txt")]) == 2
+        assert "\ufeffctrl1" in one_line_error(capsys, "data error:")
 
 
 NOT_UTF8 = b"w\t1\n\xff\t2\n"

@@ -1,5 +1,7 @@
+import errno
 import math
 import os
+import time
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from sweatkit import (
     DataError,
     FormatError,
     cosine,
+    load_word2vec_pair,
     load_word2vec_text,
     nearest_neighbor,
     nearest_neighbors,
@@ -19,7 +22,14 @@ from sweatkit import embeddings
 from sweatkit.embeddings import EmbeddingSpace
 from sweatkit.errors import open_text
 
-from conftest import brute_nearest, feed_fifo, make_space, traced_peak
+from conftest import (
+    assert_no_children,
+    brute_nearest,
+    feed_fifo,
+    make_space,
+    traced_peak,
+    use_cpus,
+)
 
 
 def write(path, text):
@@ -325,6 +335,18 @@ class TestCosine:
         u = np.array([0.5, -1.0, 2.0])
         v = np.array([1.0, 0.25, -0.5])
         assert abs(cosine(alpha * u, v) - cosine(u, v)) <= 1e-9
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("u, v, expected", [
+        ([1e-160, 1e-161], [1.0, 0.1], 1.0),
+        ([1.0, 0.1], [-1e-160, -1e-161], -1.0),
+        ([1e-155, -3e-156], [1.0, -0.3], 1.0),
+        ([1e-160, 0.0], [0.0, 3e-160], 0.0),
+    ])
+    def test_tiny_norms(self, u, v, expected):
+        # Squares of a vector here fall in the subnormal range, where a
+        # norm taken directly loses bits.
+        assert abs(cosine(u, v) - expected) <= 4 * math.ulp(1.0)
 
 
 class TestNearestNeighbor:
@@ -704,3 +726,199 @@ class TestByteOrderMark:
         p = tmp_path / "v.txt"
         write(p, "2 2\n\ufeffa 1 0\nb 0 1\n")
         assert load_word2vec_text(str(p)).words == ("\ufeffa", "b")
+
+
+# Every contract file, and one that only the space's constructor rejects.
+PAIR_CASES = {**{name: text for name, (text, _) in LOADER_CONTRACT.items()},
+              "norm_underflows": "2 2\na 1e-170 0\nb 0 1\n"}
+GOOD = "3 3\n" + ROWS
+
+
+@pytest.fixture
+def concurrent(monkeypatch, forks):
+    """Pairs of any size are read with the fork, as on two CPUs; returns
+    the pids forked."""
+    monkeypatch.setattr(embeddings, "_CONCURRENT_BYTES", 0)
+    use_cpus(monkeypatch, 2)
+    return forks
+
+
+@pytest.fixture
+def no_fork(monkeypatch):
+    def refuse():
+        raise AssertionError("a reader process was started")
+
+    monkeypatch.setattr(os, "fork", refuse)
+
+
+def outcome(call):
+    """The spaces ``call()`` returns, as comparable bytes, or the type and
+    text of the exception it raises."""
+    try:
+        spaces = call()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return [(s.label, s.words, s.matrix.tobytes(), s._unit.tobytes(),
+             s.matrix.flags.writeable, s._unit.flags.writeable)
+            for s in spaces]
+
+
+def serial_pair(first, second):
+    return load_word2vec_text(*first), load_word2vec_text(*second)
+
+
+def pair_files(tmp_path, text1, text2):
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    a.write_bytes(text1.encode("utf-8"))
+    b.write_bytes(text2.encode("utf-8"))
+    return (str(a), None), (str(b), None)
+
+
+class TestLoadPair:
+    """A pair read with the second file in a forked process is the pair two
+    loads give, with the same first error, and leaves no process behind."""
+
+    @pytest.mark.parametrize("labels", [(None, None), ("one", "two")])
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_matches_two_loads(self, tmp_path, concurrent, swap, labels):
+        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+        TestLoaderContract._large_file(a, np.random.default_rng(11))
+        TestLoaderContract._large_file(b, np.random.default_rng(12), 1200)
+        if swap:
+            a, b = b, a
+        first, second = (str(a), labels[0]), (str(b), labels[1])
+        got = outcome(lambda: load_word2vec_pair(first, second))
+        assert len(concurrent) == 1
+        assert_no_children()
+        assert got == outcome(lambda: serial_pair(first, second))
+        assert [space[0] for space in got] == [
+            labels[0] or a.stem, labels[1] or b.stem]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("where", ["first", "second", "both"])
+    @pytest.mark.parametrize("name", sorted(PAIR_CASES))
+    def test_same_outcome_as_two_loads(self, tmp_path, concurrent, name,
+                                       where):
+        bad = PAIR_CASES[name]
+        first, second = pair_files(tmp_path,
+                                   GOOD if where == "second" else bad,
+                                   GOOD if where == "first" else bad)
+        got = outcome(lambda: load_word2vec_pair(first, second))
+        assert len(concurrent) == 1
+        assert_no_children()
+        assert got == outcome(lambda: serial_pair(first, second))
+
+    def test_bad_first_file_stops_the_reader(self, tmp_path, concurrent,
+                                             monkeypatch):
+        read = embeddings._read_word2vec_text
+        first, second = pair_files(tmp_path, PAIR_CASES["nan"], GOOD)
+
+        def stalled(path):
+            if path == second[0]:
+                time.sleep(60)
+            return read(path)
+
+        monkeypatch.setattr(embeddings, "_read_word2vec_text", stalled)
+        start = time.monotonic()
+        with pytest.raises(FormatError):
+            load_word2vec_pair(first, second)
+        assert time.monotonic() - start < 30
+        assert len(concurrent) == 1
+        assert_no_children()
+
+    def test_empty_space(self, tmp_path, concurrent):
+        first, second = pair_files(tmp_path, GOOD, "0 4\n")
+        got = outcome(lambda: load_word2vec_pair(first, second))
+        assert got == outcome(lambda: serial_pair(first, second))
+        assert len(concurrent) == 1
+        assert_no_children()
+
+    def test_small_files_load_here(self, tmp_path, monkeypatch, no_fork):
+        use_cpus(monkeypatch, 2)
+        first, second = pair_files(tmp_path, GOOD, GOOD.replace("cat", "owl"))
+        assert os.path.getsize(first[0]) < embeddings._CONCURRENT_BYTES
+        assert outcome(lambda: load_word2vec_pair(first, second)) == outcome(
+            lambda: serial_pair(first, second))
+
+    def test_one_cpu_loads_here(self, tmp_path, monkeypatch, no_fork):
+        monkeypatch.setattr(embeddings, "_CONCURRENT_BYTES", 0)
+        use_cpus(monkeypatch, 1)
+        first, second = pair_files(tmp_path, GOOD, GOOD)
+        assert outcome(lambda: load_word2vec_pair(first, second)) == outcome(
+            lambda: serial_pair(first, second))
+
+    def test_without_fork_loads_here(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(embeddings, "_CONCURRENT_BYTES", 0)
+        use_cpus(monkeypatch, 2)
+        monkeypatch.delattr(os, "fork")
+        first, second = pair_files(tmp_path, GOOD, GOOD)
+        assert outcome(lambda: load_word2vec_pair(first, second)) == outcome(
+            lambda: serial_pair(first, second))
+
+    def test_failed_fork_loads_here(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(embeddings, "_CONCURRENT_BYTES", 0)
+        use_cpus(monkeypatch, 2)
+
+        def no_process():
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily "
+                                  "unavailable")
+
+        monkeypatch.setattr(os, "fork", no_process)
+        first, second = pair_files(tmp_path, GOOD, GOOD.replace("cat", "owl"))
+        fds = len(os.listdir("/proc/self/fd")) if os.path.isdir(
+            "/proc/self/fd") else None
+        assert outcome(lambda: load_word2vec_pair(first, second)) == outcome(
+            lambda: serial_pair(first, second))
+        if fds is not None:
+            assert len(os.listdir("/proc/self/fd")) == fds
+
+    def test_same_file_twice_loads_here(self, tmp_path, monkeypatch, no_fork):
+        monkeypatch.setattr(embeddings, "_CONCURRENT_BYTES", 0)
+        use_cpus(monkeypatch, 2)
+        first, _ = pair_files(tmp_path, GOOD, GOOD)
+        assert outcome(lambda: load_word2vec_pair(first, first)) == outcome(
+            lambda: serial_pair(first, first))
+
+    @pytest.mark.parametrize("missing", ["first", "second"])
+    def test_missing_file_loads_here(self, tmp_path, monkeypatch, no_fork,
+                                     missing):
+        monkeypatch.setattr(embeddings, "_CONCURRENT_BYTES", 0)
+        use_cpus(monkeypatch, 2)
+        first, second = pair_files(tmp_path, GOOD, GOOD)
+        gone = (str(tmp_path / "gone.txt"), None)
+        pair = (gone, second) if missing == "first" else (first, gone)
+        got = outcome(lambda: load_word2vec_pair(*pair))
+        assert got == outcome(lambda: serial_pair(*pair))
+        assert got[0] is FileNotFoundError
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+    @pytest.mark.parametrize("fifo_first", [True, False])
+    def test_pipe_loads_here(self, tmp_path, monkeypatch, no_fork,
+                             fifo_first):
+        monkeypatch.setattr(embeddings, "_CONCURRENT_BYTES", 0)
+        use_cpus(monkeypatch, 2)
+        regular, _ = pair_files(tmp_path, GOOD, GOOD)
+        fifo, writer = feed_fifo(tmp_path, GOOD)
+        pair = ((str(fifo), None), regular)
+        try:
+            got = load_word2vec_pair(*(pair if fifo_first else pair[::-1]))
+        finally:
+            # A reader held until the writer ends frees it if the load
+            # failed before opening the FIFO; the text fits the pipe.
+            held = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+            writer.join()
+            os.close(held)
+        assert [s.words for s in got] == [("cat", "dog", "fox")] * 2
+
+    def test_detected_cpus(self, tmp_path, monkeypatch, forks):
+        """With the real CPU query, the pair forks only where this process
+        may run on more than one CPU; the spaces are the same either way."""
+        monkeypatch.setattr(embeddings, "_CONCURRENT_BYTES", 0)
+        first, second = pair_files(tmp_path, GOOD, GOOD.replace("cat", "owl"))
+        got = outcome(lambda: load_word2vec_pair(first, second))
+        assert got == outcome(lambda: serial_pair(first, second))
+        assert len(forks) == (0 if embeddings._usable_cpus() == 1 else 1)
+        assert_no_children()
+
+    def test_threshold_is_about_eight_mib(self):
+        assert embeddings._CONCURRENT_BYTES == 8 << 20

@@ -1,7 +1,6 @@
 """save_word2vec_text: the forked parallel write gives the same bytes as the
 in-process write, and leaves no worker process behind."""
 
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -12,6 +11,8 @@ import pytest
 import sweatkit.embeddings as embeddings
 from sweatkit import EmbeddingSpace, save_word2vec_text
 from sweatkit.cli import main
+
+from conftest import assert_reaped, use_cpus
 
 # Rows per block at dimension 4 once the block size is patched down: 23
 # rows make 5 blocks, the last one short.
@@ -34,34 +35,6 @@ def awkward_space(n=23, dim=DIM, seed=0):
     words = [f"w{i}" for i in range(n)]
     words[2] = "naïve_東京"
     return EmbeddingSpace.from_rows("s", words, matrix)
-
-
-@pytest.fixture
-def forks(monkeypatch):
-    """Pids of the processes forked while the test runs."""
-    pids = []
-    real_fork = os.fork
-
-    def counting_fork():
-        pid = real_fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counting_fork)
-    return pids
-
-
-def use_cpus(monkeypatch, n):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
-                        raising=False)
-
-
-def assert_reaped(pids):
-    for pid in pids:
-        with pytest.raises(ChildProcessError):
-            os.waitpid(pid, os.WNOHANG)
-    assert multiprocessing.active_children() == []
 
 
 class TestParallelSave:
