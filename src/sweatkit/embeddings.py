@@ -7,7 +7,7 @@ import os
 import pickle
 import stat
 import sys
-from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -152,8 +152,10 @@ def cosine(u, v) -> float:
         raise DataError(f"dimension mismatch: {u.shape} vs {v.shape}")
     nu = np.linalg.norm(u)
     nv = np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
+    if not (u.any() and v.any()):
         raise DataError("cosine undefined for zero-norm vector")
+    if nu == 0.0 or nv == 0.0:
+        raise DataError("cosine undefined: vector norm underflows")
     if np.array_equal(u, v):
         return 1.0
     if min(nu, nv) < _SMALL_NORM:
@@ -224,8 +226,10 @@ def nearest_neighbors(space: EmbeddingSpace, queries) -> list[str]:
     if len(queries) and len(space) == 0:
         raise DataError("nearest_neighbor on empty space")
     norms = np.linalg.norm(queries, axis=1)
-    if np.any(norms == 0.0):
+    if not queries.any(axis=1).all():
         raise DataError("nearest_neighbor undefined for zero-norm query")
+    if np.any(norms == 0.0):
+        raise DataError("nearest_neighbor undefined: vector norm underflows")
     if not np.isfinite(norms).all():
         raise DataError("nearest_neighbor undefined for query of non-finite norm")
     unit = queries / norms[:, None]
@@ -344,43 +348,26 @@ def load_word2vec_pair(first: tuple, second: tuple) -> tuple:
     two ``load_word2vec_text`` calls would, with the same spaces and the
     same first error.
 
-    When this process may use two CPUs, ``os.fork`` exists and both paths
-    are distinct regular files of at least ``_CONCURRENT_BYTES``, a forked
-    child reads the second file while this process loads the first. The
-    child sends back a pickled header, the words and the matrix shape or
-    the exception it raised, then the raw matrix bytes, through a pipe.
-    Otherwise, or if the fork fails, the two files are loaded here, one
-    after the other.
+    For two large regular files, when this process may fork (see
+    ``_concurrent``), a forked child reads the second file while this
+    process loads the first. It sends back a frame of its pickled words and
+    matrix shape, or of the exception it raised, then the raw matrix bytes.
+    Otherwise, or if the fork fails, both are loaded here, one by one.
     """
-    if not _concurrent(first[0], second[0]):
-        return load_word2vec_text(*first), load_word2vec_text(*second)
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:  # no process to spare: both files are read here
-        os.close(read_fd)
-        os.close(write_fd)
-        return load_word2vec_text(*first), load_word2vec_text(*second)
-    if pid == 0:
-        # The child parses text and calls no BLAS, so threads the parent's
-        # BLAS may have started hold nothing it needs; it leaves by
-        # os._exit, running none of the parent's exit handlers.
-        os.close(read_fd)
-        _send_read(write_fd, second[0])  # never returns
-    os.close(write_fd)
-    try:
-        with open(read_fd, "rb", buffering=0) as pipe:
-            # The first file is read and adopted before the second is
-            # collected, so its error is the one raised, as in a serial load.
-            space1 = load_word2vec_text(*first)
-            words, rows = _receive_read(pipe, second[0])
-    except BaseException:
-        import signal  # only here, so that no successful run imports it
-
-        os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        os.waitpid(pid, 0)
+    with _reaped() as children:
+        child = (_concurrent(first[0], second[0])
+                 and _fork(children, _send_read, second[0]))
+        if not child:
+            return load_word2vec_text(*first), load_word2vec_text(*second)
+        # The first file is read and adopted before the second is
+        # collected, so its error is the one raised, as in a serial load.
+        space1 = load_word2vec_text(*first)
+        header = pickle.loads(_frame(child[1], second[0], "reading"))
+        if isinstance(header, BaseException):
+            raise header
+        words, shape = header
+        rows = np.empty(shape)
+        _fill(child[1], rows.reshape(-1).view(np.uint8), second[0], "reading")
     return space1, EmbeddingSpace._adopt(_label(*second), words, rows)
 
 
@@ -391,66 +378,96 @@ def _concurrent(path1: str, path2: str) -> bool:
     reads the same bytes (a pipe can be read only once), and they must be
     two files (``/dev/stdin`` twice keeps its serial meaning everywhere).
     """
-    if _usable_cpus() < 2 or not hasattr(os, "fork"):
-        return False
     try:
         st1, st2 = os.stat(path1), os.stat(path2)
     except (OSError, ValueError):  # the serial load raises it in order
         return False
-    return (stat.S_ISREG(st1.st_mode) and stat.S_ISREG(st2.st_mode)
-            and not os.path.samestat(st1, st2)
+    return (_may_fork() and not os.path.samestat(st1, st2)
+            and stat.S_ISREG(st1.st_mode) and stat.S_ISREG(st2.st_mode)
             and min(st1.st_size, st2.st_size) >= _CONCURRENT_BYTES)
 
 
-def _send_read(fd: int, path: str) -> None:
-    """Body of the forked reader: reads ``path`` and writes to ``fd`` the
-    length of a pickled header, the header, and the matrix bytes; then
-    exits the process without unwinding the parent's stack."""
-    code = 1
+def _send_read(out, path: str) -> None:
     try:
-        try:
-            words, rows = _read_word2vec_text(path)
-            header = (tuple(words), rows.shape)
-        except Exception as exc:
-            header, rows = exc, None
-        blob = pickle.dumps(header)
-        with open(fd, "wb") as out:
-            out.write(len(blob).to_bytes(8, "little"))
-            out.write(blob)
-            if rows is not None:
-                out.write(rows.reshape(-1).view(np.uint8))
-        code = 0
+        words, rows = _read_word2vec_text(path)
+        header = (tuple(words), rows.shape)
+    except Exception as exc:
+        header, rows = exc, None
+    _send(out, pickle.dumps(header))
+    if rows is not None:
+        out.write(rows.reshape(-1).view(np.uint8))
+
+
+@contextmanager
+def _reaped():
+    """A list for ``_fork`` to add children to. Leaving the block closes
+    each child's pipe and waits for the child; leaving it by an exception
+    first kills every child."""
+    children: list = []
+    try:
+        yield children
+    except BaseException:
+        import signal  # only here, so that no successful run imports it
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
     finally:
-        os._exit(code)
+        for pid, pipe in children:
+            pipe.close()
+            os.waitpid(pid, 0)
 
 
-def _receive_read(pipe, path: str) -> tuple[tuple, np.ndarray]:
-    """The words and matrix ``_send_read`` wrote for ``path``, or the
-    exception it sent, raised here; a reader that ended before sending all
-    of it is an ``OSError`` naming ``path``."""
-    size = bytearray(8)
-    if _fill(pipe, size):
-        blob = bytearray(int.from_bytes(size, "little"))
-        if _fill(pipe, blob):
-            header = pickle.loads(blob)
-            if isinstance(header, BaseException):
-                raise header
-            words, shape = header
-            rows = np.empty(shape)
-            if _fill(pipe, rows.reshape(-1).view(np.uint8)):
-                return words, rows
-    raise OSError(f"{path}: the process reading it ended without a result")
+def _fork(children: list, work, *args):
+    """``(pid, read end)`` of a child, also added to ``children``, that runs
+    ``work(out, *args)`` on the pipe's write end and exits; None if the fork
+    fails. The child closes the earlier children's read ends, so if this
+    process dies, every child's next write fails. Children call no BLAS,
+    whose threads in this process do not exist in a forked child."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare: the caller works alone
+        os.close(read_fd)
+        os.close(write_fd)
+        return None
+    if pid == 0:
+        try:
+            os.close(read_fd)
+            for _, pipe in children:
+                pipe.close()
+            with open(write_fd, "wb") as out:
+                work(out, *args)
+        except BaseException:
+            os._exit(1)
+        os._exit(0)
+    os.close(write_fd)
+    children.append((pid, open(read_fd, "rb", buffering=0)))
+    return children[-1]
 
 
-def _fill(pipe, buf) -> bool:
-    """Whether ``buf`` was filled from ``pipe`` before its end."""
+def _send(out, payload) -> None:
+    """Write one frame: the length of ``payload`` in 8 bytes, then it."""
+    out.write(len(payload).to_bytes(8, "little"))
+    out.write(payload)
+
+
+def _frame(pipe, path: str, doing: str) -> bytearray:
+    """The payload of the next frame ``_send`` wrote to ``pipe``."""
+    size = _fill(pipe, bytearray(8), path, doing)
+    return _fill(pipe, bytearray(int.from_bytes(size, "little")), path, doing)
+
+
+def _fill(pipe, buf, path: str, doing: str):
+    """``buf``, filled from ``pipe``. A pipe that ends first means its child,
+    ``doing`` its work on ``path``, ended: an ``OSError`` naming ``path``."""
     view = memoryview(buf)
     while view:
         n = pipe.readinto(view)
         if not n:
-            return False
+            raise OSError(
+                f"{path}: the process {doing} it ended without a result")
         view = view[n:]
-    return True
+    return buf
 
 
 def _read_header(fh, path: str) -> tuple[int, int]:
@@ -558,54 +575,39 @@ def _parse_rows(lines, path: str, vocab_size: int, dim: int, words: dict,
     return np.array(rows, dtype=np.float64).reshape(-1, dim)
 
 
-# Components per formatting block, about 2 MB of text. The parallel write
-# holds at most 2 blocks per worker at once, whatever the vocabulary size.
+# Components per formatting block, about 2 MB of text. A forked worker holds
+# one block at a time, the parent one frame, whatever the vocabulary size.
 _BLOCK_FLOATS = 100_000
-
-# The space being saved, set in each forked writer process.
-_inherited = None
 
 
 def save_word2vec_text(space: EmbeddingSpace, path: str) -> None:
     """Write a space in text word2vec format; floats round-trip exactly.
 
-    Blocks of rows are formatted on every CPU this process may use, in
-    forked processes that read the space from inherited memory, and written
-    in row order, so the file is the same however many CPUs made it.
+    When ``_may_fork``, workers forked one per usable CPU format blocks of
+    rows from inherited memory: worker k of W sends blocks k, k + W, ... as
+    frames of UTF-8 text. Blocks are written in row order, so the file is
+    the same however many CPUs made it; lines end in ``\\n`` everywhere. A
+    worker that cannot be forked leaves its blocks to this process.
     """
     step = max(1, _BLOCK_FLOATS // space.dimension)
     blocks = [(lo, min(lo + step, len(space)))
               for lo in range(0, len(space), step)]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{len(space)} {space.dimension}\n")
-        workers = min(_usable_cpus(), len(blocks))
-        if workers < 2 or not hasattr(os, "fork"):
-            for lo, hi in blocks:
-                fh.write(_format_block(space, lo, hi))
-            return
-        # Imported here, not at module import, so that no other command
-        # pays for it. Forked workers get the space without pickling it and
-        # without importing numpy again; they only format floats, call no
-        # BLAS, and are forked before the pool starts its own threads.
-        import multiprocessing
+    workers = min(_usable_cpus(), len(blocks)) if _may_fork() else 1
+    with open(path, "wb") as fh, _reaped() as children:
+        fh.write(f"{len(space)} {space.dimension}\n".encode("utf-8"))
+        for k in range(workers if workers > 1 else 0):
+            if not _fork(children, _send_blocks, space, blocks[k::workers]):
+                break
+        for i, (lo, hi) in enumerate(blocks):
+            if i % workers < len(children):
+                fh.write(_frame(children[i % workers][1], path, "formatting"))
+            else:
+                fh.write(_format_block(space, lo, hi).encode("utf-8"))
 
-        fork = multiprocessing.get_context("fork")
-        pool = fork.Pool(workers, _inherit, (space,))
-        try:
-            pending = deque()
-            for lo, hi in blocks:
-                if len(pending) == 2 * workers:
-                    fh.write(pending.popleft().get())
-                pending.append(pool.apply_async(_format_inherited, (lo, hi)))
-            for result in pending:
-                fh.write(result.get())
-        finally:
-            # Closed and joined, never terminated: terminate() races the
-            # pool's worker-handler thread, which can fork replacements for
-            # workers it sees exit. The at most 2 blocks per worker still
-            # queued after a failed write are formatted and dropped.
-            pool.close()
-            pool.join()
+
+def _send_blocks(out, space: EmbeddingSpace, blocks) -> None:
+    for lo, hi in blocks:
+        _send(out, _format_block(space, lo, hi).encode("utf-8"))
 
 
 def _format_block(space: EmbeddingSpace, lo: int, hi: int) -> str:
@@ -616,13 +618,9 @@ def _format_block(space: EmbeddingSpace, lo: int, hi: int) -> str:
     )
 
 
-def _inherit(space: EmbeddingSpace) -> None:
-    global _inherited
-    _inherited = space
-
-
-def _format_inherited(lo: int, hi: int) -> str:
-    return _format_block(_inherited, lo, hi)
+def _may_fork() -> bool:
+    """Whether this process may use two CPUs and ``os.fork`` exists."""
+    return _usable_cpus() >= 2 and hasattr(os, "fork")
 
 
 def _usable_cpus() -> int:

@@ -311,6 +311,16 @@ class TestCosine:
         with pytest.raises(DataError, match="dimension mismatch"):
             cosine([1.0, 0.0], [1.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("u, message", [
+        ([0.0, 0.0], "cosine undefined for zero-norm vector"),
+        # Nonzero, but every square underflows to 0.
+        ([1e-170, 1e-170], "cosine undefined: vector norm underflows"),
+    ], ids=["zero", "underflow"])
+    def test_no_norm(self, u, message):
+        for args in ((u, [1.0, 0.0]), ([1.0, 0.0], u)):
+            with pytest.raises(DataError, match=message):
+                cosine(*args)
+
     @given(
         st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=2, max_size=8),
         st.data(),
@@ -560,6 +570,8 @@ class TestNearestNeighbors:
             nearest_neighbors(space, [[1.0, 0.0], [0.0, 0.0]])
         with pytest.raises(DataError, match="zero-norm query"):
             nearest_neighbor(space, [0.0, 0.0])
+        with pytest.raises(DataError, match="vector norm underflows"):
+            nearest_neighbors(space, [[1.0, 0.0], [1e-170, 1e-170]])
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     @pytest.mark.parametrize("bad", [math.nan, math.inf, 1e200])
