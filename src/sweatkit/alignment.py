@@ -51,50 +51,56 @@ def procrustes_align(
         raise DataError(
             f"dimension mismatch: {source.dimension} vs {target.dimension}"
         )
-    missing = set(source.missing(anchors)) | set(target.missing(anchors))
+    at_src, at_tgt = _positions(source, anchors), _positions(target, anchors)
+    missing = {w for at in (at_src, at_tgt) if at is not None
+               for w, i in zip(anchors, at) if i is None}
     if missing:
         raise VocabularyError(
             "anchors missing from one of the spaces: " + ", ".join(sorted(missing)),
             missing=missing,
         )
 
-    # One gathered copy per side, centered in place.
-    src = source.rows(anchors)
-    tgt = target.rows(anchors)
-    mu_src = src.mean(axis=0)
-    mu_tgt = tgt.mean(axis=0)
-    src -= mu_src
-    tgt -= mu_tgt
+    src, mu_src = _centered(source.matrix, at_src)
+    tgt, mu_tgt = _centered(target.matrix, at_tgt)
 
     try:
         u, _, vt = np.linalg.svd(src.T @ tgt)
     except np.linalg.LinAlgError as exc:
         raise DataError(f"SVD failed during alignment: {exc}") from exc
     rotation = u @ vt
-    # Each copy is freed as soon as it is no longer needed, so neither is
-    # alive while the aligned space is built.
+    # Each copy is freed, or becomes the aligned matrix, as soon as it is
+    # no longer needed.
     del tgt
 
-    # Squared distance of each mapped anchor to its raw target row.
+    # v -> (v - mu_src) R + mu_tgt, written block by block into one array:
+    # when the anchors are every source row in order, into their centered
+    # copy itself.
     step = max(1, _BLOCK_BYTES // (8 * source.dimension))
+    if at_src is None:
+        mapped = src
+    else:
+        del src
+        mapped = np.empty_like(source.matrix)
+    for lo in range(0, len(source), step):
+        block = mapped[lo:lo + step]
+        np.matmul(block if at_src is None
+                  else source.matrix[lo:lo + step] - mu_src,
+                  rotation, out=block)
+        block += mu_tgt
+        if not np.isfinite(block).all():
+            raise DataError(
+                f"space '{source.label}' contains non-finite components")
+    aligned = EmbeddingSpace._adopt(source.label, source.words, mapped)
+
+    # Squared distance of each aligned anchor to its raw target row.
     sq_dist = np.empty(len(anchors))
     for lo in range(0, len(anchors), step):
-        diff = src[lo:lo + step] @ rotation
-        diff += mu_tgt
-        diff -= target.rows(anchors[lo:lo + step])
-        sq_dist[lo:lo + step] = np.sum(np.square(diff, out=diff), axis=1)
+        part = slice(lo, lo + step)
+        diff = (_rows(aligned.matrix, at_src, part)
+                - _rows(target.matrix, at_tgt, part))
+        sq_dist[part] = np.sum(np.square(diff, out=diff), axis=1)
     residual = float(np.mean(sq_dist))
-    del src
 
-    # v -> (v - mu_src) R + mu_tgt, written block by block into one array.
-    mapped = np.empty_like(source.matrix)
-    for lo in range(0, len(source), step):
-        np.matmul(source.matrix[lo:lo + step] - mu_src, rotation,
-                  out=mapped[lo:lo + step])
-    mapped += mu_tgt
-    if not np.isfinite(mapped).all():
-        raise DataError(f"space '{source.label}' contains non-finite components")
-    aligned = EmbeddingSpace._adopt(source.label, source.words, mapped)
     report = AlignmentReport(
         rotation=rotation,
         anchors_used=anchors,
@@ -104,6 +110,32 @@ def procrustes_align(
         underdetermined=len(anchors) < source.dimension,
     )
     return aligned, report
+
+
+def _positions(space: EmbeddingSpace, words: list):
+    """Row of each of ``words`` in ``space``, None for a word it lacks; or
+    None for all when ``words`` are its vocabulary in order, so that
+    ``_rows`` reads them as slices instead of gathers."""
+    if len(words) == len(space) and tuple(words) == space.words:
+        return None
+    return [space._index.get(w) for w in words]
+
+
+def _rows(matrix: np.ndarray, at, part: slice = slice(None)) -> np.ndarray:
+    """Rows ``part`` of the rows of ``matrix`` at positions ``at``, as
+    ``_positions`` gives them."""
+    return matrix[part] if at is None else matrix[at[part]]
+
+
+def _centered(matrix: np.ndarray, at) -> tuple[np.ndarray, np.ndarray]:
+    """A fresh array of the rows of ``matrix`` at ``at`` less their mean,
+    and the mean: one copy, gathered or not, centered in place."""
+    rows = _rows(matrix, at)
+    mean = rows.mean(axis=0)
+    if at is None:
+        return rows - mean, mean
+    rows -= mean
+    return rows, mean
 
 
 def round_trip_stable(
@@ -145,17 +177,23 @@ def default_anchors(
 
     Kept in vocabulary order of ``space1`` for determinism.
     """
-    shared = [w for w in space1.words if w in space2]
+    shared = list(filter(space2._index.__contains__, space1.words))
     if not shared:
         raise DataError("spaces share no vocabulary; cannot pick anchors")
     if table1 is None or table2 is None:
         return shared
-    frequent = [
-        w
-        for w in shared
-        if w in table1
-        and w in table2
-        and table1.zipf(w) > zipf_threshold
-        and table2.zipf(w) > zipf_threshold
-    ]
+
+    def above(table) -> list:
+        # Whether each shared word's score passes. A Zipf score depends on
+        # the count only: one call per distinct count, through one of its
+        # words.
+        counts = list(map(table.counts.get, shared))
+        by_count = dict(zip(counts, shared))
+        by_count.pop(None, None)  # words the table lacks
+        passes = {c: table.zipf(w) > zipf_threshold
+                  for c, w in by_count.items()}
+        return list(map(passes.get, counts))
+
+    frequent = [w for w, ok1, ok2 in zip(shared, above(table1), above(table2))
+                if ok1 and ok2]
     return frequent if frequent else shared

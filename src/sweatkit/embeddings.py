@@ -7,9 +7,9 @@ import os
 import pickle
 import stat
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, count
 
 import numpy as np
 
@@ -28,15 +28,16 @@ class EmbeddingSpace:
     """Immutable word -> vector map with a label and a fixed dimension.
 
     Vectors are stored as float64 rows of ``matrix`` in vocabulary order;
-    ``words`` gives the row order. All vectors are finite with strictly
-    positive norm (enforced at construction).
+    ``words`` gives the row order, and ``_norms`` holds each row's norm. All
+    vectors are finite with strictly positive norm (enforced at
+    construction).
     """
 
     label: str
     words: tuple[str, ...]
     matrix: np.ndarray
     _index: dict = field(repr=False)
-    _unit: np.ndarray = field(repr=False)
+    _norms: np.ndarray = field(repr=False)
 
     @classmethod
     def from_rows(cls, label: str, words, matrix) -> "EmbeddingSpace":
@@ -60,13 +61,18 @@ class EmbeddingSpace:
         """Space owning ``matrix``, which is not copied: a fresh C-ordered
         float64 array of finite rows, one per word of ``words``, all
         distinct, that no one else writes. Rows whose norm reads 0 or inf
-        are rejected; ``matrix`` and the unit rows are made read-only."""
+        are rejected; ``matrix`` and the norms are made read-only."""
         words = tuple(words)
         # A finite row can still square past the float range; its norm reads
         # inf and its unit row would be all zeros. A nonzero row whose
-        # squares all underflow reads 0.
+        # squares all underflow reads 0. Taken a vocabulary block at a time,
+        # so the squares never fill a second matrix.
+        norms = np.empty(len(matrix))
+        step = _block_rows(matrix.shape[1])
         with np.errstate(over="ignore"):
-            norms = np.linalg.norm(matrix, axis=1)
+            for lo in range(0, len(matrix), step):
+                norms[lo:lo + step] = np.linalg.norm(matrix[lo:lo + step],
+                                                     axis=1)
         zero = norms == 0.0
         underflow = zero & matrix.any(axis=1) if zero.any() else zero
         for broken, what in ((zero & ~underflow, "zero-norm vector"),
@@ -76,15 +82,22 @@ class EmbeddingSpace:
                 bad = sorted(words[i] for i in np.flatnonzero(broken))
                 raise DataError(f"{what} for words: {', '.join(bad)}")
         matrix.flags.writeable = False
-        unit = _unit_rows(matrix, norms)
-        unit.flags.writeable = False
-        index = {w: i for i, w in enumerate(words)}
-        return cls(label, words, matrix, index, unit)
+        norms.flags.writeable = False
+        index = dict(zip(words, range(len(words))))
+        return cls(label, words, matrix, index, norms)
 
     @classmethod
     def from_dict(cls, label: str, vectors: dict) -> "EmbeddingSpace":
         words = list(vectors.keys())
         return cls.from_rows(label, words, np.array([vectors[w] for w in words]))
+
+    @property
+    def _unit(self) -> np.ndarray:
+        """Every row divided by its norm: a read-only array made on each
+        read, for checks; the searches normalize only the rows they use."""
+        unit = _unit_rows(self.matrix, self._norms)
+        unit.flags.writeable = False
+        return unit
 
     @property
     def dimension(self) -> int:
@@ -175,13 +188,15 @@ def cosine(u, v) -> float:
 def cosines(space: EmbeddingSpace, words, others) -> np.ndarray:
     """|words| x |others| block of cosine similarities within ``space``.
 
-    Dot products of unit rows, clipped to [-1, 1]. Words whose raw rows are
-    identical read exactly 1.0, as they do in ``cosine``.
+    Dot products of unit rows, clipped to [-1, 1]; only the rows gathered
+    are normalized. Words whose raw rows are identical read exactly 1.0, as
+    they do in ``cosine``.
     """
     space.require([*words, *others])
     i = [space._index[w] for w in words]
     j = [space._index[w] for w in others]
-    block = space._unit[i] @ space._unit[j].T
+    block = (_unit_rows(space.matrix[i], space._norms[i])
+             @ _unit_rows(space.matrix[j], space._norms[j]).T)
     np.clip(block, -1.0, 1.0, out=block)
     # Identical raw rows have identical unit rows, so only pairs within
     # rounding noise of 1 can be identical.
@@ -193,8 +208,14 @@ def cosines(space: EmbeddingSpace, words, others) -> np.ndarray:
 
 # Largest block of similarities ``nearest_neighbors`` holds at once, in
 # bytes: query rows x vocabulary columns of float64. Larger blocks save
-# little time and add their size to peak memory.
+# little time and add their size to peak memory. A block of vocabulary rows,
+# normalized for the search or squared for the norms, is no larger.
 _NN_BLOCK_BYTES = 1 << 21
+
+
+def _block_rows(dim: int) -> int:
+    """Rows of ``dim`` floats in one vocabulary block (at least one)."""
+    return max(1, _NN_BLOCK_BYTES // (8 * dim))
 
 
 def nearest_neighbor(space: EmbeddingSpace, query) -> str:
@@ -211,11 +232,12 @@ def nearest_neighbors(space: EmbeddingSpace, queries) -> list[str]:
     with it.
 
     Exact scan over the whole vocabulary; ties break to the
-    lexicographically smallest word so results are deterministic. The unit
-    queries are scored in blocks, one product with the unit rows per block,
-    and no block of similarities exceeds ``_NN_BLOCK_BYTES``. Each block
-    holds one query per row, so every reduction runs along contiguous
-    memory.
+    lexicographically smallest word so results are deterministic. The
+    vocabulary is scanned in blocks of at most ``_NN_BLOCK_BYTES`` of rows,
+    each normalized once; every block of unit queries is scored against
+    it in one product, and no block of similarities exceeds
+    ``_NN_BLOCK_BYTES``. Each block of similarities holds one query per
+    row, so every reduction runs along contiguous memory.
     """
     queries = np.asarray(queries, dtype=np.float64)
     if queries.ndim != 2 or queries.shape[1] != space.dimension:
@@ -232,26 +254,29 @@ def nearest_neighbors(space: EmbeddingSpace, queries) -> list[str]:
         raise DataError("nearest_neighbor undefined: vector norm underflows")
     if not np.isfinite(norms).all():
         raise DataError("nearest_neighbor undefined for query of non-finite norm")
+    if not len(queries):
+        return []
     unit = queries / norms[:, None]
-    # Vocabularies of more than one block's floats are scanned in blocks of
-    # vocabulary rows too, one query at a time.
-    cols = max(1, min(len(space), _NN_BLOCK_BYTES // 8))
+    # Vocabulary blocks of ``cols`` rows, query blocks of ``rows`` queries:
+    # no block of similarities exceeds the cap.
+    cols = min(len(space), _block_rows(space.dimension))
     rows = max(1, _NN_BLOCK_BYTES // 8 // cols)
-    picks = []
-    for r in range(0, len(unit), rows):
-        block = unit[r:r + rows]
-        best = np.full(len(block), -np.inf)
-        pick = np.zeros(len(block), dtype=np.intp)
-        for lo in range(0, len(space), cols):
-            top, at = _row_best(space, lo, _similarities(
-                space._unit[lo:lo + cols], block))
-            take = top > best
-            for j in np.flatnonzero(top == best):
-                take[j] = space.words[at[j]] < space.words[pick[j]]
-            best = np.where(take, top, best)
-            pick = np.where(take, at, pick)
-        picks.extend(pick.tolist())
-    return [space.words[i] for i in picks]
+    best = np.full(len(unit), -np.inf)
+    pick = np.zeros(len(unit), dtype=np.intp)
+    for lo in range(0, len(space), cols):
+        vocab = _unit_rows(space.matrix[lo:lo + cols],
+                           space._norms[lo:lo + cols])
+        for r in range(0, len(unit), rows):
+            sims = _similarities(vocab, unit[r:r + rows])
+            top, at = _row_best(space, lo, sims)
+            # Ties with an earlier block go to the smaller word.
+            held, was = best[r:r + rows], pick[r:r + rows]
+            take = top > held
+            for j in np.flatnonzero(top == held):
+                take[j] = space.words[at[j]] < space.words[was[j]]
+            held[take] = top[take]
+            was[take] = at[take]
+    return [space.words[i] for i in pick.tolist()]
 
 
 def _similarities(unit_rows: np.ndarray, unit_queries: np.ndarray) -> np.ndarray:
@@ -588,12 +613,16 @@ def save_word2vec_text(space: EmbeddingSpace, path: str) -> None:
     frames of UTF-8 text. Blocks are written in row order, so the file is
     the same however many CPUs made it; lines end in ``\\n`` everywhere. A
     worker that cannot be forked leaves its blocks to this process.
+
+    A regular file at ``path``, or none, is replaced only once the whole
+    text is written (see ``_replacing``), so a write that fails leaves the
+    old file or none, never part of the new one.
     """
     step = max(1, _BLOCK_FLOATS // space.dimension)
     blocks = [(lo, min(lo + step, len(space)))
               for lo in range(0, len(space), step)]
     workers = min(_usable_cpus(), len(blocks)) if _may_fork() else 1
-    with open(path, "wb") as fh, _reaped() as children:
+    with _replacing(path) as fh, _reaped() as children:
         fh.write(f"{len(space)} {space.dimension}\n".encode("utf-8"))
         for k in range(workers if workers > 1 else 0):
             if not _fork(children, _send_blocks, space, blocks[k::workers]):
@@ -603,6 +632,62 @@ def save_word2vec_text(space: EmbeddingSpace, path: str) -> None:
                 fh.write(_frame(children[i % workers][1], path, "formatting"))
             else:
                 fh.write(_format_block(space, lo, hi).encode("utf-8"))
+
+
+@contextmanager
+def _replacing(path: str):
+    """A binary file to write ``path`` through.
+
+    When ``path`` is absent or a regular file, the bytes go to a new file
+    beside it, with its permission bits, that replaces it when the block
+    ends and is removed if the block raises. A symbolic link is followed:
+    the file it names is replaced. Anything else at ``path`` (a device, a
+    FIFO, ``/dev/stdout``), or a directory that takes no new file, is
+    written in place. A process killed outright cannot remove its new
+    file, ``.<name>.<pid>-<n>.tmp``, but leaves ``path`` whole.
+    """
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    except (OSError, ValueError):
+        mode = 0  # of no file type: open raises the error, naming path
+    created = None
+    if mode is None or stat.S_ISREG(mode):
+        real = os.path.realpath(path)
+        created = _create_beside(real)
+    if created is None:
+        with open(path, "wb") as fh:
+            yield fh
+        return
+    fd, tmp = created
+    try:
+        with open(fd, "wb") as fh:
+            if mode is not None:
+                os.chmod(tmp, stat.S_IMODE(mode))
+            yield fh
+        os.replace(tmp, real)
+    except BaseException as exc:
+        with suppress(OSError):
+            os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.filename == tmp:
+            raise OSError(exc.errno, exc.strerror, path) from None
+        raise
+
+
+def _create_beside(real: str):
+    """``(fd, name)`` of a new empty file in the directory of ``real``,
+    named after it, or None if none can be made there."""
+    head, tail = os.path.split(real)
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+    for n in count():
+        tmp = os.path.join(head, f".{tail}.{os.getpid()}-{n}.tmp")
+        try:
+            return os.open(tmp, flags, 0o666), tmp
+        except FileExistsError:  # left by another process: take the next
+            continue
+        except OSError:
+            return None
 
 
 def _send_blocks(out, space: EmbeddingSpace, blocks) -> None:

@@ -1,4 +1,3 @@
-import multiprocessing
 import os
 import threading
 import tracemalloc
@@ -82,7 +81,7 @@ def assert_reaped(pids):
     for pid in pids:
         with pytest.raises(ChildProcessError):
             os.waitpid(pid, os.WNOHANG)
-    assert multiprocessing.active_children() == []
+    assert_no_children()
 
 
 def assert_no_children():

@@ -10,6 +10,7 @@ from sweatkit import (
 )
 from sweatkit import alignment
 from sweatkit.embeddings import EmbeddingSpace
+from sweatkit.lexicon import FrequencyTable
 
 from conftest import make_space, random_space, traced_peak
 
@@ -180,3 +181,157 @@ class TestRoundTripStability:
         space2 = make_space("s2", {"y": (1.0, 0.0)})
         with pytest.raises(VocabularyError):
             round_trip_stable("x", space1, space2)
+
+
+class TestResidualFromAlignedRows:
+    """The residual is taken from the aligned space that is returned, and
+    anchors that are the source vocabulary in order are read as slices,
+    with the same bits as gathers."""
+
+    @staticmethod
+    def pair(seed, n=900, dim=6):
+        rng = np.random.default_rng(seed)
+        words = [f"w{i}" for i in range(n)]
+        source = random_space(rng, "src", words, dim)
+        # The target lists its words in another order.
+        order = rng.permutation(n)
+        target = EmbeddingSpace.from_rows(
+            "tgt", [words[i] for i in order],
+            (source.matrix @ random_rotation(rng, dim)
+             + rng.normal(scale=0.01, size=(n, dim)))[order] + 0.5)
+        return rng, words, source, target
+
+    @pytest.mark.parametrize("anchors", ["vocabulary", "shuffled", "subset",
+                                         "repeated"])
+    def test_residual_is_mean_distance_of_returned_rows(self, monkeypatch,
+                                                        anchors):
+        # Small blocks, so the map and the residual run many blocks.
+        monkeypatch.setattr(alignment, "_BLOCK_BYTES", 8 * 6 * 37)
+        rng, words, source, target = self.pair(31)
+        anchors = {"vocabulary": words,
+                   "shuffled": list(rng.permutation(words)),
+                   "subset": words[5::2],
+                   "repeated": words[:50] * 3}[anchors]
+        aligned, report = procrustes_align(source, target, anchors)
+        diff = aligned.rows(anchors) - target.rows(anchors)
+        assert report.residual == float(np.mean(np.sum(diff ** 2, axis=1)))
+        assert 0.0 < report.residual < 1e-3
+
+    @pytest.mark.parametrize("block_rows", [1, 37, 10_000])
+    def test_slices_give_the_bits_of_gathers(self, monkeypatch, block_rows):
+        monkeypatch.setattr(alignment, "_BLOCK_BYTES", 8 * 6 * block_rows)
+        _, words, source, target = self.pair(32)
+        sliced = procrustes_align(source, target, words)
+        monkeypatch.setattr(alignment, "_positions",
+                            lambda space, ws: [space._index.get(w) for w in ws])
+        gathered = procrustes_align(source, target, words)
+        for (aligned, report) in (sliced, gathered):
+            assert not aligned.matrix.flags.writeable
+        assert sliced[0].matrix.tobytes() == gathered[0].matrix.tobytes()
+        assert sliced[0]._norms.tobytes() == gathered[0]._norms.tobytes()
+        assert sliced[1].rotation.tobytes() == gathered[1].rotation.tobytes()
+        assert sliced[1].residual == gathered[1].residual
+
+    def test_aligned_space_stores_no_second_matrix(self):
+        _, words, source, target = self.pair(33)
+        aligned, _ = procrustes_align(source, target, words[::2])
+        arrays = [v for v in vars(aligned).values()
+                  if isinstance(v, np.ndarray)]
+        assert [a.shape for a in arrays] == [(900, 6), (900,)]
+
+    def test_in_order_anchors_map_in_place(self):
+        # The centered copy of the source is the aligned matrix, so the
+        # map holds one copy of the rows beyond the two spaces.
+        rng = np.random.default_rng(34)
+        n, dim = 20_000, 50
+        words = [f"w{i}" for i in range(n)]
+        source = random_space(rng, "src", words, dim)
+        target = EmbeddingSpace.from_rows(
+            "tgt", words, source.matrix @ random_rotation(rng, dim))
+        peak = traced_peak(lambda: procrustes_align(source, target, words))
+        assert peak <= 2.5 * n * dim * 8
+
+    def test_missing_anchors_named(self):
+        space1 = make_space("s1", {"a": (1.0, 0.0), "b": (0.0, 1.0)})
+        space2 = make_space("s2", {"a": (1.0, 0.0), "c": (0.0, 1.0)})
+        with pytest.raises(VocabularyError) as exc:
+            procrustes_align(space1, space2, ["a", "c", "b", "z"])
+        assert str(exc.value) == ("anchors missing from one of the spaces: "
+                                  "b, c, z")
+        assert sorted(exc.value.missing) == ["b", "c", "z"]
+
+
+class TestDefaultAnchors:
+    """``anchors: auto`` scores each distinct count once and keeps what the
+    per-word rule keeps."""
+
+    @staticmethod
+    def per_word(space1, space2, table1, table2, threshold):
+        shared = [w for w in space1.words if w in space2]
+        frequent = [w for w in shared
+                    if w in table1 and w in table2
+                    and table1.zipf(w) > threshold
+                    and table2.zipf(w) > threshold]
+        return frequent or shared
+
+    @staticmethod
+    def tables(rng, words, total=10 ** 9):
+        """Two tables over most of ``words`` with many distinct counts,
+        some at 10**5 (Zipf exactly 5.0) or next to it."""
+        tables = []
+        for _ in range(2):
+            counts = {}
+            for w in words:
+                if rng.random() < 0.1:
+                    continue  # not in this table
+                pick = rng.random()
+                counts[w] = (10 ** 5 if pick < 0.1
+                             else 10 ** 5 + 1 if pick < 0.15
+                             else 10 ** 5 - 1 if pick < 0.2
+                             else int(rng.integers(1, 10 ** 7)))
+            tables.append(FrequencyTable(counts, total))
+        return tables
+
+    @pytest.mark.parametrize("threshold", [5.0, 4.0, 6.5])
+    def test_matches_per_word_rule(self, monkeypatch, threshold):
+        rng = np.random.default_rng(41)
+        words1 = [f"w{i}" for i in range(3_000)]
+        words2 = list(rng.permutation(words1[500:])) + ["x1", "x2"]
+        space1 = random_space(rng, "s1", words1, 3)
+        space2 = random_space(rng, "s2", words2, 3)
+        table1, table2 = self.tables(rng, words1 + ["x1"])
+        expected = self.per_word(space1, space2, table1, table2, threshold)
+        calls = []
+        real = FrequencyTable.zipf
+
+        def counting_zipf(table, word):
+            calls.append((id(table), table.counts[word]))
+            return real(table, word)
+
+        monkeypatch.setattr(FrequencyTable, "zipf", counting_zipf)
+        got = alignment.default_anchors(space1, space2, table1, table2,
+                                        threshold)
+        assert got == expected
+        assert 0 < len(got) < 2_500
+        # One call per distinct count of a shared word in each table.
+        assert len(calls) == len(set(calls))
+        shared = set(words1[500:])
+        assert len(calls) == sum(
+            len({t.counts[w] for w in shared if w in t.counts})
+            for t in (table1, table2))
+
+    def test_threshold_score_is_excluded(self):
+        table = FrequencyTable({"a": 10 ** 5, "b": 10 ** 5 + 1, "c": 10 ** 5},
+                               10 ** 9)
+        assert table.zipf("a") == 5.0
+        space = make_space("s", {"a": (1.0, 0.0), "b": (0.0, 1.0),
+                                 "c": (1.0, 1.0)})
+        assert alignment.default_anchors(space, space, table, table) == ["b"]
+
+    def test_no_frequent_word_keeps_shared(self):
+        table = FrequencyTable({"a": 10, "b": 10 ** 5}, 10 ** 9)
+        space1 = make_space("s1", {"b": (1.0, 0.0), "a": (0.0, 1.0),
+                                   "z": (1.0, 1.0)})
+        space2 = make_space("s2", {"a": (1.0, 0.0), "b": (0.0, 1.0)})
+        assert alignment.default_anchors(space1, space2, table, table) == [
+            "b", "a"]

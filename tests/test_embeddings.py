@@ -934,3 +934,125 @@ class TestLoadPair:
 
     def test_threshold_is_about_eight_mib(self):
         assert embeddings._CONCURRENT_BYTES == 8 << 20
+
+
+class TestStoredNorms:
+    """A space holds its rows and one norm per row; unit rows are made
+    from them only where a computation needs them."""
+
+    @staticmethod
+    def spaces(tmp_path):
+        rng = np.random.default_rng(21)
+        words = [f"w{i}" for i in range(300)]
+        built = EmbeddingSpace.from_rows("s", words, rng.normal(size=(300, 7)))
+        p = tmp_path / "v.txt"
+        save_word2vec_text(built, str(p))
+        return {"from_rows": built, "loaded": load_word2vec_text(str(p))}
+
+    def test_unit_is_unit_rows_of_the_norms(self):
+        # Rows of every kind _unit_rows handles: plain, with squares in
+        # the subnormal range, and a single nonzero component.
+        rows = [[3.0, -4.0], [1e-160, 1e-161], [1.0, 0.1], [0.0, -2.0 ** -520]]
+        space = EmbeddingSpace.from_rows("s", list("abcd"), rows)
+        expected = embeddings._unit_rows(space.matrix, space._norms)
+        assert space._unit.tobytes() == expected.tobytes()
+        assert space._unit[0].tolist() == [0.6, -0.8]
+        assert not space._unit.flags.writeable
+        with pytest.raises(ValueError):
+            space._unit[0, 0] = 1.0
+        assert not space._norms.flags.writeable
+        with pytest.raises(ValueError):
+            space._norms[0] = 1.0
+
+    @pytest.mark.parametrize("kind", ["from_rows", "loaded"])
+    def test_no_second_matrix(self, tmp_path, kind):
+        space = self.spaces(tmp_path)[kind]
+        arrays = [v for v in vars(space).values() if isinstance(v, np.ndarray)]
+        assert [a.shape for a in arrays] == [(300, 7), (300,)]
+        assert arrays[0] is space.matrix
+        assert space._norms.tobytes() == np.linalg.norm(
+            space.matrix, axis=1).tobytes()
+
+    @pytest.mark.parametrize("cap_floats", [1, 7 * 13, 1 << 18])
+    def test_blocked_norms_match_one_pass(self, monkeypatch, cap_floats):
+        monkeypatch.setattr(embeddings, "_NN_BLOCK_BYTES", 8 * cap_floats)
+        rng = np.random.default_rng(22)
+        matrix = rng.normal(size=(100, 7)) * np.logspace(-150, 150, 100)[:, None]
+        space = EmbeddingSpace.from_rows("s", [f"w{i}" for i in range(100)],
+                                         matrix)
+        assert space._norms.tobytes() == np.linalg.norm(matrix,
+                                                        axis=1).tobytes()
+
+    def test_norms_in_blocks_hold_no_squared_matrix(self):
+        rng = np.random.default_rng(23)
+        n, dim = 20_000, 50
+        matrix = rng.normal(size=(n, dim))
+        words = [f"w{i}" for i in range(n)]
+        # The squares of one block of rows, 2 MiB, not of all 8 MB.
+        peak = traced_peak(lambda: EmbeddingSpace._adopt("s", words, matrix))
+        assert peak <= 0.5 * n * dim * 8
+
+    def test_cosines_normalize_only_the_rows_gathered(self, monkeypatch):
+        rng = np.random.default_rng(24)
+        space = EmbeddingSpace.from_rows(
+            "s", [f"w{i}" for i in range(500)], rng.normal(size=(500, 6)))
+        sizes = []
+        real = embeddings._unit_rows
+
+        def spy(rows, norms):
+            sizes.append(len(rows))
+            return real(rows, norms)
+
+        unit = space._unit
+        monkeypatch.setattr(embeddings, "_unit_rows", spy)
+        block = embeddings.cosines(space, ["w3", "w400"], ["w7", "w3", "w9"])
+        assert sizes == [2, 3]
+        expected = np.clip(unit[[3, 400]] @ unit[[7, 3, 9]].T, -1.0, 1.0)
+        expected[0, 1] = 1.0
+        assert block.tobytes() == expected.tobytes()
+
+
+class TestVocabularyBlocks:
+    """The neighbour scan takes the vocabulary in blocks of rows, outside
+    the query blocks, and normalizes each block once per call."""
+
+    @pytest.mark.parametrize("cap_floats, blocks", [
+        (6 * 7, [7, 7, 7, 7, 7, 5]),  # 7 rows, then 6 queries per block
+        (6 * 20, [20, 20]),
+        (1 << 18, [40]),
+    ])
+    def test_each_block_normalized_once(self, monkeypatch, cap_floats,
+                                        blocks):
+        monkeypatch.setattr(embeddings, "_NN_BLOCK_BYTES", 8 * cap_floats)
+        rng = np.random.default_rng(25)
+        space = TestNearestNeighbors.tied_space(rng)
+        queries = np.vstack([space.matrix, rng.normal(size=(9, 6))])
+        expected = [brute_nearest(space, q) for q in queries]
+        normalized, products = [], []
+        unit_rows, similarities = embeddings._unit_rows, embeddings._similarities
+
+        def spy_unit(rows, norms):
+            normalized.append(len(rows))
+            return unit_rows(rows, norms)
+
+        def spy_products(rows, unit_queries):
+            products.append((len(unit_queries), len(rows)))
+            return similarities(rows, unit_queries)
+
+        monkeypatch.setattr(embeddings, "_unit_rows", spy_unit)
+        monkeypatch.setattr(embeddings, "_similarities", spy_products)
+        assert nearest_neighbors(space, queries) == expected
+        assert normalized == blocks
+        # Every query block is scored against every vocabulary block.
+        assert sorted({c for _, c in products}) == sorted(set(blocks))
+        assert sum(r * c for r, c in products) == len(queries) * len(space)
+        assert all(r * c <= cap_floats for r, c in products)
+
+    def test_no_queries_normalize_nothing(self, monkeypatch):
+        space = make_space("s", {"x": (1.0, 0.0), "y": (0.0, 1.0)})
+
+        def no_unit_rows(rows, norms):
+            raise AssertionError("a vocabulary block was normalized")
+
+        monkeypatch.setattr(embeddings, "_unit_rows", no_unit_rows)
+        assert nearest_neighbors(space, np.empty((0, 2))) == []

@@ -5,8 +5,10 @@ and leaves no worker process behind."""
 import errno
 import os
 import signal
+import stat
 import subprocess
 import sys
+import threading
 import time
 
 import numpy as np
@@ -310,3 +312,177 @@ def test_cli_import_loads_no_xml_or_network_modules():
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}).stdout
     assert out == "[]\n"
+
+
+def leftovers(directory):
+    """Names in ``directory`` that a write through a new file would leave."""
+    return sorted(n for n in os.listdir(directory) if n.endswith(".tmp"))
+
+
+class TestReplacingWrite:
+    """A write to an absent path or a regular file goes through a new file
+    beside it, so a failure leaves the old file, or none, whole; anything
+    else is written in place."""
+
+    def test_replaces_and_keeps_mode(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(embeddings, "_BLOCK_FLOATS", BLOCK_FLOATS)
+        out = tmp_path / "out.txt"
+        out.write_bytes(b"old")
+        os.chmod(out, 0o640)
+        space = awkward_space()
+        save_word2vec_text(space, str(out))
+        assert out.read_bytes() == reference_text(space)
+        assert os.stat(out).st_mode & 0o7777 == 0o640
+        assert leftovers(tmp_path) == []
+
+    def test_new_file_mode_follows_umask(self, tmp_path):
+        mask = os.umask(0o027)
+        try:
+            save_word2vec_text(awkward_space(), str(tmp_path / "out.txt"))
+        finally:
+            os.umask(mask)
+        assert os.stat(tmp_path / "out.txt").st_mode & 0o7777 == 0o640
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_failed_write_leaves_old_file(self, tmp_path, monkeypatch, cpus):
+        """The disk fills at the second block, whether this process formats
+        it or collects it from a worker."""
+        monkeypatch.setattr(embeddings, "_BLOCK_FLOATS", BLOCK_FLOATS)
+        use_cpus(monkeypatch, cpus)
+        parent, blocks = os.getpid(), []
+
+        def filling(real):
+            def call(*args):
+                if os.getpid() == parent:
+                    blocks.append(None)
+                    if len(blocks) == 2:
+                        raise OSError(errno.ENOSPC, "No space left on device")
+                return real(*args)
+            return call
+
+        for name in ("_format_block", "_frame"):
+            monkeypatch.setattr(embeddings, name,
+                                filling(getattr(embeddings, name)))
+        out = tmp_path / "out.txt"
+        out.write_bytes(b"old")
+        with pytest.raises(OSError, match="No space left"):
+            save_word2vec_text(awkward_space(), str(out))
+        assert out.read_bytes() == b"old"
+        assert leftovers(tmp_path) == []
+        assert_no_children()
+
+    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
+        def broken(space, lo, hi):
+            raise OSError(errno.EIO, "Input/output error")
+
+        monkeypatch.setattr(embeddings, "_format_block", broken)
+        use_cpus(monkeypatch, 1)
+        with pytest.raises(OSError):
+            save_word2vec_text(awkward_space(), str(tmp_path / "out.txt"))
+        assert os.listdir(tmp_path) == []
+
+    def test_symlink_is_followed(self, tmp_path):
+        real = tmp_path / "real.txt"
+        real.write_bytes(b"old")
+        link = tmp_path / "link.txt"
+        link.symlink_to(real)
+        space = awkward_space()
+        save_word2vec_text(space, str(link))
+        assert link.is_symlink()
+        assert real.read_bytes() == reference_text(space)
+        assert leftovers(tmp_path) == []
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+    def test_fifo_written_in_place(self, tmp_path):
+        fifo = tmp_path / "out.fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()),
+                                  daemon=True)
+        reader.start()
+        space = awkward_space()
+        save_word2vec_text(space, str(fifo))
+        reader.join(timeout=30)
+        assert not reader.is_alive()
+        assert got == [reference_text(space)]
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert sorted(os.listdir(tmp_path)) == ["out.fifo"]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/null"),
+                        reason="needs a device")
+    def test_device_written_in_place(self, monkeypatch):
+        made = []
+        real_create = embeddings._create_beside
+        monkeypatch.setattr(embeddings, "_create_beside",
+                            lambda real: made.append(real) or real_create(real))
+        save_word2vec_text(awkward_space(), "/dev/null")
+        if os.path.exists("/dev/full"):
+            with pytest.raises(OSError):
+                save_word2vec_text(awkward_space(), "/dev/full")
+            assert stat.S_ISCHR(os.stat("/dev/full").st_mode)
+        assert made == []
+        assert stat.S_ISCHR(os.stat("/dev/null").st_mode)
+
+    def test_directory_without_new_files_writes_in_place(self, tmp_path,
+                                                         monkeypatch):
+        monkeypatch.setattr(embeddings, "_create_beside", lambda real: None)
+        out = tmp_path / "out.txt"
+        out.write_bytes(b"old")
+        space = awkward_space()
+        save_word2vec_text(space, str(out))
+        assert out.read_bytes() == reference_text(space)
+
+    def test_stale_new_file_is_left_alone(self, tmp_path):
+        stale = tmp_path / f".out.txt.{os.getpid()}-0.tmp"
+        stale.write_bytes(b"another process's")
+        space = awkward_space()
+        save_word2vec_text(space, str(tmp_path / "out.txt"))
+        assert stale.read_bytes() == b"another process's"
+        assert (tmp_path / "out.txt").read_bytes() == reference_text(space)
+        assert leftovers(tmp_path) == [stale.name]
+
+    def test_missing_directory_names_out(self, tmp_path, capsys):
+        src = tmp_path / "src.txt"
+        save_word2vec_text(awkward_space(), str(src))
+        out = tmp_path / "missing" / "aligned.txt"
+        assert main(["align", "--source", str(src), "--target", str(src),
+                     "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err == ("io error: [Errno 2] No such file or directory: "
+                       f"'{out}'\n")
+
+    def test_failed_replace_names_out(self, tmp_path, monkeypatch):
+        def refused(src, dst):
+            raise PermissionError(errno.EACCES, "Permission denied", src, dst)
+
+        monkeypatch.setattr(os, "replace", refused)
+        out = tmp_path / "out.txt"
+        with pytest.raises(PermissionError) as exc:
+            save_word2vec_text(awkward_space(), str(out))
+        assert str(exc.value) == f"[Errno 13] Permission denied: '{out}'"
+        assert os.listdir(tmp_path) == []
+
+    def test_killed_worker_leaves_earlier_file(self, tmp_path):
+        code = """
+format_block, parent = embeddings._format_block, os.getpid()
+
+def killed(space, lo, hi):
+    if lo == 60 and os.getpid() != parent:  # worker 1's second block
+        os.kill(os.getpid(), signal.SIGKILL)
+    return format_block(space, lo, hi)
+
+embeddings._format_block = killed
+print(main(["align", "--source", sys.argv[1], "--target", sys.argv[1],
+            "--out", sys.argv[2]]))
+"""
+        src = source_file(tmp_path, 400)
+        out = tmp_path / "out" / "aligned.txt"
+        out.parent.mkdir()
+        earlier = reference_text(awkward_space(n=30, dim=10, seed=5))
+        out.write_bytes(earlier)
+        status, stdout, err = finish(start(code, src, out))
+        assert (status, stdout) == (0, "3\n"), err
+        assert err == (f"io error: {out}: the process formatting it ended "
+                       "without a result\n")
+        assert out.read_bytes() == earlier
+        assert os.listdir(out.parent) == ["aligned.txt"]
