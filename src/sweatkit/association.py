@@ -23,6 +23,7 @@ __all__ = [
     "WeatResult",
     "Associations",
     "associations",
+    "topic_associations",
     "single_word_association",
     "weat_score",
     "sweat_score",
@@ -168,6 +169,18 @@ class SweatResult(_Result):
 
     per_word: list  # (word, s-value in space1, s-value in space2)
 
+    @classmethod
+    def from_associations(cls, topic, pair, poles, cfg, tail):
+        """Full SWEAT from the topic's ``Associations`` in each space: the
+        per-word values are shared by the score, the effect size and the
+        permutation test."""
+        s1, s2 = (assoc.values for assoc in pair)
+        return cls(
+            **_run_test(s1, s2, pair[0].label, pair[1].label, poles, cfg,
+                        tail),
+            per_word=list(zip(topic.words, s1, s2)),
+        )
+
 
 @dataclass
 class WeatResult(_Result):
@@ -179,9 +192,10 @@ class WeatResult(_Result):
 
 @dataclass(frozen=True)
 class Associations:
-    """Cosines of each word of a wordset to every pole word in one space,
-    and their fsum means, in wordset order."""
+    """Cosines of each word of a wordset to every pole word in the space
+    labelled ``label``, and their fsum means, in wordset order."""
 
+    label: str
     delta_a: list  # per word, the cosines to each word of pole A
     delta_b: list
     mean_a: list
@@ -203,11 +217,19 @@ def associations(words, space: EmbeddingSpace, poles: PoleWordsets) -> Associati
     delta_a = cosines(space, words, poles.words_a).tolist()
     delta_b = cosines(space, words, poles.words_b).tolist()
     return Associations(
+        label=space.label,
         delta_a=delta_a,
         delta_b=delta_b,
         mean_a=[math.fsum(row) / len(poles.words_a) for row in delta_a],
         mean_b=[math.fsum(row) / len(poles.words_b) for row in delta_b],
     )
+
+
+def topic_associations(topic, space1, space2, poles) -> tuple:
+    """The topic's ``Associations`` in space1 and in space2. Every output of
+    a SWEAT run is a view of this pair."""
+    return (associations(topic.words, space1, poles),
+            associations(topic.words, space2, poles))
 
 
 def single_word_association(
@@ -250,8 +272,8 @@ def sweat_score(
     Positive sign: the topic leans toward pole A in space1 relative to
     space2; negative sign is the reverse.
     """
-    s1 = associations(topic.words, space1, poles).values
-    s2 = associations(topic.words, space2, poles).values
+    s1, s2 = (assoc.values
+              for assoc in topic_associations(topic, space1, space2, poles))
     return math.fsum(s1) - math.fsum(s2)
 
 
@@ -419,14 +441,10 @@ def run_sweat(
     cfg: PermutationConfig | None = None,
     tail: str = "directional",
 ) -> SweatResult:
-    """Full SWEAT: per-word values computed once and shared by the score,
-    the effect size, and the permutation test."""
-    s1 = associations(topic.words, space1, poles).values
-    s2 = associations(topic.words, space2, poles).values
-    return SweatResult(
-        **_run_test(s1, s2, space1.label, space2.label, poles, cfg, tail),
-        per_word=list(zip(topic.words, s1, s2)),
-    )
+    """Full SWEAT of ``topic`` across the two spaces."""
+    return SweatResult.from_associations(
+        topic, topic_associations(topic, space1, space2, poles), poles, cfg,
+        tail)
 
 
 def run_weat(

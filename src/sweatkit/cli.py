@@ -22,10 +22,11 @@ from .association import (
     TAILS,
     PermutationConfig,
     PoleWordsets,
+    SweatResult,
     TopicWordset,
     require_disjoint,
-    run_sweat,
     run_weat,
+    topic_associations,
 )
 from .embeddings import (
     load_word2vec_pair,
@@ -43,8 +44,6 @@ from .lexicon import (
 from .viz import (
     CumulativePlotData,
     DetailPlotData,
-    cumulative_data,
-    detail_data,
     render_cumulative,
     render_detail,
 )
@@ -58,7 +57,7 @@ UNDERDETERMINED_WARNING = (
 
 @dataclass
 class EmbeddingEntry:
-    label: str
+    label: str | None  # None: the file's name
     path: str
     frequency_table: str | None = None
 
@@ -234,6 +233,9 @@ def validate_config(path: str, command: str = "sweat",
     if not isinstance(embeddings, list) or len(embeddings) < want:
         errors.append(f"embeddings: need at least {want} entries")
         embeddings = []
+    elif command == "sweat" and len(embeddings) > 2:
+        errors.append("embeddings: sweat compares exactly 2 spaces, got "
+                      f"{len(embeddings)}")
     labels = []
     for i, entry in enumerate(embeddings):
         label = entry.get("label") if isinstance(entry, dict) else None
@@ -336,15 +338,14 @@ def _json_dump(obj, path) -> None:
         fh.write("\n")
 
 
-def _load_tables(cfg):
-    tables = []
-    for entry in cfg.embeddings:
-        tables.append(
-            load_frequency_table(entry.frequency_table)
-            if entry.frequency_table
-            else None
-        )
-    return tables
+def _load_pair(entry1, entry2) -> tuple:
+    """The spaces of two embedding entries, read at once, then their
+    frequency tables: None for an entry that names none."""
+    spaces = load_word2vec_pair((entry1.path, entry1.label),
+                                (entry2.path, entry2.label))
+    return (*spaces, *(load_frequency_table(e.frequency_table)
+                       if e.frequency_table else None
+                       for e in (entry1, entry2)))
 
 
 def _write_report(cfg, command, title, result, timings, alignment=None,
@@ -377,10 +378,7 @@ def cmd_sweat(args) -> int:
     timings: dict = {}
 
     t0 = time.perf_counter()
-    entry1, entry2 = cfg.embeddings[:2]
-    space1, space2 = load_word2vec_pair((entry1.path, entry1.label),
-                                        (entry2.path, entry2.label))
-    table1, table2 = _load_tables(cfg)
+    space1, space2, table1, table2 = _load_pair(*cfg.embeddings)
     timings["load"] = time.perf_counter() - t0
 
     alignment_info = None
@@ -415,25 +413,28 @@ def cmd_sweat(args) -> int:
 
     topic = cfg.topic
     t0 = time.perf_counter()
-    result = run_sweat(topic, space1, space2, poles, cfg.permutations, cfg.tail)
+    pair = topic_associations(topic, space1, space2, poles)
+    result = SweatResult.from_associations(topic, pair, poles,
+                                           cfg.permutations, cfg.tail)
     timings["sweat"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    cum = cumulative_data(topic, space1, space2, poles)
-    det = detail_data(topic, space1, space2, poles)
+    cum = CumulativePlotData.from_associations(topic, pair, poles)
+    det = DetailPlotData.from_associations(topic, pair, poles)
     if cfg.cumulative_svg:
         render_cumulative(cum, cfg.cumulative_svg)
     if cfg.detail_svg:
         render_detail(det, cfg.detail_svg)
+    plots = {"cumulative": cum.to_dict(), "detail": det.to_dict()}
     if cfg.plot_json:
         base, _ = os.path.splitext(cfg.report_path)
-        _json_dump(cum.to_dict(), base + ".cumulative.json")
-        _json_dump(det.to_dict(), base + ".detail.json")
+        for name, doc in plots.items():
+            _json_dump(doc, f"{base}.{name}.json")
     timings["viz"] = time.perf_counter() - t0
 
     _write_report(cfg, "sweat", f"SWEAT {topic.label}", result, timings,
                   alignment=alignment_info, refinement=refinement_info,
-                  plots={"cumulative": cum.to_dict(), "detail": det.to_dict()})
+                  plots=plots)
     return 0
 
 
@@ -477,11 +478,13 @@ def cmd_align(args) -> int:
 
 
 def cmd_refine(args) -> int:
+    if not _finite(args.zipf_threshold):
+        raise ConfigError(["--zipf-threshold: must be a finite number, got "
+                           f"{args.zipf_threshold!r}"])
     lexicon = load_lexicon(args.lexicon)
-    space1, space2 = load_word2vec_pair((args.space1, None),
-                                        (args.space2, None))
-    table1 = load_frequency_table(args.freq1)
-    table2 = load_frequency_table(args.freq2)
+    space1, space2, table1, table2 = _load_pair(
+        EmbeddingEntry(None, args.space1, args.freq1),
+        EmbeddingEntry(None, args.space2, args.freq2))
     report = refine(lexicon, space1, space2, table1, table2,
                     args.zipf_threshold)
     _json_dump(report.to_dict(), args.out)
@@ -495,10 +498,11 @@ def cmd_refine(args) -> int:
 
 
 def cmd_candidates(args) -> int:
-    space1, space2 = load_word2vec_pair((args.space1, None),
-                                        (args.space2, None))
-    table1 = load_frequency_table(args.freq1)
-    table2 = load_frequency_table(args.freq2)
+    if args.top < 0:
+        raise ConfigError([f"--top: must be at least 0, got {args.top}"])
+    space1, space2, table1, table2 = _load_pair(
+        EmbeddingEntry(None, args.space1, args.freq1),
+        EmbeddingEntry(None, args.space2, args.freq2))
     stopwords = _read_wordlist(args.stopwords) if args.stopwords else []
     ranked = candidate_topics(space1, space2, table1, table2, stopwords,
                               args.top)

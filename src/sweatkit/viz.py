@@ -11,7 +11,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .association import PoleWordsets, TopicWordset, associations
+from .association import PoleWordsets, TopicWordset, topic_associations
 from .embeddings import EmbeddingSpace
 
 COLOR_A = "#2e7d32"
@@ -80,6 +80,18 @@ class CumulativePlotData:
             _finite((bar.beta_a, bar.beta_b, bar.cumulate), "bar value")
         return cls(**_labels(raw), bars=bars)
 
+    @classmethod
+    def from_associations(cls, topic, pair, poles):
+        """Per-space sums of mean pole associations, from the topic's
+        ``Associations`` in each space. The cumulate dot of each bar is
+        beta_a - beta_b, and the difference of the two cumulates is the
+        SWEAT score."""
+        bars = []
+        for assoc in pair:
+            beta_a, beta_b = math.fsum(assoc.mean_a), math.fsum(assoc.mean_b)
+            bars.append(SpaceBar(assoc.label, beta_a, beta_b, beta_a - beta_b))
+        return cls(topic.label, poles.label_a, poles.label_b, bars)
+
 
 @dataclass
 class WordDistribution:
@@ -123,6 +135,22 @@ class DetailPlotData:
                     "association")
         return data
 
+    @classmethod
+    def from_associations(cls, topic, pair, poles):
+        """Per-word distributions of cos(w, pole word) to each pole, in each
+        space, from the topic's ``Associations`` there. Each word's mean
+        difference is its association s(w) by construction."""
+        distributions = []
+        for k, word in enumerate(topic.words):
+            for assoc in pair:
+                mean_a, mean_b = assoc.mean_a[k], assoc.mean_b[k]
+                distributions.append(WordDistribution(
+                    word, assoc.label, assoc.delta_a[k], assoc.delta_b[k],
+                    mean_a, mean_b, "A" if mean_a >= mean_b else "B"))
+        return cls(topic.label, poles.label_a, poles.label_b,
+                   [assoc.label for assoc in pair], list(topic.words),
+                   distributions)
+
 
 def cumulative_data(
     topic: TopicWordset,
@@ -130,27 +158,9 @@ def cumulative_data(
     space2: EmbeddingSpace,
     poles: PoleWordsets,
 ) -> CumulativePlotData:
-    """Per-space sums of mean pole associations; the cumulate dot of each bar
-    is beta_a - beta_b, and the difference of the two cumulates is the SWEAT
-    score."""
-    bars = []
-    for space in (space1, space2):
-        assoc = associations(topic.words, space, poles)
-        beta_a, beta_b = math.fsum(assoc.mean_a), math.fsum(assoc.mean_b)
-        bars.append(
-            SpaceBar(
-                label=space.label,
-                beta_a=beta_a,
-                beta_b=beta_b,
-                cumulate=beta_a - beta_b,
-            )
-        )
-    return CumulativePlotData(
-        topic_label=topic.label,
-        pole_label_a=poles.label_a,
-        pole_label_b=poles.label_b,
-        bars=bars,
-    )
+    """The cumulative chart's data for ``topic`` across the two spaces."""
+    return CumulativePlotData.from_associations(
+        topic, topic_associations(topic, space1, space2, poles), poles)
 
 
 def detail_data(
@@ -159,34 +169,9 @@ def detail_data(
     space2: EmbeddingSpace,
     poles: PoleWordsets,
 ) -> DetailPlotData:
-    """Per-word distributions of cos(w, pole word) to each pole, in each
-    space. Their mean difference is the word's association s(w) by
-    construction: both come from the same ``associations`` call."""
-    spaces = [(space, associations(topic.words, space, poles))
-              for space in (space1, space2)]
-    distributions = []
-    for k, word in enumerate(topic.words):
-        for space, assoc in spaces:
-            mean_a, mean_b = assoc.mean_a[k], assoc.mean_b[k]
-            distributions.append(
-                WordDistribution(
-                    word=word,
-                    space_label=space.label,
-                    delta_a=assoc.delta_a[k],
-                    delta_b=assoc.delta_b[k],
-                    mean_a=mean_a,
-                    mean_b=mean_b,
-                    dominant_pole="A" if mean_a >= mean_b else "B",
-                )
-            )
-    return DetailPlotData(
-        topic_label=topic.label,
-        pole_label_a=poles.label_a,
-        pole_label_b=poles.label_b,
-        space_labels=[space1.label, space2.label],
-        words=list(topic.words),
-        distributions=distributions,
-    )
+    """The detail chart's data for ``topic`` across the two spaces."""
+    return DetailPlotData.from_associations(
+        topic, topic_associations(topic, space1, space2, poles), poles)
 
 
 def _f(v: float) -> str:

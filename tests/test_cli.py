@@ -220,6 +220,41 @@ class TestSweatCommand:
         assert err == ("warning: fewer anchors than dimensions; rotation is "
                        "underdetermined\n")
 
+    def test_one_association_pass_per_space(self, tmp_path, capsys,
+                                             monkeypatch):
+        import sweatkit.cli
+        import sweatkit.viz
+
+        spaces = []
+        real = association.associations
+
+        def spy(words, space, poles):
+            spaces.append(space.label)
+            return real(words, space, poles)
+
+        for module in (association, sweatkit.viz, sweatkit.cli):
+            if hasattr(module, "associations"):
+                monkeypatch.setattr(module, "associations", spy)
+        fx = write_fixture(tmp_path)
+        path, raw = base_config(tmp_path, fx)
+        raw["outputs"]["cumulative_svg"] = str(tmp_path / "cum.svg")
+        raw["outputs"]["detail_svg"] = str(tmp_path / "det.svg")
+        raw["outputs"]["plot_json"] = True
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["sweat", "--config", str(path)]) == 0
+        assert spaces == ["S1", "S2"]
+
+    def test_plot_json_files_match_report(self, tmp_path, capsys):
+        fx = write_fixture(tmp_path)
+        path, raw = base_config(tmp_path, fx)
+        raw["outputs"]["plot_json"] = True
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["sweat", "--config", str(path)]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        for name in ("cumulative", "detail"):
+            written = tmp_path / f"report.{name}.json"
+            assert json.loads(written.read_text()) == report["plots"][name]
+
 
 def one_line_error(capsys, prefix):
     err = capsys.readouterr().err
@@ -1050,6 +1085,23 @@ class TestConfigRules:
         assert report["config"]["permutations"]["samples"] == 500
         assert report["result"]["n_permutations"] == 500
 
+    def test_sweat_takes_exactly_two_spaces(self, tmp_path, capsys):
+        fx = write_fixture(tmp_path)
+        path, raw = base_config(tmp_path, fx)
+        three = raw["embeddings"]
+        three.append({"label": "S3", "path": str(fx["space1"])})
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["sweat", "--config", str(path)]) == 1
+        assert one_line_error(capsys, "config error:") == (
+            "config error: embeddings: sweat compares exactly 2 spaces, "
+            "got 3\n")
+        assert not (tmp_path / "report.json").exists()
+        # weat reads the first space, so the same entries serve it.
+        raw = weat_raw(fx, tmp_path)
+        raw["embeddings"] = three
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["weat", "--config", str(path)]) == 0
+
     @pytest.mark.parametrize("label", [None, 5, ""])
     def test_topic_label(self, tmp_path, capsys, label):
         fx = write_fixture(tmp_path)
@@ -1060,6 +1112,46 @@ class TestConfigRules:
         assert one_line_error(capsys, "config error:") == (
             "config error: topic.label: must be a nonempty string, "
             f"got {label!r}\n")
+
+
+class TestFlagRules:
+    """A command-line value that breaks a rule is a one-line config error
+    with exit 1, as the same value in a config is."""
+
+    def pair(self, tmp_path):
+        fx = write_fixture(tmp_path)
+        return fx, ["--space1", str(fx["space1"]), "--space2",
+                    str(fx["space2"]), "--freq1", str(fx["freq1"]),
+                    "--freq2", str(fx["freq2"])]
+
+    def test_negative_top(self, tmp_path, capsys):
+        _, pair = self.pair(tmp_path)
+        assert main(["candidates", *pair, "--top", "-1"]) == 1
+        assert one_line_error(capsys, "config error:") == (
+            "config error: --top: must be at least 0, got -1\n")
+
+    def test_zero_top_prints_nothing(self, tmp_path, capsys):
+        _, pair = self.pair(tmp_path)
+        assert main(["candidates", *pair, "--top", "0"]) == 0
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("flag", [
+        ["--zipf-threshold", "nan"], ["--zipf-threshold=inf"],
+        ["--zipf-threshold=-inf"],
+    ])
+    def test_non_finite_zipf_threshold(self, tmp_path, capsys, flag):
+        fx, pair = self.pair(tmp_path)
+        lex = tmp_path / "lex.json"
+        lex.write_text(json.dumps({
+            "label_a": "pos", "label_b": "neg",
+            "words_a": fx["poles"].words_a, "words_b": fx["poles"].words_b,
+        }), encoding="utf-8")
+        out = tmp_path / "refined.json"
+        assert main(["refine", "--lexicon", str(lex), *pair, *flag,
+                     "--out", str(out)]) == 1
+        assert "--zipf-threshold: must be a finite number, got " in (
+            one_line_error(capsys, "config error:"))
+        assert not out.exists()
 
 
 @pytest.fixture(scope="module")
