@@ -288,12 +288,14 @@ def _row_best(space: EmbeddingSpace, lo: int, sims: np.ndarray):
     """Each row's maximum in a block of similarities whose first column is
     vocabulary row ``lo``, and the vocabulary row holding it; among exact
     maxima, the row of the lexicographically smallest word."""
-    top = sims.max(axis=1)
     at = sims.argmax(axis=1)
+    top = sims[np.arange(len(sims)), at]
     is_top = sims == top[:, None]
-    for j in np.flatnonzero(np.count_nonzero(is_top, axis=1) > 1):
-        at[j] = min(np.flatnonzero(is_top[j]),
-                    key=lambda i: space.words[lo + i])
+    # Exact ties are rare: one count over the block rules them out.
+    if np.count_nonzero(is_top) > len(top):
+        for j in np.flatnonzero(np.count_nonzero(is_top, axis=1) > 1):
+            at[j] = min(np.flatnonzero(is_top[j]),
+                        key=lambda i: space.words[lo + i])
     return top, at + lo
 
 
@@ -305,6 +307,10 @@ _CHUNK_CHARS = 1 << 20
 # float() rejects; a body holding one is left to the row validator.
 _SEPARATORS = "\x1c\x1d\x1e\x1f"
 
+# Most digits of a field that ``_parse_fixed`` reads: its digits m are below
+# 10**15 < 2**53, so m and 10**k are exact doubles.
+_FIXED_DIGITS = 15
+
 
 def load_word2vec_text(path: str, label: str | None = None) -> EmbeddingSpace:
     """Load a text-format word2vec file.
@@ -315,10 +321,11 @@ def load_word2vec_text(path: str, label: str | None = None) -> EmbeddingSpace:
     aborts the load with its line number.
 
     The input is read once, files and pipes alike, a chunk of lines at a
-    time. Each chunk is parsed in bulk, and the matrix grows with the rows
-    read. From the first chunk the bulk parse does not accept, the row-by-row
-    validator reads on; it alone raises the ``FormatError`` of a row. One
-    UTF-8 byte order mark before the header is skipped.
+    time. Each chunk is parsed in bulk, fixed-point text by an exact decimal
+    kernel, and the matrix grows with the rows read. From the first chunk
+    the bulk parse does not accept, the row-by-row validator reads on; it
+    alone raises the ``FormatError`` of a row. One UTF-8 byte order mark
+    before the header is skipped.
     """
     # Both parsers checked the shape, the words and every value.
     words, rows = _read_word2vec_text(path)
@@ -340,8 +347,9 @@ def _read_word2vec_text(path: str) -> tuple[dict, np.ndarray]:
         words: dict[str, None] = {}
         rows = np.empty((0, dim))
         lineno = 2
+        fixed = True  # until a chunk is not fixed-point text
         while lines := fh.readlines(_CHUNK_CHARS):
-            block = _parse_bulk(lines, dim, words, vocab_size)
+            block, fixed = _parse_bulk(lines, dim, words, vocab_size, fixed)
             if block is None:
                 break
             _append(rows, block)
@@ -510,10 +518,14 @@ def _read_header(fh, path: str) -> tuple[int, int]:
     return vocab_size, dim
 
 
-def _parse_bulk(lines: list[str], dim: int, words: dict, vocab_size: int):
-    """The rows of ``lines`` as a matrix, their words added to ``words``; or
-    None, with ``words`` unchanged, if any row is not plainly well-formed or
-    repeats a word, or the rows would exceed ``vocab_size``.
+def _parse_bulk(lines: list[str], dim: int, words: dict, vocab_size: int,
+                fixed: bool):
+    """``(block, fixed)``. ``block`` is the rows of ``lines`` as a matrix,
+    their words added to ``words``; or None, with ``words`` unchanged, if any
+    row is not plainly well-formed or repeats a word, or the rows would
+    exceed ``vocab_size``. When ``fixed`` is true, ``_parse_fixed`` reads the
+    rows first; once it declines, the ``fixed`` returned is False, and the
+    rest of the file goes straight to loadtxt.
 
     Accepts only what ``_parse_rows`` accepts, with bit-identical values:
     numpy's loadtxt converts through the same ``PyOS_string_to_double`` as
@@ -521,7 +533,7 @@ def _parse_bulk(lines: list[str], dim: int, words: dict, vocab_size: int):
     rejects what only ``float()`` reads (underscores, non-ASCII digits).
     """
     if len(words) + len(lines) > vocab_size:
-        return None
+        return None, fixed
     new: dict[str, None] = {}
     bodies = []
     for line in lines:
@@ -529,24 +541,81 @@ def _parse_bulk(lines: list[str], dim: int, words: dict, vocab_size: int):
         if body.endswith(" "):
             body = body[:-1]
         if not body:
-            return None  # loadtxt would skip the row, and warn
+            return None, fixed  # loadtxt would skip the row, and warn
         new[word] = None
         bodies.append(body)
     if len(new) != len(lines) or not words.keys().isdisjoint(new):
-        return None
+        return None, fixed
     text = "\n".join(bodies)
-    if any(c in text for c in _SEPARATORS):
-        return None
-    try:
-        block = np.loadtxt(bodies, dtype=np.float64, delimiter=" ",
-                           comments=None, ndmin=2)
-    except ValueError:
-        return None
-    if (block.shape != (len(lines), dim) or not np.isfinite(block).all()
-            or not block.any(axis=1).all()):
-        return None
+    block = _parse_fixed(text, len(bodies), dim) if fixed else None
+    if block is None:
+        fixed = False
+        if any(c in text for c in _SEPARATORS):
+            return None, fixed
+        try:
+            block = np.loadtxt(bodies, dtype=np.float64, delimiter=" ",
+                               comments=None, ndmin=2)
+        except ValueError:
+            return None, fixed
+        if block.shape != (len(lines), dim) or not np.isfinite(block).all():
+            return None, fixed
+    if not block.any(axis=1).all():
+        return None, fixed
     words.update(new)
-    return block
+    return block, fixed
+
+
+def _parse_fixed(text: str, rows: int, dim: int):
+    """The ``rows`` lines of ``text`` as a matrix, if every line is ``dim``
+    fields joined by single spaces, and every field is ``-?D+.D{k}`` with
+    one k >= 1 for all of them and at most ``_FIXED_DIGITS`` digits; None
+    otherwise.
+
+    A field's digits m and 10**k are exact doubles, so one division gives
+    m / 10**k correctly rounded, and each value equals ``float(field)`` bit
+    for bit, ``-0.0`` included (Clinger, "How to Read Floating Point Numbers
+    Accurately", PLDI 1990). Digits are gathered a column at a time,
+    counted from the end of each field.
+    """
+    if not text.isascii():
+        return None
+    buf = np.frombuffer(text.encode("ascii") + b"\n", dtype=np.uint8)
+    # Every byte below "-" ends a field: it must be a space inside a row and
+    # a newline after the row's last field.
+    ends = np.flatnonzero(buf < ord("-"))
+    if len(ends) != rows * dim:
+        return None
+    kinds = buf[ends].reshape(rows, dim)
+    if not ((kinds[:, :-1] == ord(" ")).all()
+            and (kinds[:, -1] == ord("\n")).all()):
+        return None
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    k = ends[0] - text.find(".", 0, ends[0]) - 1
+    neg = buf[starts] == ord("-")
+    whole = ends - starts - neg - (k + 1)  # digits before the point
+    fewest, most = int(whole.min()), int(whole.max())
+    if not (0 < k < ends[0] and fewest >= 1 and most + k <= _FIXED_DIGITS):
+        return None
+    if not (buf[ends - k - 1] == ord(".")).all():
+        return None
+    # With the point and any sign in place, every other byte must be a
+    # digit: the only bytes that read below 10 once "0" is subtracted, as
+    # the bytes below "0" wrap around.
+    zero = np.uint8(ord("0"))
+    if (np.count_nonzero(buf - zero < 10)
+            != len(buf) - 2 * len(ends) - np.count_nonzero(neg)):
+        return None
+    m = np.zeros(len(ends))
+    at = ends.copy()
+    for j in range(k + most):
+        at -= 2 if j == k else 1  # the digit of weight 10**j, past the point
+        column = (buf[at] - zero) * float(10 ** j)
+        if j - k >= fewest:  # fields with fewer digits read 0 here
+            column[whole <= j - k] = 0.0
+        m += column
+    values = m / float(10 ** k)
+    values *= 1.0 - 2.0 * neg  # sets the sign, of a zero too
+    return values.reshape(rows, dim)
 
 
 def _append(rows: np.ndarray, block) -> None:

@@ -313,8 +313,7 @@ def render_cumulative(
 def _boxplot(svg, scale, values, y, half_h, color):
     vals = np.asarray(values, dtype=np.float64)
     lo, hi = float(vals.min()), float(vals.max())
-    q1 = float(np.percentile(vals, 25, method="linear"))
-    q3 = float(np.percentile(vals, 75, method="linear"))
+    q1, q3 = np.percentile(vals, [25, 75], method="linear").tolist()
     mean = math.fsum(values) / len(values)
     svg.line(scale(lo), y, scale(hi), y, color)
     svg.rect(scale(q1), y - half_h, max(scale(q3) - scale(q1), 0.0),

@@ -295,6 +295,125 @@ class TestLoaderContract:
         assert space.matrix.tobytes() == expected.matrix.tobytes()
 
 
+def fixed_fields(k):
+    """Fixed-point fields with k decimals: every whole-part length up to
+    15 - k, both signs, leading zeros, all-zero and all-nine fields."""
+    rng = np.random.default_rng(k)
+    fields = []
+    for whole in range(1, 16 - k):
+        for _ in range(6):
+            digits = "".join(map(str, rng.integers(0, 10, whole + k)))
+            fields.append(digits)
+        fields += ["0" * (whole + k), "9" * (whole + k),
+                   "0" * (whole - 1) + "1" + "0" * k]
+    return [sign + f[:-k] + "." + f[-k:]
+            for f in fields for sign in ("", "-")]
+
+
+def kernel_spy(monkeypatch):
+    """Record each ``_parse_fixed`` call as True (read) or False
+    (declined)."""
+    calls = []
+    kernel = embeddings._parse_fixed
+
+    def spy(*args):
+        block = kernel(*args)
+        calls.append(block is not None)
+        return block
+
+    monkeypatch.setattr(embeddings, "_parse_fixed", spy)
+    return calls
+
+
+# The body of the second of three rows, the others fixed-point with k = 2.
+DECLINED_ROWS = {
+    "exponent": "0.25 1.50e1 3.00",
+    "plus_sign": "0.25 +1.50 3.00",
+    # Its 16 digits m = 9999999999999999 are not a double.
+    "sixteen_digits": "0.25 99999999999999.99 3.00",
+    "mixed_decimals": "0.25 1.500 3.00",
+    "double_space": "0.25  1.50 3.00",
+    "tab": "0.25\t1.50 3.00",
+    # One trailing space is allowed and stripped; the second is not.
+    "trailing_space": "0.25 1.50 3.00  ",
+    "non_ascii_digit": "0.25 \u0661.50 3.00",
+    "short_row": "0.25 1.50",
+    "long_row": "0.25 1.50 3.00 4.00",
+    "short_then_long_row": "0.25 1.50\nlong 0.25 1.50 3.00 4.00",
+}
+
+
+class TestFixedPointKernel:
+    """Fixed-point text is read by one division per field, bit for bit as
+    ``float()`` reads it; every other chunk goes to loadtxt unchanged."""
+
+    @pytest.mark.parametrize("k", range(1, 15))
+    def test_values_equal_float(self, k):
+        fields = fixed_fields(k)
+        rows = [fields, fields[::-1], fields[1:] + fields[:1]]
+        text = "\n".join(" ".join(row) for row in rows)
+        block = embeddings._parse_fixed(text, len(rows), len(fields))
+        assert block is not None
+        expected = np.array([[float(f) for f in row] for row in rows])
+        assert np.array_equal(block.view(np.int64), expected.view(np.int64))
+
+    def test_fifteen_decimals_have_sixteen_digits(self):
+        text = "0.123456789012345 -0.000000000000001"
+        assert embeddings._parse_fixed(text, 1, 2) is None
+
+    def test_signed_zero(self):
+        block = embeddings._parse_fixed("-0.000 0.000 -00.000", 1, 3)
+        assert block.view(np.int64).tolist() == np.array(
+            [[-0.0, 0.0, -0.0]]).view(np.int64).tolist()
+
+    def test_one_trailing_space_is_read(self, tmp_path, monkeypatch):
+        calls = kernel_spy(monkeypatch)
+        p = tmp_path / "v.txt"
+        write(p, "2 2\ncat 0.50 -1.25 \ndog 2.00 0.75\n")
+        space = load_word2vec_text(str(p))
+        assert calls == [True]
+        assert space.matrix.tolist() == [[0.5, -1.25], [2.0, 0.75]]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name", sorted(DECLINED_ROWS))
+    def test_declined_chunk_loads_as_without_kernel(self, tmp_path,
+                                                    monkeypatch, name):
+        rows = (f"cat 0.25 -1.50 3.00\ndog {DECLINED_ROWS[name]}\n"
+                "fox -0.75 2.50 1.00\n")
+        text = f"{rows.count(chr(10))} 3\n{rows}"
+        p = tmp_path / "v.txt"
+        p.write_bytes(text.encode("utf-8"))
+        with monkeypatch.context() as m:
+            m.setattr(embeddings, "_parse_fixed", lambda *args: None)
+            expected = outcome(lambda: [load_word2vec_text(str(p))])
+        calls = kernel_spy(monkeypatch)
+        assert outcome(lambda: [load_word2vec_text(str(p))]) == expected
+        assert calls == [False]
+
+    @pytest.mark.parametrize("fixed_first", [True, False])
+    def test_no_kernel_after_first_decline(self, tmp_path, monkeypatch,
+                                           fixed_first):
+        rng = np.random.default_rng(5)
+        values = rng.normal(size=(40, 4)).tolist()
+        spell = [lambda x: f"{x:.4f}", repr]
+        lines, expected = [], []
+        for i, row in enumerate(values):
+            # The fixed-point half of the file comes first or last.
+            fmt = spell[(i < 20) != fixed_first]
+            fields = [fmt(x) for x in row]
+            lines.append(f"w{i} " + " ".join(fields) + "\n")
+            expected.append([float(f) for f in fields])
+        p = tmp_path / "v.txt"
+        write(p, f"{len(lines)} 4\n" + "".join(lines))
+        # Each chunk is a line or two.
+        monkeypatch.setattr(embeddings, "_CHUNK_CHARS", 64)
+        calls = kernel_spy(monkeypatch)
+        space = load_word2vec_text(str(p))
+        assert space.matrix.tobytes() == np.array(expected).tobytes()
+        assert calls[-1] is False and all(calls[:-1])
+        assert len(calls) > 1 if fixed_first else len(calls) == 1
+
+
 class TestCosine:
     def test_self_similarity(self):
         u = np.array([0.3, -2.0, 5.0])
