@@ -15,8 +15,7 @@ import numpy as np
 
 from .errors import DataError, FormatError, VocabularyError, open_text
 
-# Cosine may exceed [-1, 1] by rounding noise only; anything larger means
-# broken inputs rather than float overshoot.
+# Cosines of unit rows exceed [-1, 1] by rounding noise only, far below this.
 _COSINE_OVERSHOOT = 1e-9
 
 # Norms below this have a sum of squares below the smallest normal float.
@@ -157,53 +156,50 @@ def _unit_rows(rows: np.ndarray, norms: np.ndarray) -> np.ndarray:
     return unit
 
 
-def cosine(u, v) -> float:
-    """Cosine similarity of two vectors, clamped only against fp overshoot."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape:
-        raise DataError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if not (u.any() and v.any()):
-        raise DataError("cosine undefined for zero-norm vector")
-    if nu == 0.0 or nv == 0.0:
-        raise DataError("cosine undefined: vector norm underflows")
-    if np.array_equal(u, v):
-        return 1.0
-    if min(nu, nv) < _SMALL_NORM:
-        u, v = _unit_rows(np.stack([u.ravel(), v.ravel()]),
-                          np.array([nu, nv]))
-        nu = nv = 1.0
-    c = float(np.dot(u, v) / (nu * nv))
-    if not math.isfinite(c):
-        raise DataError("cosine produced a non-finite value")
-    if abs(c) > 1.0:
-        if abs(c) > 1.0 + _COSINE_OVERSHOOT:
-            raise DataError(f"cosine {c!r} exceeds [-1, 1] beyond fp tolerance")
-        c = math.copysign(1.0, c)
-    return c
-
-
-def cosines(space: EmbeddingSpace, words, others) -> np.ndarray:
-    """|words| x |others| block of cosine similarities within ``space``.
-
-    Dot products of unit rows, clipped to [-1, 1]; only the rows gathered
-    are normalized. Words whose raw rows are identical read exactly 1.0, as
-    they do in ``cosine``.
-    """
-    space.require([*words, *others])
-    i = [space._index[w] for w in words]
-    j = [space._index[w] for w in others]
-    block = (_unit_rows(space.matrix[i], space._norms[i])
-             @ _unit_rows(space.matrix[j], space._norms[j]).T)
+def _cosine_block(rows_i, norms_i, rows_j, norms_j) -> np.ndarray:
+    """Cosines of each of ``rows_i`` to each of ``rows_j``, given their
+    nonzero norms: dot products of unit rows by ``einsum``, which uses no
+    BLAS and sums each pair in one order, so a pair has the same bits in any
+    block, at any position. Clipped to [-1, 1]; identical rows read 1.0."""
+    block = np.einsum("id,jd->ij", _unit_rows(rows_i, norms_i),
+                      _unit_rows(rows_j, norms_j))
     np.clip(block, -1.0, 1.0, out=block)
     # Identical raw rows have identical unit rows, so only pairs within
     # rounding noise of 1 can be identical.
     for a, b in zip(*np.nonzero(block > 1.0 - _COSINE_OVERSHOOT)):
-        if np.array_equal(space.matrix[i[a]], space.matrix[j[b]]):
+        if np.array_equal(rows_i[a], rows_j[b]):
             block[a, b] = 1.0
     return block
+
+
+def cosine(u, v) -> float:
+    """Cosine similarity of two vectors: the one-pair block of
+    ``_cosine_block``, so it matches the pair's entry in ``cosines``."""
+    u = np.asarray(u, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    if u.shape != v.shape:
+        raise DataError(f"dimension mismatch: {u.shape} vs {v.shape}")
+    if not (u.any() and v.any()):
+        raise DataError("cosine undefined for zero-norm vector")
+    rows = np.stack([u.ravel(), v.ravel()])
+    # Along rows, as a space's norms are: a 1-D norm is a BLAS dot.
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(rows, axis=1)
+    if (norms == 0.0).any():
+        raise DataError("cosine undefined: vector norm underflows")
+    if not np.isfinite(norms).all():
+        raise DataError("cosine produced a non-finite value")
+    return float(_cosine_block(rows[:1], norms[:1], rows[1:], norms[1:])[0, 0])
+
+
+def cosines(space: EmbeddingSpace, words, others) -> np.ndarray:
+    """|words| x |others| block of cosine similarities within ``space``,
+    from the rows gathered and their stored norms by ``_cosine_block``."""
+    space.require([*words, *others])
+    i = [space._index[w] for w in words]
+    j = [space._index[w] for w in others]
+    return _cosine_block(space.matrix[i], space._norms[i],
+                         space.matrix[j], space._norms[j])
 
 
 # Largest block of similarities ``nearest_neighbors`` holds at once, in

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .alignment import round_trip_stability
@@ -49,7 +50,12 @@ class FrequencyTable:
             raise VocabularyError(
                 f"word '{word}' not in frequency table", missing=[word]
             )
-        return math.log10(self.counts[word] / self.total_tokens * 1e9)
+        count = self.counts[word]
+        share = count / self.total_tokens
+        if share < sys.float_info.min:
+            # Subnormal or zero: take the logs of the integers instead.
+            return math.log10(count) - math.log10(self.total_tokens) + 9
+        return math.log10(share * 1e9)
 
 
 def zipf_score(word: str, table: FrequencyTable) -> float:
@@ -171,7 +177,11 @@ def load_frequency_table(path: str) -> FrequencyTable:
             try:
                 value = int(value)
             except ValueError:
-                raise FormatError(f"{path}:{lineno}: non-integer count") from None
+                # int() rejects a run of decimal digits only for its length.
+                digits = value.strip().lstrip("+-")
+                what = (f"count of {len(digits)} digits is too long to read"
+                        if digits.isdecimal() else "non-integer count")
+                raise FormatError(f"{path}:{lineno}: {what}") from None
             if key == "#total":
                 if total is not None:
                     raise FormatError(f"{path}:{lineno}: duplicate #total header")

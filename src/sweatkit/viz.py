@@ -265,13 +265,17 @@ def _axis(svg, scale, y):
         svg.text(x, y + 18, _tick(v), size=10, anchor="middle")
 
 
-def render_cumulative(
-    data: CumulativePlotData,
-    path: str,
-    width: int = 640,
-    color_a: str = COLOR_A,
-    color_b: str = COLOR_B,
-) -> None:
+def _legend(svg, data, x):
+    """The topic title and the two pole swatches, from ``x`` rightward."""
+    svg.text(x, 20, f"topic: {data.topic_label}", size=14)
+    svg.rect(x, 30, 10, 10, COLOR_A)
+    svg.text(x + 14, 39, data.pole_label_a, size=11)
+    svg.rect(x + 130, 30, 10, 10, COLOR_B)
+    svg.text(x + 144, 39, data.pole_label_b, size=11)
+
+
+def render_cumulative(data: CumulativePlotData, path: str,
+                      width: int = 640) -> None:
     """Centered horizontal stacked bars, one per space: pole-A mass drawn
     rightward, pole-B mass leftward, black cumulate dot at beta_a - beta_b.
     The horizontal scale auto-fits the data and is printed on the axis."""
@@ -284,11 +288,7 @@ def render_cumulative(
     )
     scale = _Scale(vmin, vmax, margin_l, width - margin_r)
 
-    svg.text(margin_l, 20, f"topic: {data.topic_label}", size=14)
-    svg.rect(margin_l, 30, 10, 10, color_a)
-    svg.text(margin_l + 14, 39, data.pole_label_a, size=11)
-    svg.rect(margin_l + 130, 30, 10, 10, color_b)
-    svg.text(margin_l + 144, 39, data.pole_label_b, size=11)
+    _legend(svg, data, margin_l)
 
     x_zero = scale(0.0)
     for i, bar in enumerate(data.bars):
@@ -298,9 +298,9 @@ def render_cumulative(
         svg.text(margin_l - 8, y_bar + bar_h / 2 + 4, bar.label, anchor="end")
         # A mass rightward from zero, B mass on the negative side.
         xa = scale(bar.beta_a)
-        svg.rect(min(x_zero, xa), y_bar, abs(xa - x_zero), bar_h, color_a)
+        svg.rect(min(x_zero, xa), y_bar, abs(xa - x_zero), bar_h, COLOR_A)
         xb = scale(-bar.beta_b)
-        svg.rect(min(x_zero, xb), y_bar, abs(xb - x_zero), bar_h, color_b)
+        svg.rect(min(x_zero, xb), y_bar, abs(xb - x_zero), bar_h, COLOR_B)
         svg.circle(
             scale(bar.cumulate), y_bar + bar_h / 2.0, 5, COLOR_CUMULATE,
             cls="cumulate",
@@ -334,18 +334,13 @@ def _arrow(svg, scale, mean_a, mean_b, y, color):
     )
 
 
-def render_detail(
-    data: DetailPlotData,
-    path: str,
-    panel_width: int = 360,
-    color_a: str = COLOR_A,
-    color_b: str = COLOR_B,
-) -> None:
+def render_detail(data: DetailPlotData, path: str) -> None:
     """Two side-by-side canvasses (one per space); each topic word gets a
     pair of pole-colored boxplots with mean belts, min/max whiskers, and an
     arrow from mean_a to mean_b colored by the dominant pole."""
-    colors = {"A": color_a, "B": color_b}
+    colors = {"A": COLOR_A, "B": COLOR_B}
     margin_l, gap, margin_r, top, row_h, axis_h = 90, 40, 20, 64, 56, 30
+    panel_width = 360
     width = margin_l + 2 * panel_width + gap + margin_r
     height = top + row_h * len(data.words) + axis_h
     svg = _Svg(width, height)
@@ -355,11 +350,7 @@ def render_detail(
     ]
     vmin, vmax = _symmetric_domain(all_vals)
 
-    svg.text(margin_l, 20, f"topic: {data.topic_label}", size=14)
-    svg.rect(margin_l, 30, 10, 10, color_a)
-    svg.text(margin_l + 14, 39, data.pole_label_a, size=11)
-    svg.rect(margin_l + 130, 30, 10, 10, color_b)
-    svg.text(margin_l + 144, 39, data.pole_label_b, size=11)
+    _legend(svg, data, margin_l)
 
     by_key = {(d.word, d.space_label): d for d in data.distributions}
     for panel, space_label in enumerate(data.space_labels):
@@ -374,8 +365,8 @@ def render_detail(
                 svg.text(margin_l - 8, y + row_h / 2 + 4, word, anchor="end")
             y_a = y + row_h * 0.30
             y_b = y + row_h * 0.70
-            _boxplot(svg, scale, d.delta_a, y_a, 7.0, color_a)
-            _boxplot(svg, scale, d.delta_b, y_b, 7.0, color_b)
+            _boxplot(svg, scale, d.delta_a, y_a, 7.0, COLOR_A)
+            _boxplot(svg, scale, d.delta_b, y_b, 7.0, COLOR_B)
             _arrow(svg, scale, d.mean_a, d.mean_b, y + row_h * 0.5,
                    colors[d.dominant_pole])
         _axis(svg, scale, top + row_h * len(data.words) + 4)

@@ -10,6 +10,7 @@ import sweatkit.association as association
 
 from sweatkit import (
     DataError,
+    EmbeddingSpace,
     PermutationConfig,
     PoleWordsets,
     TopicWordset,
@@ -22,6 +23,7 @@ from sweatkit import (
     sweat_score,
     weat_score,
 )
+from sweatkit.embeddings import cosine, cosines
 
 from conftest import make_space, random_space
 
@@ -90,6 +92,13 @@ class TestSingleWordAssociation:
         assert single_word_association("w", space, poles) == -(
             single_word_association("w", space, swapped)
         )
+
+    def test_unequal_poles_each_mean_over_its_own_size(self):
+        space = make_space("s", {"w": (1.0, 0.0), "a": (1.0, 0.0),
+                                 "b1": (0.0, 1.0), "b2": (-1.0, 0.0)})
+        poles = PoleWordsets("A", "B", ["a"], ["b1", "b2"])
+        # 1 - (0 + -1) / 2
+        assert single_word_association("w", space, poles) == 1.5
 
     def test_missing_words_named(self):
         space = make_space("s", {"w": (1.0, 0.0), "a": (0.0, 1.0)})
@@ -268,6 +277,21 @@ class TestPermutationTest:
             0.178468, 250_000)
         assert permutation_test(v1, v2, cfg, "two_sided")[:2] == (
             0.358524, 250_000)
+
+    def test_montecarlo_pinned_at_a_zero_score(self):
+        # A score of exactly 0 counts, in the directional tail, the drawn
+        # partitions scoring >= 0, replayed here from the seeded stream.
+        # Dyadic values, so every score is exact.
+        v1, v2 = [0.5, 1.25, -2.0, 3.0], [3.0, -2.0, 1.25, 0.5]
+        pool = np.array(v1 + v2)
+        samples, seed = 3 * association._BLOCK + 5, 13
+        rng = np.random.default_rng(seed)
+        idx = np.argsort(rng.random((samples, 8)), axis=1)[:, :4]
+        scores = 2.0 * pool[idx].sum(axis=1) - pool.sum()
+        expected = np.count_nonzero(scores >= 0) / samples
+        cfg = PermutationConfig(mode="montecarlo", samples=samples, seed=seed)
+        assert permutation_test(v1, v2, cfg) == (
+            expected, samples, "montecarlo", "directional")
 
     def test_montecarlo_deterministic(self):
         rng = np.random.default_rng(9)
@@ -464,3 +488,62 @@ class TestTopicLabel:
     def test_label_must_be_nonempty_string(self, label):
         with pytest.raises(DataError, match="^label: must be a nonempty string"):
             TopicWordset(label, ["w"])
+
+
+def bits(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+class TestOrderIndependence:
+    """Each s(w) depends only on the word, the poles and the space: a pair's
+    cosine has the same bits in any block, at any position, and the pole
+    means are fsums. Fixtures have the shape of a lexicon run: a 10-word
+    topic against 700-word poles in 100 dimensions, space 2 being space 1
+    plus noise."""
+
+    @staticmethod
+    def fixture(seed):
+        rng = np.random.default_rng(seed)
+        words = [f"w{i}" for i in range(1420)]
+        matrix = rng.normal(size=(len(words), 100))
+        space1 = EmbeddingSpace.from_rows("s1", words, matrix)
+        space2 = EmbeddingSpace.from_rows(
+            "s2", words, matrix + rng.normal(scale=0.5, size=matrix.shape))
+        topic = TopicWordset("t", words[:10])
+        poles = PoleWordsets("A", "B", words[10:710], words[710:1410])
+        return rng, space1, space2, topic, poles
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_shuffles_and_added_words_keep_every_bit(self, seed):
+        rng, space1, space2, topic, poles = self.fixture(seed)
+        cfg = PermutationConfig(mode="exact")
+        base = run_sweat(topic, space1, space2, poles, cfg)
+        s_of = {w: (s1, s2) for w, s1, s2 in base.per_word}
+
+        def summary(res):
+            """Each word's s(w) in both spaces, then the statistics."""
+            return bits([*(v for _, *pair in res.per_word for v in pair),
+                         res.score, res.effect_size, res.p_value])
+
+        shuffled_poles = PoleWordsets(
+            "A", "B", rng.permutation(poles.words_a).tolist(),
+            rng.permutation(poles.words_b).tolist())
+        res = run_sweat(topic, space1, space2, shuffled_poles, cfg)
+        assert summary(res) == summary(base)
+
+        shuffled = TopicWordset("t", rng.permutation(topic.words).tolist())
+        res = run_sweat(shuffled, space1, space2, poles, cfg)
+        assert bits([v for _, *pair in res.per_word for v in pair]) == bits(
+            [v for w, *_ in res.per_word for v in s_of[w]])
+        assert bits([res.score]) == bits([base.score])
+
+        grown = [*topic.words, "w1410", "w1411", "w1412"]
+        for k, space in enumerate((space1, space2)):
+            values = association.associations(grown, space, poles).values
+            assert bits(values[:10]) == bits([s_of[w][k] for w in topic.words])
+
+        block = cosines(space1, topic.words, poles.words_a)
+        for i, j in zip(rng.integers(10, size=200), rng.integers(700, size=200)):
+            pair = cosine(space1.vector(topic.words[i]),
+                          space1.vector(poles.words_a[j]))
+            assert bits([pair]) == bits([block[i, j]])

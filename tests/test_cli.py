@@ -622,6 +622,60 @@ class TestConcurrentLoad:
         assert len(forks) == 1
 
 
+@pytest.mark.parametrize("command", ["refine", "candidates", "sweat"])
+def test_frequency_table_of_huge_numbers(tmp_path, capsys, command):
+    # A #total whose shares underflow still scores; a count past int()'s
+    # digit limit is one data error line.
+    fx = write_fixture(tmp_path)
+    text = fx["freq1"].read_text(encoding="utf-8")
+    fx["freq1"].write_text(text.replace("#total\t1000000\n",
+                                        f"#total\t{10**400}\n"),
+                           encoding="utf-8")
+    argv = pair_argv(command, tmp_path, fx, fx["space1"], fx["space2"])
+    assert main(argv) == 0
+    capsys.readouterr()
+    fx["freq1"].write_text(text + "huge\t" + "9" * 5000 + "\n",
+                           encoding="utf-8")
+    assert main(argv) == 2
+    line = len(text.splitlines()) + 1
+    assert one_line_error(capsys, "data error:") == (
+        f"data error: {fx['freq1']}:{line}: count of 5000 digits is too long "
+        "to read\n")
+
+
+class TestSweatWiring:
+    """``sweat`` maps space 2 onto space 1, and refines with each table as
+    its own space's."""
+
+    @staticmethod
+    def report(tmp_path):
+        fx = write_fixture(tmp_path)
+        space1 = load_word2vec_text(str(fx["space1"]))
+        q, r = np.linalg.qr(np.random.default_rng(0).normal(size=(10, 10)))
+        rotated = embeddings.EmbeddingSpace.from_rows(
+            "S2", space1.words, space1.matrix @ (q * np.sign(np.diag(r))))
+        save_word2vec_text(rotated, str(fx["space2"]))
+        # Zipf 3 in table 1 only.
+        text = fx["freq1"].read_text(encoding="utf-8")
+        fx["freq1"].write_text(text.replace("good0\t1000\n", "good0\t1\n"),
+                               encoding="utf-8")
+        path, raw = base_config(tmp_path, fx)
+        raw["alignment"] = {"mode": "procrustes", "anchors": "auto"}
+        raw["refinement"] = {"enabled": True, "zipf_threshold": 5.0}
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["sweat", "--config", str(path)]) == 0
+        return json.loads((tmp_path / "report.json").read_text())
+
+    def test_space2_is_aligned_onto_space1(self, tmp_path, capsys):
+        alignment = self.report(tmp_path)["alignment"]
+        assert (alignment["source_label"], alignment["target_label"]) == (
+            "S2", "S1")
+
+    def test_table1_scores_space1(self, tmp_path, capsys):
+        refinement = self.report(tmp_path)["refinement"]
+        assert refinement["rejected"] == [["good0", "low_zipf_1"]]
+
+
 class TestByteOrderMarkInWordLists:
     """One UTF-8 byte order mark at the start of a word list is skipped."""
 

@@ -440,6 +440,18 @@ class TestCosine:
             with pytest.raises(DataError, match=message):
                 cosine(*args)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("u", [
+        [np.inf, 0.0], [np.nan, 1.0],
+        # Finite, but the sum of squares overflows.
+        [1e200, 1e200],
+    ], ids=["inf", "nan", "overflow"])
+    def test_non_finite_norm(self, u):
+        for args in ((u, [1.0, 0.0]), ([1.0, 0.0], u), (u, u)):
+            with pytest.raises(DataError,
+                               match="cosine produced a non-finite value"):
+                cosine(*args)
+
     @given(
         st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=2, max_size=8),
         st.data(),
@@ -1126,7 +1138,8 @@ class TestStoredNorms:
         monkeypatch.setattr(embeddings, "_unit_rows", spy)
         block = embeddings.cosines(space, ["w3", "w400"], ["w7", "w3", "w9"])
         assert sizes == [2, 3]
-        expected = np.clip(unit[[3, 400]] @ unit[[7, 3, 9]].T, -1.0, 1.0)
+        expected = np.clip(np.einsum("id,jd->ij", unit[[3, 400]],
+                                     unit[[7, 3, 9]]), -1.0, 1.0)
         expected[0, 1] = 1.0
         assert block.tobytes() == expected.tobytes()
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 from unittest import mock
 
 import numpy as np
@@ -33,6 +34,21 @@ class TestZipf:
         assert zipf_score("w", table({"w": 100}, 10**6)) == pytest.approx(5.0)
         assert zipf_score("w", table({"w": 1}, 10**9)) == pytest.approx(0.0)
         assert zipf_score("w", table({"w": 10**6}, 10**6)) == pytest.approx(9.0)
+
+    def test_huge_total(self):
+        # count / total underflows to 0 or to a subnormal: the score comes
+        # from the logs of the integers.
+        t = table({"w": 1, "v": 7 * 10**300, "u": 3}, 10**400)
+        assert t.zipf("w") == pytest.approx(-391.0, abs=1e-12)
+        assert t.zipf("v") == pytest.approx(math.log10(7) - 91, abs=1e-12)
+        u = table({"u": 3}, 10**310).zipf("u")
+        assert u == pytest.approx(math.log10(3) - 301, abs=1e-12)
+
+    @given(st.integers(1, 10**30), st.integers(0, 10**30))
+    def test_normal_share_keeps_its_bits(self, count, extra):
+        total = count + extra
+        assert table({"w": count}, total).zipf("w") == math.log10(
+            count / total * 1e9)
 
     def test_absent_word_is_error(self):
         with pytest.raises(VocabularyError):
@@ -266,6 +282,24 @@ class TestFiles:
         p = tmp_path / "freq.tsv"
         p.write_text("foo\t10\n", encoding="utf-8")
         with pytest.raises(FormatError, match="#total"):
+            load_frequency_table(str(p))
+
+    @pytest.mark.parametrize("line", [
+        "#total\t" + "9" * 4301,
+        "foo\t" + "1" * 5000,
+    ], ids=["total", "count"])
+    def test_count_past_the_int_digit_limit(self, tmp_path, line):
+        p = tmp_path / "freq.tsv"
+        p.write_text(f"foo\t1\n{line}\n", encoding="utf-8")
+        digits = len(line.split("\t")[1])
+        with pytest.raises(FormatError, match=(
+                f"freq.tsv:2: count of {digits} digits is too long to read$")):
+            load_frequency_table(str(p))
+
+    def test_non_integer_count(self, tmp_path):
+        p = tmp_path / "freq.tsv"
+        p.write_text("#total\t1000\nfoo\t1.5\n", encoding="utf-8")
+        with pytest.raises(FormatError, match="freq.tsv:2: non-integer count$"):
             load_frequency_table(str(p))
 
     def test_lexicon_file(self, tmp_path):
