@@ -682,7 +682,16 @@ def save_word2vec_text(space: EmbeddingSpace, path: str) -> None:
     A regular file at ``path``, or none, is replaced only once the whole
     text is written (see ``_replacing``), so a write that fails leaves the
     old file or none, never part of the new one.
+
+    A word holding a space, ``\n`` or ``\r`` would not read back as one
+    word: such words are a ``DataError`` before anything is written.
     """
+    broken = sorted(w for w in space.words
+                    if " " in w or "\n" in w or "\r" in w)
+    if broken:
+        raise DataError("words holding a space or a line break cannot be "
+                        "written as word2vec text: "
+                        + ", ".join(map(repr, broken)))
     step = max(1, _BLOCK_FLOATS // space.dimension)
     blocks = [(lo, min(lo + step, len(space)))
               for lo in range(0, len(space), step)]
@@ -696,7 +705,7 @@ def save_word2vec_text(space: EmbeddingSpace, path: str) -> None:
             if i % workers < len(children):
                 fh.write(_frame(children[i % workers][1], path, "formatting"))
             else:
-                fh.write(_format_block(space, lo, hi).encode("utf-8"))
+                fh.write(_format_block(space, lo, hi))
 
 
 @contextmanager
@@ -757,15 +766,197 @@ def _create_beside(real: str):
 
 def _send_blocks(out, space: EmbeddingSpace, blocks) -> None:
     for lo, hi in blocks:
-        _send(out, _format_block(space, lo, hi).encode("utf-8"))
+        _send(out, _format_block(space, lo, hi))
 
 
-def _format_block(space: EmbeddingSpace, lo: int, hi: int) -> str:
-    """Rows ``lo`` to ``hi - 1`` of ``space`` as word2vec text lines."""
-    return "".join(
-        word + " " + " ".join(repr(c) for c in row) + "\n"
-        for word, row in zip(space.words[lo:hi], space.matrix[lo:hi].tolist())
-    )
+# Values per pass of ``_format_rows``. Its temporaries, a few dozen arrays of
+# 8 bytes a value, then come from memory the allocator reuses; passes over a
+# whole 100,000-value block mapped each one afresh and took its page faults,
+# which made the write about 1.4 times slower.
+_PASS_VALUES = 1 << 14
+
+
+def _format_block(space: EmbeddingSpace, lo: int, hi: int) -> bytes:
+    """Rows ``lo`` to ``hi - 1`` of ``space`` as word2vec text lines in
+    UTF-8, each component written as ``repr`` writes it."""
+    step = max(1, _PASS_VALUES // space.dimension)
+    return b"".join(
+        _format_rows(space.words[a:min(a + step, hi)],
+                     space.matrix[a:min(a + step, hi)])
+        for a in range(lo, hi, step))
+
+
+def _shortest_tables():
+    """Per biased exponent: whether ``_shortest`` takes it, and its q,
+    5**i and decimal exponent e10 (the names of Ryū's e2 < 0 path)."""
+    biased = np.arange(2048)
+    e2 = biased - 1077  # the exponent of 4 * m2, as Ryū's mv
+    q = ((np.maximum(-e2, 0) * 732923) >> 20) - (-e2 > 1)  # log10(5**-e2)
+    # 5**i fits 63 bits up to i = 27, which holds down to e2 = -86, and
+    # q >= 2 holds up to e2 = -5. Zero, subnormals and the smallest normals
+    # (biased 1, whose lower gap Ryū takes as a subnormal's) are left out.
+    taken = (biased > 1) & (e2 >= -86) & (q > 1)
+    q = np.where(taken, q, 2)
+    pow5 = np.array([5 ** i for i in range(28)], dtype=np.uint64)
+    return (taken, q.astype(np.uint64), pow5[np.where(taken, -e2 - q, 0)],
+            q + e2)
+
+
+_TAKEN, _Q, _POW5, _E10 = _shortest_tables()
+_POW10 = np.array([10 ** k for k in range(19)], dtype=np.int64)
+# The two ASCII digits of 0 to 99, as one little-endian 16-bit word each.
+_PAIRS = np.array([ord(str(k // 10)) | ord(str(k % 10)) << 8
+                   for k in range(100)], dtype=np.uint16)
+# Bytes a value takes in ``_format_rows``'s grid: the longest repr of a
+# float, 24 bytes ("-2.2250738585072014e-308"), its separator, and one more
+# to keep each row's digit pairs aligned.
+_CELL = 26
+# For each column k of a cell, the columns left of it and the others.
+_LEFT_OF = np.arange(_CELL) < np.arange(_CELL)[:, None]
+_FROM = ~_LEFT_OF
+
+
+def _shortest(values: np.ndarray):
+    """``(digits, count, point, taken)`` for the float64 array ``values``.
+
+    Where ``taken`` holds, the integer ``digits`` has ``count`` digits and
+    is the shortest decimal that reads back as the value's magnitude, the
+    closest to it if several are that short: the digits ``repr`` writes.
+    The value's magnitude is ``0.<digits> * 10**point``, with the point
+    inside repr's fixed notation (-4 < point <= 16). Elsewhere the figures
+    mean nothing, and the caller writes the value with ``repr``.
+
+    This is the e2 < 0 path of Ryū (Adams, "Ryū: Fast Float-to-String
+    Conversion", PLDI 2018) on whole arrays. A value is mv * 2**e2, with mv
+    four times its 53-bit mantissa; vr = mv * 5**i >> q are its decimal
+    digits at 10**e10, and vp and vm those of the midpoints to its
+    neighbours. Inside fixed notation i <= 27, so 5**i fits 63 bits and one
+    exact 55 x 63-bit product from 32-bit halves replaces Ryū's 125-bit
+    table. Digits are then removed while vp and vm still differ, and the
+    last one removed rounds the rest. ``repr`` is left every value that
+    would need Ryū's other paths: an exponent outside ``_TAKEN``, an mv
+    with q trailing zero bits (vr exact, so ties and exact bounds count),
+    a point outside fixed notation, and digits ending in 0.
+    """
+    bits = values.view(np.uint64)
+    biased = (bits >> np.uint64(52)).astype(np.intp) & 0x7FF
+    mantissa = bits & np.uint64((1 << 52) - 1)
+    mv = (mantissa | np.uint64(1 << 52)) << np.uint64(2)
+    q, pow5 = _Q[biased], _POW5[biased]
+    below_q = (np.uint64(1) << q) - np.uint64(1)
+    taken = _TAKEN[biased] & ((mv & below_q) != 0)
+    # mv * 5**i as hi * 2**64 + lo. Every sum here stays below 2**64 but
+    # lo's, whose carry is added to hi; uint64 arrays wrap without warning.
+    half = np.uint64(32)
+    a0, a1 = mv & np.uint64(0xFFFFFFFF), mv >> half
+    b0, b1 = pow5 & np.uint64(0xFFFFFFFF), pow5 >> half
+    low = a0 * b0
+    middle = a0 * b1 + a1 * b0
+    lo = low + (middle << half)
+    hi = a1 * b1 + (middle >> half) + (lo < low)
+    # vr, and vp and vm from the q bits shifted out: the upper midpoint is
+    # mv + 2, the lower mv - 2 for a nonzero mantissa and mv - 1 for 2**k.
+    rest = lo & below_q
+    vr = (lo >> q) | (hi << (np.uint64(64) - q))
+    vp = vr + ((rest + (pow5 << np.uint64(1))) >> q)
+    vm = vr - (((pow5 << (mantissa != 0).astype(np.uint64)) + below_q - rest)
+               >> q)
+    # All three are below 2**62, and int64 divides faster than uint64.
+    vr, vp, vm = vr.view(np.int64), vp.view(np.int64), vm.view(np.int64)
+    # Most values lose two digits: one whole-array step removes them, and
+    # the steps after it take only the values still shortening.
+    vp_100, vm_100 = vp // 100, vm // 100
+    two = vp_100 > vm_100
+    vr_100 = vr // 100
+    up = two & (vr - vr_100 * 100 >= 50)
+    vr = np.where(two, vr_100, vr)
+    vp = np.where(two, vp_100, vp)
+    vm = np.where(two, vm_100, vm)
+    removed = two * 2
+    at = np.flatnonzero(taken)
+    while at.size:
+        vp_10, vm_10 = vp[at] // 10, vm[at] // 10
+        more = vp_10 > vm_10
+        at, vp_10, vm_10 = at[more], vp_10[more], vm_10[more]
+        vr_10 = vr[at] // 10
+        up[at] = vr[at] - vr_10 * 10 >= 5
+        vr[at], vp[at], vm[at] = vr_10, vp_10, vm_10
+        removed[at] += 1
+    # vm itself lies outside the interval, so a vr equal to it rounds up.
+    digits = vr + ((vr == vm) | up)
+    count = np.searchsorted(_POW10, digits, side="right")
+    point = count + _E10[biased] + removed
+    taken &= (point > -4) & (point <= 16) & (digits % 10 != 0)
+    return digits, count, point, taken
+
+
+def _format_rows(words, rows: np.ndarray) -> bytes:
+    """``words`` and the float64 ``rows`` as word2vec text lines in UTF-8,
+    each component as ``repr`` writes it.
+
+    Each value gets a cell of ``_CELL`` bytes, its text right-aligned after
+    a space. The digits go in two at a time; the whole part is moved one
+    column left to make room for the point; values ``_shortest`` leaves
+    are written by ``repr``. The cells' texts are then packed, and each
+    row's word and newline inserted.
+    """
+    values = rows.reshape(-1)
+    digits, count, point, taken = _shortest(values)
+    # Cells of values left to repr get a layout in range, written over below.
+    point = np.where(taken, point, 0)
+    count = np.where(taken, count, 1)
+    # A whole number is written with ".0": add zeros to its digits, one of
+    # them past the point, so that the point falls inside them.
+    whole = point >= count
+    digits = np.where(whole, digits * _POW10[np.where(whole, point - count + 1,
+                                                       0)], digits)
+    count = np.where(whole, point + 1, count)
+    # The digits, right-aligned after leading zeros: a point at or below 0
+    # finds its "0." and the zeros after it already in place.
+    cells = np.empty((len(values), _CELL // 2), dtype=np.uint16)
+    cells[:, :4] = _PAIRS[0]
+    # The low 8 digits fill the last 4 words of a cell, the high 10 (the
+    # first always 0, as digits < 10**17) the 5 before them.
+    upper = (digits // 10 ** 8).astype(np.uint32)
+    lower = (digits - upper.astype(np.int64) * 10 ** 8).astype(np.uint32)
+    for part, columns in ((lower, range(12, 8, -1)), (upper, range(8, 3, -1))):
+        for column in columns:
+            rest = part // 100
+            cells[:, column] = _PAIRS[part - rest * 100]
+            part = rest
+    flat = cells.view(np.uint8).reshape(-1)
+    # The fraction's digits end the cell; the point's column goes to the
+    # whole part's last digit, and every column left of it takes the one
+    # to its right.
+    dot = (_CELL - 1) - (count - point)
+    step = flat[1:] - flat[:-1]
+    step *= _LEFT_OF[dot].reshape(-1)[:-1]
+    flat[:-1] += step
+    base = np.arange(0, len(flat), _CELL)
+    flat[base + dot] = ord(".")
+    start = dot - np.maximum(point, 1) - 1  # the separator's column
+    negative = np.flatnonzero(values.view(np.int64) < 0)
+    flat[base[negative] + start[negative]] = ord("-")
+    start[negative] -= 1
+    left = np.flatnonzero(~taken)
+    if left.size:
+        texts = [repr(v) for v in values[left].tolist()]
+        flat.reshape(-1, _CELL)[left] = np.frombuffer(
+            "".join(t.rjust(_CELL) for t in texts).encode("ascii"),
+            dtype=np.uint8).reshape(-1, _CELL)
+        start[left] = [_CELL - 1 - len(t) for t in texts]
+    flat[base + start] = ord(" ")
+    packed = flat[_FROM[start].reshape(-1)]
+    # Before each row's first cell, whose space ends the word, go the
+    # newline that ends the row before and the word; the last newline ends
+    # the text.
+    ends = np.cumsum((_CELL - start).reshape(len(rows), -1).sum(axis=1))
+    names = [word.encode("utf-8") for word in words]
+    sizes = np.array([len(name) for name in names] + [0])
+    sizes[1:] += 1
+    return np.insert(packed, np.repeat(np.concatenate(([0], ends)), sizes),
+                     np.frombuffer(b"\n".join(names) + b"\n", dtype=np.uint8)
+                     ).tobytes()
 
 
 def _may_fork() -> bool:

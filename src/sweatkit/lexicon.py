@@ -174,14 +174,19 @@ def load_frequency_table(path: str) -> FrequencyTable:
             if len(parts) != 2:
                 raise FormatError(f"{path}:{lineno}: expected 'word<TAB>count'")
             key, value = parts
+            # ASCII digits, with an optional "-" and surrounding spaces:
+            # int() would also take "+", "_" between digits and the digits
+            # of other scripts.
+            digits = value
+            if not (digits.isdigit() and digits.isascii()):
+                digits = value.strip().removeprefix("-")
+                if not (digits.isdigit() and digits.isascii()):
+                    raise FormatError(f"{path}:{lineno}: non-integer count")
             try:
                 value = int(value)
-            except ValueError:
-                # int() rejects a run of decimal digits only for its length.
-                digits = value.strip().lstrip("+-")
-                what = (f"count of {len(digits)} digits is too long to read"
-                        if digits.isdecimal() else "non-integer count")
-                raise FormatError(f"{path}:{lineno}: {what}") from None
+            except ValueError:  # past int()'s limit on digits
+                raise FormatError(f"{path}:{lineno}: count of {len(digits)} "
+                                  "digits is too long to read") from None
             if key == "#total":
                 if total is not None:
                     raise FormatError(f"{path}:{lineno}: duplicate #total header")

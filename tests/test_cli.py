@@ -643,6 +643,18 @@ def test_frequency_table_of_huge_numbers(tmp_path, capsys, command):
         "to read\n")
 
 
+def test_frequency_count_of_other_digits(tmp_path, capsys):
+    # int() reads "1_000" as 1000; the table takes ASCII digits only.
+    fx = write_fixture(tmp_path)
+    text = fx["freq1"].read_text(encoding="utf-8")
+    fx["freq1"].write_text(text + "other\t1_000\n", encoding="utf-8")
+    argv = pair_argv("refine", tmp_path, fx, fx["space1"], fx["space2"])
+    assert main(argv) == 2
+    line = len(text.splitlines()) + 1
+    assert one_line_error(capsys, "data error:") == (
+        f"data error: {fx['freq1']}:{line}: non-integer count\n")
+
+
 class TestSweatWiring:
     """``sweat`` maps space 2 onto space 1, and refines with each table as
     its own space's."""

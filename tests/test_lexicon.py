@@ -302,6 +302,29 @@ class TestFiles:
         with pytest.raises(FormatError, match="freq.tsv:2: non-integer count$"):
             load_frequency_table(str(p))
 
+    @pytest.mark.parametrize("text", [
+        "#total\t1_000_000\nfoo\t1\n",
+        "#total\t1000\nfoo\t 1_0 \n",
+        "#total\t1000\nbar\t+5\n",
+        "#total\t1000\nbaz\t\u0665\n",
+    ], ids=["underscore_total", "underscore_count", "plus", "arabic_indic"])
+    def test_count_of_ascii_digits_only(self, tmp_path, text):
+        # int() reads each of these counts, as 1,000,000, 10, 5 and 5.
+        p = tmp_path / "freq.tsv"
+        p.write_text(text, encoding="utf-8")
+        line = 1 if "_000" in text else 2
+        with pytest.raises(FormatError,
+                           match=f"freq.tsv:{line}: non-integer count$"):
+            load_frequency_table(str(p))
+
+    def test_count_keeps_surrounding_spaces_and_minus(self, tmp_path):
+        p = tmp_path / "freq.tsv"
+        p.write_text("#total\t 1000 \nfoo\t 10 \n", encoding="utf-8")
+        assert load_frequency_table(str(p)).counts == {"foo": 10}
+        p.write_text("#total\t1000\nfoo\t -10 \n", encoding="utf-8")
+        with pytest.raises(FormatError, match="count for 'foo' must be >= 1"):
+            load_frequency_table(str(p))
+
     def test_lexicon_file(self, tmp_path):
         p = tmp_path / "lex.json"
         p.write_text(

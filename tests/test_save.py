@@ -3,6 +3,7 @@ in-process write, ends with an error rather than a hang when a worker dies,
 and leaves no worker process behind."""
 
 import errno
+import math
 import os
 import signal
 import stat
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 import sweatkit.embeddings as embeddings
-from sweatkit import EmbeddingSpace, save_word2vec_text
+from sweatkit import DataError, EmbeddingSpace, save_word2vec_text
 from sweatkit.cli import main
 
 from conftest import assert_no_children, assert_reaped, use_cpus
@@ -486,3 +487,130 @@ print(main(["align", "--source", sys.argv[1], "--target", sys.argv[1],
                        "without a result\n")
         assert out.read_bytes() == earlier
         assert os.listdir(out.parent) == ["aligned.txt"]
+
+
+def repr_lines(words, rows):
+    """Rows as the per-value ``repr`` write produces them."""
+    return "".join(word + " " + " ".join(repr(c) for c in row) + "\n"
+                   for word, row in zip(words, rows.tolist())).encode("utf-8")
+
+
+def seventeen_digits(rng, n):
+    """``n`` floats whose repr has 17 significant digits."""
+    found = []
+    while len(found) < n:
+        for x in (rng.random(1000) * 10.0 ** rng.integers(-4, 16)).tolist():
+            text = repr(x)
+            if "e" not in text and len(text.replace(".", "").lstrip("0")) == 17:
+                found.append(x)
+    return found[:n]
+
+
+# Zero, subnormal, largest and smallest normal; both sides of repr's switch
+# to exponents; powers of two, whose lower neighbour is nearer than the
+# upper; short binary fractions; 17-digit values; and values whose digit
+# removal ends with the lower bound's digits.
+EDGES = [
+    -0.0, 5e-324, 1.7976931348623157e308, 2.2250738585072014e-308,
+    1e-4, float(np.nextafter(1e-4, 0.0)), 9.999999999999999e15, 1e16,
+    2.0 ** 50, 2.0 ** 53, *(2.0 ** k for k in range(-40, 61)),
+    0.1, 1.0, 100.0, 123456.0, 0.5, 0.375, 1.5, 0.30000000000000004,
+    *seventeen_digits(np.random.default_rng(0), 20),
+    float.fromhex("0x1.5a20000000000p-12"),
+    float.fromhex("0x1.5f7e804000000p+5"),
+]
+
+
+def value_class(kind, rng, n):
+    """``n`` values of one kind, for comparison with ``repr``."""
+    if kind in ("rotated", "unrotated"):
+        rows = np.round(rng.normal(size=(n // 100, 100)), 5)
+        if kind == "rotated":
+            rows = rows @ np.linalg.qr(rng.normal(size=(100, 100)))[0]
+        return rows.reshape(-1)
+    if kind == "bit_patterns":
+        values = rng.integers(0, 2 ** 64, size=n, dtype=np.uint64).view(
+            np.float64)
+        return values[np.isfinite(values)]
+    if kind == "log_uniform":
+        return np.exp(rng.uniform(math.log(1e-6), math.log(1e18), size=n))
+    if kind == "short_decimals":
+        return rng.integers(-10 ** 6, 10 ** 6, size=n) / 10.0 ** rng.integers(
+            0, 7, size=n)
+    assert kind == "four_decimal_neighbours"
+    toward = np.where(rng.random(n) < 0.5, -np.inf, np.inf)
+    return np.nextafter(rng.integers(-10 ** 5, 10 ** 5, size=n) / 1e4, toward)
+
+
+KINDS = ["rotated", "unrotated", "bit_patterns", "log_uniform",
+         "short_decimals", "four_decimal_neighbours"]
+
+
+class TestShortestText:
+    """Every float is written byte for byte as ``repr`` writes it, whether
+    the vectorized kernel or ``repr`` itself formats it."""
+
+    @staticmethod
+    def assert_as_repr(values, dim=1):
+        values = np.concatenate([values, -values])
+        rows = values.reshape(-1, dim)
+        words = [f"w{i}" for i in range(len(rows))]
+        assert embeddings._format_rows(words, rows) == repr_lines(words, rows)
+
+    def test_edges(self):
+        self.assert_as_repr(np.array(EDGES))
+        self.assert_as_repr(np.array(EDGES), dim=len(EDGES))
+
+    def test_taken_and_left_to_repr(self):
+        _, _, _, taken = embeddings._shortest(np.array(
+            [0.12345, -42.17, 1e-4, 9.999e-5, 2.0 ** -3, 1e16, 5e-324]))
+        assert taken.tolist() == [True, True, True, False, False, False,
+                                  False]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_repr(self, kind):
+        for seed in range(3):
+            values = value_class(kind, np.random.default_rng(seed), 10_000)
+            self.assert_as_repr(values, dim=1 if len(values) % 100 else 100)
+
+    @pytest.mark.slow
+    def test_bit_patterns_sweep(self):
+        # 10**6 values with their negatives.
+        values = value_class("bit_patterns", np.random.default_rng(7),
+                             500_000)
+        for lo in range(0, len(values), 50_000):
+            self.assert_as_repr(values[lo:lo + 50_000])
+
+    @pytest.mark.parametrize("pass_values", [1, 7, 40])
+    def test_block_of_several_passes(self, tmp_path, monkeypatch,
+                                     pass_values):
+        monkeypatch.setattr(embeddings, "_BLOCK_FLOATS", 60)
+        monkeypatch.setattr(embeddings, "_PASS_VALUES", pass_values)
+        use_cpus(monkeypatch, 1)
+        space = awkward_space(n=37, dim=5)
+        save_word2vec_text(space, str(tmp_path / "out.txt"))
+        assert (tmp_path / "out.txt").read_bytes() == reference_text(space)
+
+
+class TestUnwritableWords:
+    """A word the text format cannot hold is refused before anything is
+    written, as the reload would fail or read other words."""
+
+    @pytest.mark.parametrize("c", [" ", "\n", "\r"],
+                             ids=["space", "newline", "return"])
+    def test_refused_before_writing(self, tmp_path, c):
+        space = EmbeddingSpace.from_rows(
+            "s", ["ok", f"new{c}york", f"{c}a"], np.eye(3))
+        out = tmp_path / "out.txt"
+        out.write_bytes(b"old")
+        with pytest.raises(DataError) as exc:
+            save_word2vec_text(space, str(out))
+        assert str(exc.value) == (
+            "words holding a space or a line break cannot be written as "
+            f"word2vec text: {sorted([f'new{c}york', f'{c}a'])[0]!r}, "
+            f"{sorted([f'new{c}york', f'{c}a'])[1]!r}")
+        assert out.read_bytes() == b"old"
+        assert sorted(os.listdir(tmp_path)) == ["out.txt"]
+        with pytest.raises(DataError):
+            save_word2vec_text(space, str(tmp_path / "new.txt"))
+        assert sorted(os.listdir(tmp_path)) == ["out.txt"]
