@@ -14,8 +14,6 @@ import sys
 import time
 from dataclasses import asdict, dataclass, field
 
-import numpy as np
-
 from . import __version__
 from .alignment import default_anchors, procrustes_align
 from .association import (
@@ -543,8 +541,7 @@ def cmd_inspect(args) -> int:
         table = load_frequency_table(args.freq)
         print(f"# frequency_table words={len(table.counts)} "
               f"total_tokens={table.total_tokens}")
-    norms = np.linalg.norm(space.matrix, axis=1)
-    for word, norm in zip(space.words, norms):
+    for word, norm in zip(space.words, space._norms):
         print(f"{word}\t{norm:.6f}")
     return 0
 

@@ -9,7 +9,7 @@ import stat
 import sys
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
-from itertools import chain, count
+from itertools import count
 
 import numpy as np
 
@@ -317,11 +317,14 @@ def load_word2vec_text(path: str, label: str | None = None) -> EmbeddingSpace:
     aborts the load with its line number.
 
     The input is read once, files and pipes alike, a chunk of lines at a
-    time. Each chunk is parsed in bulk, fixed-point text by an exact decimal
-    kernel, and the matrix grows with the rows read. From the first chunk
-    the bulk parse does not accept, the row-by-row validator reads on; it
-    alone raises the ``FormatError`` of a row. One UTF-8 byte order mark
-    before the header is skipped.
+    time, and the matrix grows with the rows read. Each chunk is parsed in
+    bulk, fixed-point text by an exact decimal kernel. A chunk the bulk
+    parse does not accept (a blank line, say) is read by the row-by-row
+    validator alone, which raises the ``FormatError`` of a row; the next
+    chunk goes to the bulk parse again. Components and header fields are
+    ASCII: ``_`` and the digits of other scripts, which ``float()`` and
+    ``int()`` read, are errors. One UTF-8 byte order mark before the header
+    is skipped.
     """
     # Both parsers checked the shape, the words and every value.
     words, rows = _read_word2vec_text(path)
@@ -346,15 +349,13 @@ def _read_word2vec_text(path: str) -> tuple[dict, np.ndarray]:
         fixed = True  # until a chunk is not fixed-point text
         while lines := fh.readlines(_CHUNK_CHARS):
             block, fixed = _parse_bulk(lines, dim, words, vocab_size, fixed)
-            if block is None:
-                break
+            if block is None:  # the validator reads it, or names its defect
+                block = _parse_rows(lines, path, vocab_size, dim, words, lineno)
             _append(rows, block)
             lineno += len(lines)
-        # Lines are left only after a rejected chunk; from it on, or when
-        # rows are missing, the validator reads on and names the defect.
-        if lines or len(words) != vocab_size:
-            _append(rows, _parse_rows(chain(lines, fh), path, vocab_size, dim,
-                                      words, lineno))
+    if len(words) != vocab_size:
+        raise FormatError(f"{path}: row count mismatch: header declares "
+                          f"{vocab_size}, found {len(words)}")
     return words, rows
 
 
@@ -503,7 +504,11 @@ def _read_header(fh, path: str) -> tuple[int, int]:
     parts = fh.readline().removeprefix("\ufeff").split()
     if len(parts) != 2:
         raise FormatError(f"{path}:1: header must be '<vocab_size> <dimension>'")
+    # int() would also take "+", "_" between digits and the digits of other
+    # scripts; a "-" is read, so that a negative field is out of range.
     try:
+        if not all(p.removeprefix("-").isdigit() and p.isascii() for p in parts):
+            raise ValueError(parts)
         vocab_size, dim = int(parts[0]), int(parts[1])
     except ValueError:
         raise FormatError(f"{path}:1: non-integer header fields") from None
@@ -525,8 +530,9 @@ def _parse_bulk(lines: list[str], dim: int, words: dict, vocab_size: int,
 
     Accepts only what ``_parse_rows`` accepts, with bit-identical values:
     numpy's loadtxt converts through the same ``PyOS_string_to_double`` as
-    ``float()``, strips the same whitespace except ``_SEPARATORS``, and
-    rejects what only ``float()`` reads (underscores, non-ASCII digits).
+    ``float()``, strips the same ASCII whitespace except ``_SEPARATORS``,
+    and rejects underscores. Non-ASCII text, numbers or spaces, which the
+    validator rejects, is left to it.
     """
     if len(words) + len(lines) > vocab_size:
         return None, fixed
@@ -546,7 +552,7 @@ def _parse_bulk(lines: list[str], dim: int, words: dict, vocab_size: int,
     block = _parse_fixed(text, len(bodies), dim) if fixed else None
     if block is None:
         fixed = False
-        if any(c in text for c in _SEPARATORS):
+        if not text.isascii() or any(c in text for c in _SEPARATORS):
             return None, fixed
         try:
             block = np.loadtxt(bodies, dtype=np.float64, delimiter=" ",
@@ -624,10 +630,10 @@ def _append(rows: np.ndarray, block) -> None:
 
 def _parse_rows(lines, path: str, vocab_size: int, dim: int, words: dict,
                 start: int) -> np.ndarray:
-    """Row-by-row validator for ``lines``, numbered from ``start`` and read
-    after the rows of ``words``: the first malformed row raises a
-    ``FormatError`` naming its line. Returns the rows read as a matrix and
-    adds their words to ``words``."""
+    """Row-by-row validator for the chunk ``lines``, numbered from
+    ``start`` and read after the rows of ``words``: the first malformed row
+    raises a ``FormatError`` naming its line. Returns the rows read as a
+    matrix and adds their words to ``words``."""
     rows: list = []
     for lineno, line in enumerate(lines, start=start):
         if line.strip() == "":
@@ -642,7 +648,12 @@ def _parse_rows(lines, path: str, vocab_size: int, dim: int, words: dict,
         word = fields[0]
         if word in words:
             raise FormatError(f"{path}:{lineno}: duplicate word '{word}'")
+        # float() also reads "_" between digits and the digits and spaces
+        # of other scripts; the bulk parse reads neither, nor does this.
+        spelled = "".join(fields[1:])
         try:
+            if "_" in spelled or not spelled.isascii():
+                raise ValueError(spelled)
             vec = np.fromiter(map(float, fields[1:]), dtype=np.float64, count=dim)
         except ValueError:
             raise FormatError(f"{path}:{lineno}: non-numeric component") from None
@@ -657,11 +668,6 @@ def _parse_rows(lines, path: str, vocab_size: int, dim: int, words: dict,
             )
         words[word] = None
         rows.append(vec)
-    if len(words) != vocab_size:
-        raise FormatError(
-            f"{path}: row count mismatch: header declares {vocab_size}, "
-            f"found {len(words)}"
-        )
     return np.array(rows, dtype=np.float64).reshape(-1, dim)
 
 

@@ -486,6 +486,28 @@ class TestOtherCommands:
         assert out[0].startswith("# label=")
         assert "\t" in out[1]
 
+    def test_inspect_prints_the_norm_of_each_row(self, tmp_path, capsys):
+        fx = write_fixture(tmp_path)
+        space = load_word2vec_text(str(fx["space1"]))
+        assert main(["inspect", "--embeddings", str(fx["space1"])]) == 0
+        norms = np.linalg.norm(space.matrix, axis=1)
+        assert capsys.readouterr().out == "".join(
+            [f"# label=space1 vocab={len(space)} dim={space.dimension}\n"]
+            + [f"{w}\t{n:.6f}\n" for w, n in zip(space.words, norms)])
+
+    @pytest.mark.parametrize("text, where", [
+        ("1 2\na 1_0.5 2\n", ":2: non-numeric component"),
+        ("1 2\na \u0663 2\n", ":2: non-numeric component"),
+        ("+1 +2\na 1 2\n", ":1: non-integer header fields"),
+    ], ids=["underscore", "other_digit", "plus_header"])
+    def test_inspect_number_only_float_reads(self, tmp_path, capsys, text,
+                                             where):
+        path = tmp_path / "v.txt"
+        path.write_text(text, encoding="utf-8")
+        assert main(["inspect", "--embeddings", str(path)]) == 2
+        assert one_line_error(capsys, "data error:") == (
+            f"data error: {path}{where}\n")
+
 
 PAIR_COMMANDS = ("sweat", "align", "refine", "candidates")
 NAN_ROW = "3 3\ncat 1 0 0\ndog 0 nan 0\nfox 0 0 1\n"

@@ -156,9 +156,11 @@ LOADER_CONTRACT = {
         "2 3\n" + ROWS, "{path}:4: row count exceeds declared vocab size 2"),
     "one_row_too_few": (
         "4 3\n" + ROWS, "{path}: row count mismatch: header declares 4, found 3"),
+    # float() reads "1_0" as 10.0 and other scripts' digits and spaces;
+    # neither parser does.
     "underscore_in_number": (
         "3 3\ncat 1 0 0\ndog 0 1_0 0\nfox 0 0 1\n",
-        [[1.0, 0.0, 0.0], [0.0, 10.0, 0.0], [0.0, 0.0, 1.0]]),
+        "{path}:3: non-numeric component"),
     "crlf": (
         "3 3\r\ncat 1 0 0\r\ndog 0 1 0\r\nfox 0 0 1\r\n", EYE),
     "hash_in_row": (
@@ -185,9 +187,11 @@ LOADER_CONTRACT = {
         "3 3\ncat 1 0 0\ndog 0 1\x1c 0\nfox 0 0 1\n",
         "{path}:3: non-numeric component"),
     "non_ascii_digit": (
-        "3 3\ncat 1 0 0\ndog 0 \u0661 0\nfox 0 0 1\n", EYE),
+        "3 3\ncat 1 0 0\ndog 0 \u0661 0\nfox 0 0 1\n",
+        "{path}:3: non-numeric component"),
     "non_ascii_space_in_field": (
-        "3 3\ncat 1 0 0\ndog 0 1\u2003 0\nfox 0 0 1\n", EYE),
+        "3 3\ncat 1 0 0\ndog 0 1\u2003 0\nfox 0 0 1\n",
+        "{path}:3: non-numeric component"),
 }
 
 
@@ -1065,6 +1069,174 @@ class TestLoadPair:
 
     def test_threshold_is_about_eight_mib(self):
         assert embeddings._CONCURRENT_BYTES == 8 << 20
+
+
+# Characters per chunk in TestChunkByChunk: five or six of its rows.
+SMALL_CHUNK = 200
+
+
+def fixed_rows(n_rows=40, dim=4, seed=31):
+    """Lines of ``n_rows`` rows of 4-decimal components, words w0, w1, ...,
+    and their values as float() reads them."""
+    rng = np.random.default_rng(seed)
+    lines, values = [], []
+    for i, row in enumerate(rng.normal(size=(n_rows, dim)).tolist()):
+        fields = [f"{x:.4f}" for x in row]
+        lines.append(f"w{i} " + " ".join(fields) + "\n")
+        values.append([float(f) for f in fields])
+    return lines, values
+
+
+def chunks(path):
+    """The chunks of lines the loader reads from ``path``, after its
+    header."""
+    with open_text(path) as fh:
+        fh.readline()
+        return list(iter(lambda: fh.readlines(embeddings._CHUNK_CHARS), []))
+
+
+def validator_spy(monkeypatch):
+    """Record each ``_parse_rows`` call as the first line number it was
+    given and the rows it returned."""
+    calls = []
+    validator = embeddings._parse_rows
+
+    def spy(*args):
+        rows = validator(*args)
+        calls.append((args[-1], rows))
+        return rows
+
+    monkeypatch.setattr(embeddings, "_parse_rows", spy)
+    return calls
+
+
+class TestChunkByChunk:
+    """Every chunk is read by one rule: the bulk parse reads it, or, if it
+    declines, the validator reads that chunk alone, and the next chunk goes
+    to the bulk parse again."""
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(embeddings, "_CHUNK_CHARS", SMALL_CHUNK)
+
+    @staticmethod
+    def with_blank_line(lines, at=2):
+        return lines[:at] + ["\n"] + lines[at:]
+
+    def test_validator_reads_only_the_declined_chunk(self, tmp_path,
+                                                      monkeypatch):
+        lines, values = fixed_rows()
+        clean, blank = tmp_path / "clean.txt", tmp_path / "blank.txt"
+        write(clean, "40 4\n" + "".join(lines))
+        write(blank, "40 4\n" + "".join(self.with_blank_line(lines)))
+        read = chunks(blank)
+        assert len(read) >= 3 and "\n" in read[0]
+        calls = validator_spy(monkeypatch)
+        space = load_word2vec_text(str(blank))
+        assert [start for start, _ in calls] == [2]
+        assert calls[0][1].tobytes() == np.array(
+            values[:len(read[0]) - 1]).tobytes()
+        expected = load_word2vec_text(str(clean))
+        assert len(calls) == 1
+        assert space.words == expected.words
+        assert space.matrix.tobytes() == expected.matrix.tobytes()
+        assert space.matrix.tobytes() == np.array(values).tobytes()
+
+    def test_defect_after_declined_chunk_names_its_line(self, tmp_path,
+                                                         monkeypatch):
+        lines = self.with_blank_line(fixed_rows()[0])
+        p = tmp_path / "v.txt"
+        write(p, "40 4\n" + "".join(lines))
+        read = chunks(p)
+        # The first row of the third chunk; the chunks before it keep
+        # their lines.
+        at = len(read[0]) + len(read[1])
+        word, _, rest = lines[at].partition(" ")
+        lines[at] = f"{word} nan {rest.partition(' ')[2]}"
+        write(p, "40 4\n" + "".join(lines))
+        calls = validator_spy(monkeypatch)
+        with pytest.raises(FormatError) as exc:
+            load_word2vec_text(str(p))
+        assert str(exc.value) == f"{p}:{at + 2}: non-finite component"
+        # The second chunk, between them, was read in bulk.
+        assert [start for start, _ in calls] == [2]
+
+    @pytest.mark.parametrize("last_by", ["bulk", "validator"])
+    def test_row_count_mismatch_either_way(self, tmp_path, monkeypatch,
+                                           last_by):
+        lines = fixed_rows()[0]
+        if last_by == "validator":
+            lines = self.with_blank_line(lines, at=len(lines) - 1)
+        p = tmp_path / "v.txt"
+        write(p, "41 4\n" + "".join(lines))
+        last = 2 + sum(map(len, chunks(p)[:-1]))
+        calls = validator_spy(monkeypatch)
+        with pytest.raises(FormatError) as exc:
+            load_word2vec_text(str(p))
+        assert str(exc.value) == (
+            f"{p}: row count mismatch: header declares 41, found 40")
+        assert [start for start, _ in calls] == (
+            [last] if last_by == "validator" else [])
+
+    @pytest.mark.parametrize("defect", ["none", "nan", "duplicate_word"])
+    def test_pair_reads_by_the_same_rule(self, tmp_path, concurrent, defect):
+        lines = fixed_rows()[0]
+        bad = self.with_blank_line(lines)
+        if defect == "nan":
+            bad[30] = "w29 nan " + bad[30].split(" ", 2)[2]
+        elif defect == "duplicate_word":
+            bad[30] = bad[30].replace("w29", "w0", 1)
+        first, second = pair_files(tmp_path, "40 4\n" + "".join(lines),
+                                   "40 4\n" + "".join(bad))
+        got = outcome(lambda: load_word2vec_pair(first, second))
+        assert len(concurrent) == 1
+        assert_no_children()
+        assert got == outcome(lambda: serial_pair(first, second))
+        if defect == "none":
+            assert got[1][1:4] == got[0][1:4]
+        else:
+            assert got[0] is FormatError and f"{second[0]}:32: " in got[1]
+
+
+class TestNumberSpellings:
+    """A component is a number both parsers read, and a header field is
+    ASCII digits after an optional "-". What only float() or int() reads
+    is a one-line FormatError, whichever parser meets it."""
+
+    @pytest.mark.parametrize("neighbours", ["0.50 0.25", "5e-1 2.5e-1"],
+                             ids=["fixed_point", "loadtxt"])
+    @pytest.mark.parametrize("field", ["1_0.5", "\u0663", "1\u2003",
+                                       "\uff11", "\u0661.50"])
+    def test_component(self, tmp_path, neighbours, field):
+        assert math.isfinite(float(field))  # float() reads every one
+        p = tmp_path / "v.txt"
+        write(p, f"3 2\nb {neighbours}\na 1 {field}\nc {neighbours}\n")
+        with pytest.raises(FormatError) as exc:
+            load_word2vec_text(str(p))
+        assert str(exc.value) == f"{p}:3: non-numeric component"
+
+    def test_word_stays_utf8(self, tmp_path):
+        p = tmp_path / "v.txt"
+        write(p, "2 2\n\u0663 0.50 0.25\nb 1 2\n")
+        assert load_word2vec_text(str(p)).words == ("\u0663", "b")
+
+    @pytest.mark.parametrize("header", ["0_2 2", "\u0662 2", "+2 +2",
+                                        "2 +2", "2 2_0", "2 \uff12", "- 2",
+                                        "--2 2"])
+    def test_header_non_integer(self, tmp_path, header):
+        p = tmp_path / "v.txt"
+        write(p, f"{header}\na 1 0\nb 0 1\n")
+        with pytest.raises(FormatError) as exc:
+            load_word2vec_text(str(p))
+        assert str(exc.value) == f"{p}:1: non-integer header fields"
+
+    @pytest.mark.parametrize("header", ["-2 2", "2 -2", "-02 -2"])
+    def test_negative_header_out_of_range(self, tmp_path, header):
+        p = tmp_path / "v.txt"
+        write(p, f"{header}\na 1 0\nb 0 1\n")
+        with pytest.raises(FormatError) as exc:
+            load_word2vec_text(str(p))
+        assert str(exc.value) == f"{p}:1: header values out of range"
 
 
 class TestStoredNorms:
