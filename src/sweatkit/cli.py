@@ -331,9 +331,10 @@ def _run_config(args, command) -> RunConfig:
 
 
 def _json_dump(obj, path) -> None:
+    """Write ``obj`` to ``path`` as indented JSON with sorted keys, in one
+    write: ``json.dump`` would write each token on its own."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _load_pair(entry1, entry2) -> tuple:

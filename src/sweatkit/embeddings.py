@@ -295,8 +295,9 @@ def _row_best(space: EmbeddingSpace, lo: int, sims: np.ndarray):
     return top, at + lo
 
 
-# Characters per bulk-parse chunk: large enough to amortize one loadtxt call,
-# small enough that the chunk's text adds only a few MB to peak memory.
+# Bytes per chunk, plus the rest of the line it ends in: large enough to
+# amortize the numpy calls that index and read a chunk, small enough that
+# the chunk and its index add only a few MB to peak memory.
 _CHUNK_CHARS = 1 << 20
 
 # ASCII separators that numpy's float parser strips as whitespace but
@@ -307,6 +308,13 @@ _SEPARATORS = "\x1c\x1d\x1e\x1f"
 # 10**15 < 2**53, so m and 10**k are exact doubles.
 _FIXED_DIGITS = 15
 
+_BOM = b"\xef\xbb\xbf"
+# Bytes below "-" are structural in ``_line_index``: every separator and
+# line end, and any such byte that a word holds.
+_STRUCTURAL = ord("-")
+_NEWLINE, _CR, _TAB, _SPACE, _POINT, _MINUS = b"\n\r\t .-"
+_ZERO = np.uint8(ord("0"))
+
 
 def load_word2vec_text(path: str, label: str | None = None) -> EmbeddingSpace:
     """Load a text-format word2vec file.
@@ -316,15 +324,18 @@ def load_word2vec_text(path: str, label: str | None = None) -> EmbeddingSpace:
     trailing space (as the original word2vec tool writes). Any malformed row
     aborts the load with its line number.
 
-    The input is read once, files and pipes alike, a chunk of lines at a
-    time, and the matrix grows with the rows read. Each chunk is parsed in
-    bulk, fixed-point text by an exact decimal kernel. A chunk the bulk
-    parse does not accept (a blank line, say) is read by the row-by-row
-    validator alone, which raises the ``FormatError`` of a row; the next
-    chunk goes to the bulk parse again. Components and header fields are
-    ASCII: ``_`` and the digits of other scripts, which ``float()`` and
-    ``int()`` read, are errors. One UTF-8 byte order mark before the header
-    is skipped.
+    The input is read once as bytes, files and pipes alike, a chunk of
+    whole lines at a time, into a matrix allocated once (see
+    ``_read_word2vec_text``). Each chunk of fixed-point text is read by an
+    exact decimal kernel from a structural index of its bytes. A chunk the
+    kernel declines is decoded and parsed in bulk by loadtxt, and one that
+    too declines (a blank line, say) is read by the row-by-row validator
+    alone, which raises the ``FormatError`` of a row; the next chunk goes to
+    the bulk parse again. Line ends are those of text mode: ``\\n``,
+    ``\\r\\n`` and a lone ``\\r``. Components and header fields are ASCII:
+    ``_`` and the digits of other scripts, which ``float()`` and ``int()``
+    read, are errors. One UTF-8 byte order mark before the header is
+    skipped.
     """
     # Both parsers checked the shape, the words and every value.
     words, rows = _read_word2vec_text(path)
@@ -339,24 +350,73 @@ def _label(path: str, label: str | None) -> str:
 
 def _read_word2vec_text(path: str) -> tuple[dict, np.ndarray]:
     """The words of a word2vec text file, in row order as the keys of a
-    dict, and its rows as a fresh C-ordered matrix."""
+    dict, and its rows as a fresh C-ordered matrix.
+
+    The matrix is allocated once, for the smaller of the header's row count
+    and the most rows the file's size allows, and filled in place. A pipe
+    has no size: its matrix grows as rows arrive, by the same rule
+    (``_reserve``)."""
     with open_text(path) as fh:
-        vocab_size, dim = _read_header(fh, path)
+        raw = fh.buffer
+        head = _rest_of_line(raw)
+        chunks = _chunks(raw)
+        try:
+            vocab_size, dim = _read_header(head, path)
+        except FormatError:
+            # Bytes of the first chunk that are not UTF-8 are named first,
+            # as when the header was read as text.
+            _lines(next(chunks, np.zeros(0, np.uint8)))
+            raise
         # Words in row order, held as dict keys so a repeat is one lookup.
         words: dict[str, None] = {}
-        rows = np.empty((0, dim))
+        most = _most_rows(_bytes_left(raw, len(head)), dim)
+        rows = np.empty((min(vocab_size, most), dim))
         lineno = 2
-        fixed = True  # until a chunk is not fixed-point text
-        while lines := fh.readlines(_CHUNK_CHARS):
-            block, fixed = _parse_bulk(lines, dim, words, vocab_size, fixed)
+        fixed = True  # until the kernel declines a chunk
+        for buf in chunks:
+            read = None
+            if fixed:
+                read, fixed = _parse_bytes(buf, dim, words, vocab_size, rows)
+            if read is not None:
+                lineno += read  # every line of the chunk was a row
+                continue
+            lines = _lines(buf)
+            block = _parse_bulk(lines, dim, words, vocab_size)
             if block is None:  # the validator reads it, or names its defect
                 block = _parse_rows(lines, path, vocab_size, dim, words, lineno)
-            _append(rows, block)
+            filled = len(words) - len(block)
+            _reserve(rows, len(words), vocab_size)
+            rows[filled:len(words)] = block
             lineno += len(lines)
     if len(words) != vocab_size:
         raise FormatError(f"{path}: row count mismatch: header declares "
                           f"{vocab_size}, found {len(words)}")
     return words, rows
+
+
+def _bytes_left(raw, read: int) -> int:
+    """Bytes of the regular file open as ``raw`` after its first ``read``;
+    0 for a pipe or any other file without a size."""
+    st = os.fstat(raw.fileno())
+    return max(0, st.st_size - read) if stat.S_ISREG(st.st_mode) else 0
+
+
+def _most_rows(size: int, dim: int) -> int:
+    """The most rows of ``dim`` components that ``size`` bytes can hold. A
+    row takes at least ``2 * dim + 1`` bytes: a word's separator, ``dim``
+    one-digit fields, the spaces between them and a line end, which the
+    last line may lack."""
+    return (size + 1) // (2 * dim + 1)
+
+
+def _reserve(rows: np.ndarray, need: int, limit: int) -> None:
+    """Grow ``rows`` in place, if it has fewer than ``need`` rows, to twice
+    its rows or ``need`` if more, but at most ``limit``. Rows already
+    written stay; the buffer is reallocated, so they are never held
+    twice."""
+    if need > len(rows):
+        rows.resize((min(limit, max(need, 2 * len(rows))), rows.shape[1]),
+                    refcheck=False)
 
 
 # Smallest file, in bytes, whose parse is worth a second process: a pair of
@@ -500,8 +560,8 @@ def _fill(pipe, buf, path: str, doing: str):
     return buf
 
 
-def _read_header(fh, path: str) -> tuple[int, int]:
-    parts = fh.readline().removeprefix("\ufeff").split()
+def _read_header(line: bytes, path: str) -> tuple[int, int]:
+    parts = line.removeprefix(_BOM).decode("utf-8").split()
     if len(parts) != 2:
         raise FormatError(f"{path}:1: header must be '<vocab_size> <dimension>'")
     # int() would also take "+", "_" between digits and the digits of other
@@ -519,14 +579,250 @@ def _read_header(fh, path: str) -> tuple[int, int]:
     return vocab_size, dim
 
 
-def _parse_bulk(lines: list[str], dim: int, words: dict, vocab_size: int,
-                fixed: bool):
-    """``(block, fixed)``. ``block`` is the rows of ``lines`` as a matrix,
-    their words added to ``words``; or None, with ``words`` unchanged, if any
-    row is not plainly well-formed or repeats a word, or the rows would
-    exceed ``vocab_size``. When ``fixed`` is true, ``_parse_fixed`` reads the
-    rows first; once it declines, the ``fixed`` returned is False, and the
-    rest of the file goes straight to loadtxt.
+def _translate(data: bytes) -> bytes:
+    """``data`` with each ``\\r\\n`` and lone ``\\r`` as ``\\n``, the line
+    ends text mode reads."""
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    return data
+
+
+def _chunks(raw):
+    """Chunks of whole lines of the binary stream ``raw``: uint8 arrays of
+    the lines up to the first that ends past ``_CHUNK_CHARS`` bytes, as
+    ``readlines(_CHUNK_CHARS)`` cuts them in text mode, with line ends
+    translated (``_translate``). Each chunk ends in ``\\n``, but the last if
+    the stream does not. Every chunk is a view of one buffer, which the next
+    overwrites."""
+    store = bytearray()
+    while True:
+        size = _CHUNK_CHARS + 1
+        if len(store) < size:
+            store = bytearray(size + (size >> 4))  # room for a line or two
+        view = memoryview(store)
+        n = raw.readinto(view[:size])
+        if not n:
+            return
+        if store[n - 1] != _NEWLINE:
+            line = _rest_of_line(raw, store[n - 1] == _CR)
+            if n + len(line) > len(store):
+                grown = bytearray(2 * (n + len(line)))
+                grown[:n] = view[:n]
+                store, view = grown, memoryview(grown)
+            view[n:n + len(line)] = line
+            n += len(line)
+        if store.find(b"\r", 0, n) >= 0:
+            text = _translate(bytes(view[:n]))
+            n = len(text)
+            view[:n] = text
+        yield np.frombuffer(store, np.uint8, n)
+
+
+def _rest_of_line(raw, after_cr: bool = False) -> bytearray:
+    """The bytes of the buffered binary stream ``raw`` up to the end of the
+    line they are in, which text mode ends at ``\\n``, ``\\r\\n`` or a lone
+    ``\\r``: found in the bytes ``raw`` holds, so none past it are read.
+    ``after_cr`` tells that the bytes before ended in ``\\r``, which a
+    ``\\n`` completes."""
+    line = bytearray()
+    while held := raw.peek(1):
+        if after_cr:
+            if held[0] == _NEWLINE:
+                line += raw.read(1)
+            break
+        nl, cr = held.find(b"\n"), held.find(b"\r")
+        if nl < 0 and cr < 0:
+            line += raw.read(len(held))
+            continue
+        end = nl if cr < 0 or 0 <= nl < cr else cr
+        line += raw.read(end + 1)
+        if end == nl:
+            break
+        after_cr = True
+    return line
+
+
+def _line_index(buf: np.ndarray, sep: int):
+    """Structural index of ``buf``, a chunk of whole lines: ``(low, first,
+    last)``, or None if a line holds no ``sep`` byte.
+
+    ``low`` holds the position of every byte below "-": the separators and
+    line ends, and any such byte that a word holds. ``last`` is the index in
+    ``low`` of each line's end, the chunk's end for a last line without
+    ``\\n``; ``first`` is that of the line's first ``sep``, which ends its
+    word. The fields after the word end at the entries of ``low`` after
+    ``first`` up to ``last``. This is the structural index of simdjson
+    (Langdale and Lemire, "Parsing Gigabytes of JSON per Second", VLDB
+    Journal 2019) for lines of fields.
+    """
+    if not len(buf):  # the empty line after a byte order mark alone
+        return None
+    # A slice at a time, so that the comparison's temporaries stay small and
+    # come from memory the allocator reuses (see ``_PASS_VALUES``): a whole
+    # chunk's took about 10,000 page faults per 42 MB file.
+    step = 8 * _PASS_VALUES
+    low = np.concatenate([np.flatnonzero(buf[at:at + step] < _STRUCTURAL) + at
+                          for at in range(0, len(buf), step)])
+    kinds = buf[low]
+    if buf[-1] != _NEWLINE:
+        low = np.append(low, len(buf))
+        kinds = np.append(kinds, np.uint8(_NEWLINE))
+    last = np.flatnonzero(kinds == _NEWLINE)
+    first = np.empty_like(last)
+    first[0] = 0
+    first[1:] = last[:-1] + 1
+    # Lines whose word holds a byte below "-", or that hold no sep.
+    for i in np.flatnonzero(kinds[first] != sep).tolist():
+        seps = np.flatnonzero(kinds[first[i]:last[i]] == sep)
+        if not len(seps):
+            return None
+        first[i] += seps[0]
+    return low, first, last
+
+
+def _words(buf: np.ndarray, low, first, last, sep: str) -> list[str]:
+    """The word of each line of a chunk indexed by ``_line_index``: the
+    bytes before each line's first ``sep``, gathered with it into one
+    buffer, decoded once as strict UTF-8 and split at ``sep``."""
+    starts = np.empty_like(last)
+    starts[0] = 0
+    starts[1:] = low[last[:-1]] + 1
+    sizes = low[first] - starts + 1
+    # Positions of 4 bytes gather a table's many short words twice as fast.
+    kind = np.int32 if len(buf) <= np.iinfo(np.int32).max else np.intp
+    at = np.repeat((starts - (np.cumsum(sizes) - sizes)).astype(kind), sizes)
+    at += np.arange(len(at), dtype=kind)
+    return buf[at].tobytes().decode("utf-8").split(sep)[:-1]
+
+
+def _lines(buf: np.ndarray) -> list[str]:
+    """The lines of a chunk, decoded as strict UTF-8, without their line
+    ends: split at ``\\n`` alone, as text mode splits translated text, never
+    at the other breaks ``str.splitlines`` knows."""
+    return str(buf, "utf-8").removesuffix("\n").split("\n")
+
+
+def _parse_bytes(buf: np.ndarray, dim: int, words: dict, vocab_size: int,
+                 rows: np.ndarray):
+    """``(read, fixed)``. ``read`` is the number of lines of the chunk
+    ``buf``, every one a row, written to ``rows`` after the ``len(words)``
+    rows read before, their words added to ``words``. It is None, with
+    ``words`` unchanged, if a line has no body, a word repeats or the rows
+    would exceed ``vocab_size`` (``_parse_bulk``'s checks, made on the
+    structural index), if ``_parse_fixed`` declines the chunk, which makes
+    ``fixed`` False, or if a row is all zeros.
+
+    ``rows`` grows to hold the rows the chunk's bytes can (``_reserve``),
+    and the kernel writes them in place.
+    """
+    index = _line_index(buf, _SPACE)
+    if index is None:  # a line with no space has no body
+        return None, True
+    low, first, last = index
+    n = len(last)
+    filled = len(words)
+    if filled + n > vocab_size:
+        return None, True
+    ends, seps = low[last], low[first]
+    # The body without one trailing space must hold a byte; loadtxt would
+    # skip the row, and warn.
+    if ((ends - seps - 1 - (buf[ends - 1] == _SPACE)) < 1).any():
+        return None, True
+    new = dict.fromkeys(_words(buf, *index, " "))
+    if len(new) != n or not words.keys().isdisjoint(new):
+        return None, True
+    _reserve(rows, filled + min(n, _most_rows(len(buf), dim)), vocab_size)
+    block = _parse_fixed(buf, index, rows[filled:filled + n])
+    if block is None:
+        return None, False
+    if not block.any(axis=1).all():
+        return None, True
+    words.update(new)
+    return n, True
+
+
+def _parse_fixed(buf: np.ndarray, index, out: np.ndarray):
+    """``out``, holding the fields after each line's word in the chunk
+    ``buf`` indexed by ``_line_index``, if every line holds ``out``'s number
+    of columns of fields joined by single spaces, with at most one trailing
+    space, and every field is ``-?D+.D{k}`` with one k >= 1 for all of them
+    and at most ``_FIXED_DIGITS`` digits; None otherwise, when some of
+    ``out`` may have been written. An ``out`` of fewer rows than ``buf`` has
+    lines, which its bytes cannot hold as rows, is declined.
+
+    A field's digits m and 10**k are exact doubles, so one division gives
+    m / 10**k correctly rounded, and each value equals ``float(field)`` bit
+    for bit, ``-0.0`` included (Clinger, "How to Read Floating Point Numbers
+    Accurately", PLDI 1990). The bytes are read in place, in passes of
+    about ``_PASS_VALUES`` fields, as ``_format_block`` writes them, so that
+    the temporaries come from memory the allocator reuses.
+    """
+    low, first, last = index
+    rows, dim = out.shape
+    # After the word come dim field ends, the last of them the line end or
+    # a trailing space just before it.
+    extra = last - first - dim
+    if rows != len(last) or not ((extra == 0) | (extra == 1)).all():
+        return None
+    spaced = np.flatnonzero(extra)
+    if not ((low[last[spaced] - 1] + 1 == low[last[spaced]])
+            & (buf[low[last[spaced] - 1]] == _SPACE)).all():
+        return None
+    columns = np.arange(dim + 1)
+    step = max(1, _PASS_VALUES // dim)
+    k = None
+    for lo in range(0, rows, step):
+        # Each field starts after the byte that ends the one before it, or
+        # the word.
+        bounds = low[first[lo:lo + step, None] + columns]
+        starts, ends = (bounds[:, :-1] + 1).ravel(), bounds[:, 1:].ravel()
+        if not (buf[bounds[:, 1:-1]] == _SPACE).all():
+            return None
+        if k is None:  # the decimals of the chunk's first field
+            k = int(ends[0] - starts[0]) - 1 - bytes(
+                buf[starts[0]:ends[0]]).find(b".")
+        neg = buf[starts] == _MINUS
+        whole = ends - starts - neg - (k + 1)  # digits before the point
+        if not (k >= 1 and whole.min() >= 1
+                and whole.max() + k <= _FIXED_DIGITS
+                and (buf[ends - k - 1] == _POINT).all()):
+            return None
+        m = out[lo:lo + step].reshape(-1)
+        m[:] = 0.0
+        if not (_add_digits(buf, ends, k, 0, m)
+                and _add_digits(buf, ends - k - 1, whole, k, m)):
+            return None
+        m /= float(10 ** k)
+        m *= 1.0 - 2.0 * neg  # sets the sign, of a zero too
+    return out
+
+
+def _add_digits(buf: np.ndarray, ends, width, scale: int,
+                total: np.ndarray) -> bool:
+    """Add to ``total`` the number that the ``width`` ASCII digits just
+    before each of ``ends`` spell, times 10**``scale``, in the dtype of
+    ``total``, which must hold every sum exactly: a column of digits at a
+    time, from the last. False, with ``total`` partly added to, if a byte
+    read is not a digit."""
+    fewest, most = int(np.min(width)), int(np.max(width))
+    at = ends.copy()
+    for j in range(most):
+        at -= 1
+        # The bytes below "0" wrap around to 208 and more.
+        digit = buf[at] - _ZERO
+        if j >= fewest:  # fields with fewer digits read 0 here
+            digit[width <= j] = 0
+        if digit.max() > 9:
+            return False
+        total += digit * total.dtype.type(10 ** (j + scale))
+    return True
+
+
+def _parse_bulk(lines: list[str], dim: int, words: dict, vocab_size: int):
+    """The rows of ``lines`` as a matrix read by numpy's loadtxt, their
+    words added to ``words``; or None, with ``words`` unchanged, if any row
+    is not plainly well-formed or repeats a word, or the rows would exceed
+    ``vocab_size``. It reads the chunks that ``_parse_fixed`` does not.
 
     Accepts only what ``_parse_rows`` accepts, with bit-identical values:
     numpy's loadtxt converts through the same ``PyOS_string_to_double`` as
@@ -535,97 +831,33 @@ def _parse_bulk(lines: list[str], dim: int, words: dict, vocab_size: int,
     validator rejects, is left to it.
     """
     if len(words) + len(lines) > vocab_size:
-        return None, fixed
+        return None
     new: dict[str, None] = {}
     bodies = []
     for line in lines:
-        word, _, body = line.rstrip("\n").partition(" ")
+        word, _, body = line.partition(" ")
         if body.endswith(" "):
             body = body[:-1]
         if not body:
-            return None, fixed  # loadtxt would skip the row, and warn
+            return None  # loadtxt would skip the row, and warn
         new[word] = None
         bodies.append(body)
     if len(new) != len(lines) or not words.keys().isdisjoint(new):
-        return None, fixed
+        return None
     text = "\n".join(bodies)
-    block = _parse_fixed(text, len(bodies), dim) if fixed else None
-    if block is None:
-        fixed = False
-        if not text.isascii() or any(c in text for c in _SEPARATORS):
-            return None, fixed
-        try:
-            block = np.loadtxt(bodies, dtype=np.float64, delimiter=" ",
-                               comments=None, ndmin=2)
-        except ValueError:
-            return None, fixed
-        if block.shape != (len(lines), dim) or not np.isfinite(block).all():
-            return None, fixed
+    if not text.isascii() or any(c in text for c in _SEPARATORS):
+        return None
+    try:
+        block = np.loadtxt(bodies, dtype=np.float64, delimiter=" ",
+                           comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if block.shape != (len(lines), dim) or not np.isfinite(block).all():
+        return None
     if not block.any(axis=1).all():
-        return None, fixed
+        return None
     words.update(new)
-    return block, fixed
-
-
-def _parse_fixed(text: str, rows: int, dim: int):
-    """The ``rows`` lines of ``text`` as a matrix, if every line is ``dim``
-    fields joined by single spaces, and every field is ``-?D+.D{k}`` with
-    one k >= 1 for all of them and at most ``_FIXED_DIGITS`` digits; None
-    otherwise.
-
-    A field's digits m and 10**k are exact doubles, so one division gives
-    m / 10**k correctly rounded, and each value equals ``float(field)`` bit
-    for bit, ``-0.0`` included (Clinger, "How to Read Floating Point Numbers
-    Accurately", PLDI 1990). Digits are gathered a column at a time,
-    counted from the end of each field.
-    """
-    if not text.isascii():
-        return None
-    buf = np.frombuffer(text.encode("ascii") + b"\n", dtype=np.uint8)
-    # Every byte below "-" ends a field: it must be a space inside a row and
-    # a newline after the row's last field.
-    ends = np.flatnonzero(buf < ord("-"))
-    if len(ends) != rows * dim:
-        return None
-    kinds = buf[ends].reshape(rows, dim)
-    if not ((kinds[:, :-1] == ord(" ")).all()
-            and (kinds[:, -1] == ord("\n")).all()):
-        return None
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    k = ends[0] - text.find(".", 0, ends[0]) - 1
-    neg = buf[starts] == ord("-")
-    whole = ends - starts - neg - (k + 1)  # digits before the point
-    fewest, most = int(whole.min()), int(whole.max())
-    if not (0 < k < ends[0] and fewest >= 1 and most + k <= _FIXED_DIGITS):
-        return None
-    if not (buf[ends - k - 1] == ord(".")).all():
-        return None
-    # With the point and any sign in place, every other byte must be a
-    # digit: the only bytes that read below 10 once "0" is subtracted, as
-    # the bytes below "0" wrap around.
-    zero = np.uint8(ord("0"))
-    if (np.count_nonzero(buf - zero < 10)
-            != len(buf) - 2 * len(ends) - np.count_nonzero(neg)):
-        return None
-    m = np.zeros(len(ends))
-    at = ends.copy()
-    for j in range(k + most):
-        at -= 2 if j == k else 1  # the digit of weight 10**j, past the point
-        column = (buf[at] - zero) * float(10 ** j)
-        if j - k >= fewest:  # fields with fewer digits read 0 here
-            column[whole <= j - k] = 0.0
-        m += column
-    values = m / float(10 ** k)
-    values *= 1.0 - 2.0 * neg  # sets the sign, of a zero too
-    return values.reshape(rows, dim)
-
-
-def _append(rows: np.ndarray, block) -> None:
-    """Extend ``rows`` in place by the rows of ``block``. The buffer is
-    reallocated, so the rows read are never held twice."""
-    n = len(rows)
-    rows.resize((n + len(block), rows.shape[1]), refcheck=False)
-    rows[n:] = block
+    return block
 
 
 def _parse_rows(lines, path: str, vocab_size: int, dim: int, words: dict,

@@ -40,7 +40,9 @@ class VocabularyError(DataError):
 @contextmanager
 def open_text(path):
     """Open ``path`` for reading as UTF-8 text. Bytes that are not UTF-8,
-    met anywhere while reading, raise a FormatError naming the file."""
+    met anywhere while reading, raise a FormatError naming the file. A
+    reader of bytes reads ``fh.buffer`` and decodes them itself, strictly:
+    its ``UnicodeDecodeError`` is mapped the same way."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             yield fh

@@ -7,9 +7,12 @@ import math
 import sys
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .alignment import round_trip_stability
 from .association import PoleWordsets
-from .embeddings import EmbeddingSpace
+from .embeddings import (_BOM, _TAB, EmbeddingSpace, _add_digits, _chunks,
+                         _line_index, _lines, _words)
 from .errors import FormatError, VocabularyError, open_text
 
 REJECT_REASONS = (
@@ -32,13 +35,13 @@ class FrequencyTable:
     def __post_init__(self):
         if self.total_tokens <= 0:
             raise FormatError("total_tokens must be positive")
-        for w, c in self.counts.items():
+        at = _first_out_of_range(self.counts, self.total_tokens)
+        if at is not None:
+            w, c = list(self.counts.items())[at]
             if c < 1:
                 raise FormatError(f"count for '{w}' must be >= 1")
-            if c > self.total_tokens:
-                raise FormatError(
-                    f"count for '{w}' exceeds total_tokens {self.total_tokens}"
-                )
+            raise FormatError(
+                f"count for '{w}' exceeds total_tokens {self.total_tokens}")
 
     def __contains__(self, word: str) -> bool:
         return word in self.counts
@@ -56,6 +59,15 @@ class FrequencyTable:
             # Subnormal or zero: take the logs of the integers instead.
             return math.log10(count) - math.log10(self.total_tokens) + 9
         return math.log10(share * 1e9)
+
+
+def _first_out_of_range(counts: dict, total: int):
+    """Position, in the order of ``counts``, of its first count below 1 or
+    above ``total``; None if there is none."""
+    values = counts.values()
+    if not values or 1 <= min(values) and max(values) <= total:
+        return None
+    return next(i for i, c in enumerate(values) if not 1 <= c <= total)
 
 
 def zipf_score(word: str, table: FrequencyTable) -> float:
@@ -160,44 +172,118 @@ def candidate_topics(
 
 def load_frequency_table(path: str) -> FrequencyTable:
     """Read lines ``word<TAB>count`` with a ``#total<TAB><total>`` header.
-    One UTF-8 byte order mark at the start of the file is skipped."""
+    One UTF-8 byte order mark at the start of the file is skipped.
+
+    The file is read as bytes, a chunk of lines at a time, as
+    ``load_word2vec_text`` reads its rows: a chunk of plain
+    ``word<TAB>digits`` lines is read from its structural index, and any
+    other goes to the line loop, which reads it or names its defect. A count
+    out of range, or a total below 1, is an error at its line.
+    """
     counts: dict = {}
-    total = None
+    where: list = []  # arrays of the line of each word of counts, in order
+    total = None  # (count, line) of the #total line
+    lineno = 1
     with open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if lineno == 1:
-                line = line.removeprefix("\ufeff")
-            if not line:
+        for buf in _chunks(fh.buffer):
+            if lineno == 1 and buf[:3].tobytes() == _BOM:
+                buf = buf[3:]
+            new = _read_counts(buf, counts, total)
+            if new is None:  # the line loop reads it, or names its defect
+                lines = _lines(buf)
+                total = _read_lines(lines, path, lineno, counts, where, total)
+                lineno += len(lines)
                 continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise FormatError(f"{path}:{lineno}: expected 'word<TAB>count'")
-            key, value = parts
-            # ASCII digits, with an optional "-" and surrounding spaces:
-            # int() would also take "+", "_" between digits and the digits
-            # of other scripts.
-            digits = value
-            if not (digits.isdigit() and digits.isascii()):
-                digits = value.strip().removeprefix("-")
-                if not (digits.isdigit() and digits.isascii()):
-                    raise FormatError(f"{path}:{lineno}: non-integer count")
-            try:
-                value = int(value)
-            except ValueError:  # past int()'s limit on digits
-                raise FormatError(f"{path}:{lineno}: count of {len(digits)} "
-                                  "digits is too long to read") from None
-            if key == "#total":
-                if total is not None:
-                    raise FormatError(f"{path}:{lineno}: duplicate #total header")
-                total = value
-            else:
-                if key in counts:
-                    raise FormatError(f"{path}:{lineno}: duplicate word '{key}'")
-                counts[key] = value
+            at = np.arange(lineno, lineno + len(new))
+            lineno += len(new)
+            if "#total" in new:
+                i = list(new).index("#total")
+                total = (new.pop("#total"), int(at[i]))
+                at = np.delete(at, i)
+            if counts:
+                counts.update(new)
+            else:  # the table's first words: taken, not copied
+                counts = new
+            where.append(at)
     if total is None:
         raise FormatError(f"{path}: missing '#total<TAB><total_tokens>' header")
-    return FrequencyTable(counts=counts, total_tokens=total)
+    try:
+        return FrequencyTable(counts=counts, total_tokens=total[0])
+    except FormatError as exc:
+        at = _first_out_of_range(counts, total[0]) if total[0] > 0 else None
+        line = total[1] if at is None else np.concatenate(where)[at]
+        raise FormatError(f"{path}:{line}: {exc}") from None
+
+
+# Most digits of a count that ``_read_counts`` reads: 10**18 - 1 < 2**63.
+_COUNT_DIGITS = 18
+
+
+def _read_counts(buf, counts: dict, total):
+    """The lines of the chunk ``buf`` as a dict of each word's count,
+    ``#total`` among them, in line order; or None, for the line loop to
+    read, if a line is not a word, a tab and 1 to ``_COUNT_DIGITS`` ASCII
+    digits, a word repeats one of the chunk or of ``counts``, or a second
+    ``#total`` comes after ``total``."""
+    index = _line_index(buf, _TAB)
+    if index is None:  # a blank line, or one without a tab
+        return None
+    low, first, last = index
+    # A count holds no byte below "-": no second tab, space or "+".
+    if not (last - first == 1).all():
+        return None
+    ends = low[last]
+    width = ends - low[first] - 1
+    if not (1 <= width.min() and width.max() <= _COUNT_DIGITS):
+        return None
+    values = np.zeros(len(ends), dtype=np.int64)
+    if not _add_digits(buf, ends, width, 0, values):
+        return None
+    new = dict(zip(_words(buf, *index, "\t"), values.tolist()))
+    if (len(new) != len(ends) or not counts.keys().isdisjoint(new)
+            or total is not None and "#total" in new):
+        return None
+    return new
+
+
+def _read_lines(lines, path: str, start: int, counts: dict, where: list,
+                total):
+    """The line loop: reads the chunk ``lines``, numbered from ``start``,
+    into ``counts`` and ``where``, and returns ``total`` or the ``#total``
+    line's ``(count, line)``. The first malformed line raises a
+    ``FormatError`` naming it."""
+    at = []
+    for lineno, line in enumerate(lines, start=start):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise FormatError(f"{path}:{lineno}: expected 'word<TAB>count'")
+        key, value = parts
+        # ASCII digits, with an optional "-" and surrounding spaces:
+        # int() would also take "+", "_" between digits and the digits
+        # of other scripts.
+        digits = value
+        if not (digits.isdigit() and digits.isascii()):
+            digits = value.strip().removeprefix("-")
+            if not (digits.isdigit() and digits.isascii()):
+                raise FormatError(f"{path}:{lineno}: non-integer count")
+        try:
+            value = int(value)
+        except ValueError:  # past int()'s limit on digits
+            raise FormatError(f"{path}:{lineno}: count of {len(digits)} "
+                              "digits is too long to read") from None
+        if key == "#total":
+            if total is not None:
+                raise FormatError(f"{path}:{lineno}: duplicate #total header")
+            total = (value, lineno)
+        else:
+            if key in counts:
+                raise FormatError(f"{path}:{lineno}: duplicate word '{key}'")
+            counts[key] = value
+            at.append(lineno)
+    where.append(np.array(at, dtype=np.int64))
+    return total
 
 
 def load_lexicon(path: str) -> Lexicon:

@@ -1370,3 +1370,24 @@ class TestPlotReportFaults:
         code = plot(_put(plot_report, keys, value), tmp_path)
         assert code in (0, 2)
         assert_documented_exit(code, capsys.readouterr().err)
+
+
+def test_json_report_is_one_write_of_the_dumps_text(tmp_path, monkeypatch):
+    from sweatkit import cli
+
+    doc = {"zeta": [1, [2.5, -0.0, 1e-07]], "é": "naïve ☃", "big": 10**30,
+           "a": {"nested": [[], {}], "n": None, "t": True}, "m": -1e308}
+    writes = []
+
+    def spy_open(*args, **kwargs):
+        fh = open(*args, **kwargs)
+        write = fh.write
+        fh.write = lambda text: writes.append(text) or write(text)
+        return fh
+
+    monkeypatch.setattr(cli, "open", spy_open, raising=False)
+    path = tmp_path / "r.json"
+    cli._json_dump(doc, str(path))
+    expected = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert writes == [expected]
+    assert path.read_bytes() == expected.encode("utf-8")

@@ -314,6 +314,16 @@ def fixed_fields(k):
             for f in fields for sign in ("", "-")]
 
 
+def parse_fixed(text, rows, dim):
+    """``_parse_fixed`` on the ``rows`` lines of ``text``, each after a
+    word: the matrix it writes, or None."""
+    chunk = "".join(f"w{i} {line}\n"
+                    for i, line in enumerate(text.split("\n")))
+    buf = np.frombuffer(chunk.encode("ascii"), dtype=np.uint8)
+    return embeddings._parse_fixed(buf, embeddings._line_index(buf, ord(" ")),
+                                   np.empty((rows, dim)))
+
+
 def kernel_spy(monkeypatch):
     """Record each ``_parse_fixed`` call as True (read) or False
     (declined)."""
@@ -356,17 +366,17 @@ class TestFixedPointKernel:
         fields = fixed_fields(k)
         rows = [fields, fields[::-1], fields[1:] + fields[:1]]
         text = "\n".join(" ".join(row) for row in rows)
-        block = embeddings._parse_fixed(text, len(rows), len(fields))
+        block = parse_fixed(text, len(rows), len(fields))
         assert block is not None
         expected = np.array([[float(f) for f in row] for row in rows])
         assert np.array_equal(block.view(np.int64), expected.view(np.int64))
 
     def test_fifteen_decimals_have_sixteen_digits(self):
         text = "0.123456789012345 -0.000000000000001"
-        assert embeddings._parse_fixed(text, 1, 2) is None
+        assert parse_fixed(text, 1, 2) is None
 
     def test_signed_zero(self):
-        block = embeddings._parse_fixed("-0.000 0.000 -00.000", 1, 3)
+        block = parse_fixed("-0.000 0.000 -00.000", 1, 3)
         assert block.view(np.int64).tolist() == np.array(
             [[-0.0, 0.0, -0.0]]).view(np.int64).tolist()
 
@@ -1360,3 +1370,172 @@ class TestVocabularyBlocks:
 
         monkeypatch.setattr(embeddings, "_unit_rows", no_unit_rows)
         assert nearest_neighbors(space, np.empty((0, 2))) == []
+
+
+# Words holding bytes below "-", which end no field: GloVe's tokens, other
+# ASCII punctuation and a tab.
+PUNCTUATED = [",", "'s", "!", "#", "a\tb", "x,y", '"', "(", "*", "+", "$%&"]
+
+
+def fixed_file(ends="\n", words=None, bom=False, final=True, n_rows=40):
+    """Bytes of a word2vec file of ``fixed_rows``, with the given line ends
+    (one string, or one per line), words and byte order mark."""
+    lines, _ = fixed_rows(n_rows)
+    if words is not None:
+        lines = [w + line[line.index(" "):] for w, line in zip(words, lines)]
+    if isinstance(ends, str):
+        ends = [ends] * (n_rows + 1)
+    text = "".join(line.removesuffix("\n") + end for line, end in
+                   zip([f"{n_rows} 4\n"] + lines, ends))
+    if not final:
+        text = text.rstrip("\r\n")
+    return (b"\xef\xbb\xbf" if bom else b"") + text.encode("utf-8")
+
+
+def punctuated_words(n_rows=40):
+    return [w + str(i) if i >= len(PUNCTUATED) else w
+            for i, w in enumerate(PUNCTUATED + ["w"] * n_rows)][:n_rows]
+
+
+def with_bytes(data, row, old, new):
+    """``data`` with the first ``old`` in the line of row ``row``, counted
+    from 0 after the header, replaced by ``new``."""
+    lines = data.split(b"\n")
+    lines[row + 1] = lines[row + 1].replace(old, new, 1)
+    return b"\n".join(lines)
+
+
+BYTE_FILES = {
+    "crlf": fixed_file("\r\n"),
+    "lone_cr": fixed_file("\r"),
+    "mixed_ends": fixed_file(["\n", "\r\n", "\r"] * 14),
+    "bom_crlf": fixed_file("\r\n", bom=True),
+    "no_final_line_end": fixed_file(final=False),
+    "crlf_no_final_line_end": fixed_file("\r\n", final=False),
+    "punctuated_words": fixed_file(words=punctuated_words()),
+    "punctuated_crlf_blank_line": fixed_file(
+        ["\r\n"] * 20 + ["\r\n\r\n"] + ["\r\n"] * 20, punctuated_words()),
+    "trailing_space_crlf": fixed_file(" \r\n"),
+    "not_utf8_in_word": with_bytes(fixed_file(), 20, b"w20", b"w\xff0"),
+    "not_utf8_in_body": with_bytes(fixed_file(), 20, b".", b"\xff"),
+    "truncated_character_at_end": fixed_file(final=False) + b"\xe2\x82",
+    "truncated_character_in_word": with_bytes(fixed_file(), 20, b" ",
+                                              b"\xe2\x82 "),
+    "tab_in_body": with_bytes(fixed_file(), 20, b" 0", b"\t0"),
+    "tab_word_no_space": with_bytes(fixed_file(), 20, b" ", b"\t"),
+}
+
+
+def kernel_declined(monkeypatch):
+    monkeypatch.setattr(embeddings, "_parse_fixed", lambda *args: None)
+
+
+class TestByteReader:
+    """Chunks read as bytes from a structural index give the space, or the
+    error text, that the loader gives with the kernel declining every
+    chunk, at any chunk size."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("chunk", [1 << 20, 200])
+    @pytest.mark.parametrize("name", sorted(BYTE_FILES))
+    def test_same_outcome_as_declined_kernel(self, tmp_path, monkeypatch,
+                                             chunk, name):
+        monkeypatch.setattr(embeddings, "_CHUNK_CHARS", chunk)
+        p = tmp_path / "v.txt"
+        p.write_bytes(BYTE_FILES[name])
+        got = outcome(lambda: [load_word2vec_text(str(p))])
+        kernel_declined(monkeypatch)
+        assert got == outcome(lambda: [load_word2vec_text(str(p))])
+
+    @pytest.mark.parametrize("ends", ["\n", "\r\n", "\r"])
+    def test_punctuated_words_take_the_kernel(self, tmp_path, monkeypatch,
+                                              ends):
+        monkeypatch.setattr(embeddings, "_CHUNK_CHARS", 200)
+        calls = kernel_spy(monkeypatch)
+        p = tmp_path / "v.txt"
+        p.write_bytes(fixed_file(ends, punctuated_words()))
+        space = load_word2vec_text(str(p))
+        assert len(calls) > 3 and all(calls)
+        assert space.words == tuple(punctuated_words())
+        assert space.matrix.tobytes() == np.array(fixed_rows()[1]).tobytes()
+
+    @pytest.mark.parametrize("name, message", [
+        ("not_utf8_in_word", "invalid start byte"),
+        ("truncated_character_at_end", "unexpected end of data"),
+        ("truncated_character_in_word", "invalid continuation byte"),
+    ])
+    def test_not_utf8_names_the_file(self, tmp_path, name, message):
+        p = tmp_path / "v.txt"
+        p.write_bytes(BYTE_FILES[name])
+        with pytest.raises(FormatError) as exc:
+            load_word2vec_text(str(p))
+        assert str(exc.value) == f"{p}: not valid UTF-8 ({message})"
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+    def test_pipe_of_many_chunks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(embeddings, "_CHUNK_CHARS", 200)
+        text = BYTE_FILES["punctuated_crlf_blank_line"].decode("utf-8")
+        fifo, writer = feed_fifo(tmp_path, text)
+        try:
+            got = outcome(lambda: [load_word2vec_text(str(fifo))])
+        finally:
+            writer.join()
+        p = tmp_path / "v.txt"
+        p.write_bytes(text.encode("utf-8"))
+        kernel_declined(monkeypatch)
+        assert got == outcome(lambda: [load_word2vec_text(str(p))])
+
+
+def growth_spy(monkeypatch):
+    """Record each ``_reserve`` call that grows the matrix, as its rows
+    before and after."""
+    grown = []
+    reserve = embeddings._reserve
+
+    def spy(rows, need, limit):
+        before = len(rows)
+        reserve(rows, need, limit)
+        if len(rows) != before:
+            grown.append((before, len(rows)))
+
+    monkeypatch.setattr(embeddings, "_reserve", spy)
+    return grown
+
+
+class TestMatrixAllocation:
+    """A regular file's matrix is allocated once, for the header's rows or
+    the most its size allows; a pipe's grows as rows arrive."""
+
+    @pytest.mark.parametrize("chunk", [1 << 20, 200])
+    def test_regular_file_never_grows(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(embeddings, "_CHUNK_CHARS", chunk)
+        grown = growth_spy(monkeypatch)
+        p = tmp_path / "v.txt"
+        p.write_bytes(fixed_file())
+        assert len(load_word2vec_text(str(p))) == 40
+        assert grown == []
+
+    def test_bound_below_header(self, tmp_path):
+        p = tmp_path / "v.txt"
+        # A matrix of the header's rows would take 160 MB; the 12 bytes of
+        # rows hold at most two.
+        write(p, "10000000 2\na 1 2\nb 3 4\n")
+
+        def load():
+            with pytest.raises(FormatError, match="row count mismatch"):
+                load_word2vec_text(str(p))
+
+        assert traced_peak(load) < 8 << 20
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+    def test_pipe_grows_to_the_rows(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(embeddings, "_CHUNK_CHARS", 200)
+        grown = growth_spy(monkeypatch)
+        fifo, writer = feed_fifo(tmp_path, fixed_file().decode("ascii"))
+        try:
+            space = load_word2vec_text(str(fifo))
+        finally:
+            writer.join()
+        assert space.matrix.tobytes() == np.array(fixed_rows()[1]).tobytes()
+        assert grown[0][0] == 0 and grown[-1][1] == 40
+        assert all(after <= max(2 * before, 40) for before, after in grown)

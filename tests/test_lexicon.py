@@ -20,6 +20,7 @@ from sweatkit import (
     zipf_score,
 )
 from sweatkit import embeddings
+from sweatkit import lexicon as lexicon_module
 from sweatkit.embeddings import EmbeddingSpace
 
 from conftest import brute_nearest, make_space
@@ -359,3 +360,166 @@ class TestFrequencyTableByteOrderMark:
         p = tmp_path / "freq.tsv"
         p.write_text("#total\t1000\n\ufefffoo\t10\n", encoding="utf-8")
         assert load_frequency_table(str(p)).counts == {"\ufefffoo": 10}
+
+
+class TestRangeErrorsNameTheLine:
+    """A count or total out of range is an error at its file and line; a
+    table built directly keeps the bare message."""
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("#total\t10\nfoo\t3\na\t0\nb\t0\n", 3, "count for 'a' must be >= 1"),
+        ("foo\t3\na\t11\n#total\t10\n", 2,
+         "count for 'a' exceeds total_tokens 10"),
+        ("a\t0\n\n#total\t0\n", 3, "total_tokens must be positive"),
+        ("#total\t 10 \nb\t -2 \n", 2, "count for 'b' must be >= 1"),
+    ], ids=["below_one", "above_total", "total", "spaced"])
+    def test_loaded(self, tmp_path, text, line, message):
+        p = tmp_path / "freq.tsv"
+        p.write_text(text, encoding="utf-8")
+        with pytest.raises(FormatError) as exc:
+            load_frequency_table(str(p))
+        assert str(exc.value) == f"{p}:{line}: {message}"
+
+    @pytest.mark.parametrize("counts, total, message", [
+        ({"w": 2, "a": 0}, 10, "count for 'a' must be >= 1"),
+        ({"a": 11, "w": 0}, 10, "count for 'a' exceeds total_tokens 10"),
+        ({"a": 0}, 0, "total_tokens must be positive"),
+    ])
+    def test_built_directly(self, counts, total, message):
+        with pytest.raises(FormatError) as exc:
+            table(counts, total)
+        assert str(exc.value) == message
+
+
+def line_loop_forced(monkeypatch):
+    """Every chunk of a table goes to the line loop."""
+    monkeypatch.setattr(lexicon_module, "_read_counts", lambda *args: None)
+
+
+def table_outcome(path):
+    """The table at ``path`` as comparable values, or the type and text of
+    the exception loading it raises."""
+    try:
+        t = load_frequency_table(str(path))
+    except Exception as exc:
+        return type(exc), str(exc)
+    return list(t.counts.items()), t.total_tokens
+
+
+# Count spellings and line defects a generated table mixes in; each reads
+# the same, or fails the same, whichever reader meets it.
+ODD_LINES = [
+    "{w}\t {c} ", "{w}\t-{c}", "{w}\t+{c}", "{w}\t1_0", "{w}\t٥",
+    "{w}\t" + "9" * 19, "{w}\t" + "1" * 4301, "{w}\t1\t2", "\t{c}", "",
+    "{w} x\t{c}", "{w}\t", "#total\t1000000",
+]
+
+
+def generated_table(seed):
+    """Bytes of a seeded table of about 400 lines: plain lines, most of the
+    time, with a few of ``ODD_LINES``, and maybe a BOM, CRLF or lone CR
+    line ends, a repeated word, no ``#total``, or a byte that is not UTF-8
+    in a word or a count."""
+    rng = np.random.default_rng(seed)
+    lines = [f"w{i}\t{int(rng.integers(1, 1000))}" for i in range(400)]
+    if rng.random() < 0.8:
+        lines.insert(int(rng.integers(0, 400)), "#total\t1000000")
+    for _ in range(int(rng.integers(0, 3))):
+        odd = ODD_LINES[int(rng.integers(len(ODD_LINES)))]
+        lines.insert(int(rng.integers(0, len(lines))),
+                     odd.format(w=f"x{int(rng.integers(1000))}",
+                                c=int(rng.integers(1, 99))))
+    if rng.random() < 0.2:
+        lines.append(lines[int(rng.integers(0, 300))])
+    data = ("\r\n" if rng.random() < 0.2 else "\n").join(lines)
+    if rng.random() < 0.1:
+        data = data.replace("\n", "\r")
+    data = data.encode("utf-8") + b"\n" * int(rng.integers(0, 2))
+    if rng.random() < 0.2:
+        data = b"\xef\xbb\xbf" + data
+    if rng.random() < 0.15:
+        at = data.index(b"\t", int(rng.integers(0, len(data) - 10)))
+        data = data[:at + int(rng.integers(-1, 2))] + b"\xff" + data[at + 1:]
+    return data
+
+
+class TestTableByteReader:
+    """Tables read from their structural index give the table, or the
+    error text, that the line loop gives, at any chunk size."""
+
+    @pytest.mark.parametrize("chunk", [1 << 20, 64, 300])
+    @pytest.mark.parametrize("seed", range(40))
+    def test_same_outcome_as_line_loop(self, tmp_path, monkeypatch, chunk,
+                                       seed):
+        monkeypatch.setattr(embeddings, "_CHUNK_CHARS", chunk)
+        p = tmp_path / "freq.tsv"
+        p.write_bytes(generated_table(seed))
+        got = table_outcome(p)
+        line_loop_forced(monkeypatch)
+        assert got == table_outcome(p)
+
+    def test_clean_table_skips_the_line_loop(self, tmp_path, monkeypatch):
+        p = tmp_path / "freq.tsv"
+        p.write_bytes(b"\xef\xbb\xbf#total\t5000\r\n"
+                      + b"".join(b"w%d\t%d\r\n" % (i, i % 7 + 1)
+                                 for i in range(300)))
+        expected = table_outcome(p)
+
+        def no_loop(*args):
+            raise AssertionError("a clean chunk went to the line loop")
+
+        monkeypatch.setattr(lexicon_module, "_read_lines", no_loop)
+        monkeypatch.setattr(embeddings, "_CHUNK_CHARS", 500)
+        assert table_outcome(p) == expected
+        assert expected[1] == 5000 and len(expected[0]) == 300
+
+    @pytest.mark.parametrize("defect, message", [
+        ("w250\t1.5", "non-integer count"),
+        ("w3\t4", "duplicate word 'w3'"),
+        ("#total\t7", "duplicate #total header"),
+        ("w250 1", "expected 'word<TAB>count'"),
+    ])
+    def test_defect_in_last_of_three_chunks(self, tmp_path, monkeypatch,
+                                            defect, message):
+        lines = ["#total\t100000"] + [f"w{i}\t{i + 1}" for i in range(240)]
+        size = len("".join(f"{line}\n" for line in lines)) // 3 + 1
+        lines.append(defect)
+        p = tmp_path / "freq.tsv"
+        p.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+        monkeypatch.setattr(embeddings, "_CHUNK_CHARS", size)
+        read = []
+        reader = lexicon_module._read_counts
+
+        def spy(*args):
+            new = reader(*args)
+            read.append(new is not None)
+            return new
+
+        monkeypatch.setattr(lexicon_module, "_read_counts", spy)
+        with pytest.raises(FormatError) as exc:
+            load_frequency_table(str(p))
+        assert str(exc.value) == f"{p}:{len(lines)}: {message}"
+        assert read[:2] == [True, True] and len(read) == 3
+
+    @pytest.mark.parametrize("raw", [b"\xef\xbb\xbf", b"\xef\xbb\xbf\r\n",
+                                     b""])
+    def test_mark_alone_is_a_table_without_total(self, tmp_path, raw):
+        p = tmp_path / "freq.tsv"
+        p.write_bytes(raw)
+        with pytest.raises(FormatError) as exc:
+            load_frequency_table(str(p))
+        assert str(exc.value) == (
+            f"{p}: missing '#total<TAB><total_tokens>' header")
+
+    def test_first_non_utf8_byte_of_a_chunk_named(self, tmp_path):
+        p = tmp_path / "freq.tsv"
+        p.write_bytes(b"#total\t10\nfo\xe2\x82\tx\n")
+        with pytest.raises(FormatError) as exc:
+            load_frequency_table(str(p))
+        assert str(exc.value) == (
+            f"{p}: not valid UTF-8 (invalid continuation byte)")
+        p.write_bytes(b"#total\t10\nfoo\t1\nb\xe2\x82")
+        with pytest.raises(FormatError) as exc:
+            load_frequency_table(str(p))
+        assert str(exc.value) == (
+            f"{p}: not valid UTF-8 (unexpected end of data)")
