@@ -10,8 +10,8 @@ import numpy as np
 from .embeddings import EmbeddingSpace, nearest_neighbors
 from .errors import DataError, VocabularyError
 
-# Largest block of rows ``procrustes_align`` maps at once, in bytes of
-# float64: each block's temporaries add about this much to peak memory.
+# Largest block of rows ``procrustes_align`` reads or maps at once, in bytes
+# of float64: each block's temporaries add about this much to peak memory.
 _BLOCK_BYTES = 1 << 22
 
 
@@ -42,7 +42,9 @@ def procrustes_align(
     Solves min_R sum over anchors of ||E_src(w) R - E_tgt(w)||^2 over
     orthogonal R via SVD of the anchor cross-covariance. Anchor matrices are
     mean-centered before solving and the centering offsets are folded into
-    the returned space: v -> (v - mu_src) R + mu_tgt.
+    the returned space: v -> (v - mu_src) R + mu_tgt. The cross-covariance,
+    the map and the residual run over blocks of rows, so no centered copy
+    of either space is made.
     """
     anchors = list(anchors)
     if not anchors:
@@ -60,32 +62,30 @@ def procrustes_align(
             missing=missing,
         )
 
-    src, mu_src = _centered(source.matrix, at_src)
-    tgt, mu_tgt = _centered(target.matrix, at_tgt)
+    # The means weigh each row by how often it is an anchor, so no row is
+    # gathered. Centered anchors span at most n - 1 dimensions, so the
+    # rotation is unique only from d + 1 distinct anchors.
+    weights = _weights(source, at_src)
+    underdetermined = bool(np.count_nonzero(weights) <= source.dimension)
+    mu_src = weights @ source.matrix / len(anchors)
+    mu_tgt = _weights(target, at_tgt) @ target.matrix / len(anchors)
 
+    step = max(1, _BLOCK_BYTES // (8 * source.dimension))
+    parts = [slice(lo, lo + step) for lo in range(0, len(anchors), step)]
+    cov = sum(_rows_less(source.matrix, at_src, part, mu_src).T
+              @ _rows_less(target.matrix, at_tgt, part, mu_tgt)
+              for part in parts)
     try:
-        u, _, vt = np.linalg.svd(src.T @ tgt)
+        u, _, vt = np.linalg.svd(cov)
     except np.linalg.LinAlgError as exc:
         raise DataError(f"SVD failed during alignment: {exc}") from exc
     rotation = u @ vt
-    # Each copy is freed, or becomes the aligned matrix, as soon as it is
-    # no longer needed.
-    del tgt
 
-    # v -> (v - mu_src) R + mu_tgt, written block by block into one array:
-    # when the anchors are every source row in order, into their centered
-    # copy itself.
-    step = max(1, _BLOCK_BYTES // (8 * source.dimension))
-    if at_src is None:
-        mapped = src
-    else:
-        del src
-        mapped = np.empty_like(source.matrix)
+    # v -> (v - mu_src) R + mu_tgt, written block by block into one array.
+    mapped = np.empty_like(source.matrix)
     for lo in range(0, len(source), step):
         block = mapped[lo:lo + step]
-        np.matmul(block if at_src is None
-                  else source.matrix[lo:lo + step] - mu_src,
-                  rotation, out=block)
+        np.matmul(source.matrix[lo:lo + step] - mu_src, rotation, out=block)
         block += mu_tgt
         if not np.isfinite(block).all():
             raise DataError(
@@ -94,10 +94,9 @@ def procrustes_align(
 
     # Squared distance of each aligned anchor to its raw target row.
     sq_dist = np.empty(len(anchors))
-    for lo in range(0, len(anchors), step):
-        part = slice(lo, lo + step)
-        diff = (_rows(aligned.matrix, at_src, part)
-                - _rows(target.matrix, at_tgt, part))
+    for part in parts:
+        diff = _rows_less(aligned.matrix, at_src, part,
+                          _rows(target.matrix, at_tgt, part))
         sq_dist[part] = np.sum(np.square(diff, out=diff), axis=1)
     residual = float(np.mean(sq_dist))
 
@@ -107,7 +106,7 @@ def procrustes_align(
         residual=residual,
         source_label=source.label,
         target_label=target.label,
-        underdetermined=len(anchors) < source.dimension,
+        underdetermined=underdetermined,
     )
     return aligned, report
 
@@ -121,21 +120,24 @@ def _positions(space: EmbeddingSpace, words: list):
     return [space._index.get(w) for w in words]
 
 
-def _rows(matrix: np.ndarray, at, part: slice = slice(None)) -> np.ndarray:
+def _rows(matrix: np.ndarray, at, part: slice) -> np.ndarray:
     """Rows ``part`` of the rows of ``matrix`` at positions ``at``, as
     ``_positions`` gives them."""
     return matrix[part] if at is None else matrix[at[part]]
 
 
-def _centered(matrix: np.ndarray, at) -> tuple[np.ndarray, np.ndarray]:
-    """A fresh array of the rows of ``matrix`` at ``at`` less their mean,
-    and the mean: one copy, gathered or not, centered in place."""
-    rows = _rows(matrix, at)
-    mean = rows.mean(axis=0)
-    if at is None:
-        return rows - mean, mean
-    rows -= mean
-    return rows, mean
+def _rows_less(matrix: np.ndarray, at, part: slice, other) -> np.ndarray:
+    """``_rows(matrix, at, part) - other`` in a fresh array: a gather is one
+    already, so it is written in place."""
+    rows = _rows(matrix, at, part)
+    return np.subtract(rows, other, out=None if at is None else rows)
+
+
+def _weights(space: EmbeddingSpace, at) -> np.ndarray:
+    """How often each row of ``space`` is at positions ``at``, as
+    ``_positions`` gives them."""
+    return (np.ones(len(space)) if at is None
+            else np.bincount(at, minlength=len(space)))
 
 
 def round_trip_stable(

@@ -14,6 +14,8 @@ import sys
 import time
 from dataclasses import asdict, dataclass, field
 
+import numpy as np
+
 from . import __version__
 from .alignment import default_anchors, procrustes_align
 from .association import (
@@ -49,7 +51,8 @@ from .viz import (
 SCHEMA_VERSION = 1
 
 UNDERDETERMINED_WARNING = (
-    "warning: fewer anchors than dimensions; rotation is underdetermined"
+    "warning: no more distinct anchors than dimensions; rotation is "
+    "underdetermined"
 )
 
 
@@ -347,6 +350,30 @@ def _load_pair(entry1, entry2) -> tuple:
                        for e in (entry1, entry2)))
 
 
+def _blas() -> dict:
+    """numpy's BLAS library, where its build config names it, and the
+    thread variables this run saw: an aligned space's last bits can depend
+    on them."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (KeyError, TypeError):  # a numpy without this config
+        blas = {}
+    return {"name": blas.get("name"), "version": blas.get("version"),
+            "threads": {var: os.environ.get(var) for var in (
+                "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}}
+
+
+def _peak_rss_mb() -> float | None:
+    """This process's peak resident memory so far (VmHWM), in MB; None
+    where ``/proc/self/status`` is absent."""
+    try:
+        with open("/proc/self/status", "rb") as fh:
+            return next(int(line.split()[1]) * 1024 / 1e6 for line in fh
+                        if line.startswith(b"VmHWM:"))
+    except (OSError, StopIteration):
+        return None
+
+
 def _write_report(cfg, command, title, result, timings, alignment=None,
                   refinement=None, plots=None) -> None:
     """Write the run's JSON report and print its one-line summary."""
@@ -362,6 +389,8 @@ def _write_report(cfg, command, title, result, timings, alignment=None,
         "meta": {
             "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),
             "timings": timings,
+            "blas": _blas(),
+            "peak_rss_mb": _peak_rss_mb(),
         },
     }, cfg.report_path)
     print(

@@ -140,6 +140,55 @@ class TestProcrustesLean:
         peak = traced_peak(lambda: procrustes_align(source, target, words))
         assert peak <= 3 * n * dim * 8
 
+    @pytest.mark.parametrize("order", ["in_order", "shuffled"])
+    def test_blocked_passes_peak(self, monkeypatch, order):
+        # Blocks of 256 rows: beyond the aligned matrix, the passes hold
+        # only blocks, not a centered copy of either space's anchors.
+        rng = np.random.default_rng(10)
+        n, dim = 20_000, 50
+        words, source, target = self.rotated_pair(rng, n, dim)
+        anchors = words if order == "in_order" else list(
+            rng.permutation(words))
+        monkeypatch.setattr(alignment, "_BLOCK_BYTES", 8 * dim * 256)
+        peak = traced_peak(lambda: procrustes_align(source, target, anchors))
+        assert peak <= 1.6 * n * dim * 8
+
+
+class TestUnderdetermined:
+    """Centered anchors span at most n - 1 dimensions, so the rotation is
+    flagged underdetermined unless there are more distinct anchors than
+    dimensions, however often each is repeated."""
+
+    @staticmethod
+    def report(n_distinct, repeats=1, dim=4):
+        rng = np.random.default_rng(11)
+        words = [f"w{i}" for i in range(50)]
+        source = random_space(rng, "src", words, dim)
+        target = EmbeddingSpace.from_rows(
+            "tgt", words, source.matrix @ random_rotation(rng, dim))
+        return procrustes_align(source, target,
+                                words[:n_distinct] * repeats)[1]
+
+    @pytest.mark.parametrize("n_distinct, repeats", [(1, 1), (3, 1), (4, 1),
+                                                     (3, 10), (4, 10)])
+    def test_flagged(self, n_distinct, repeats):
+        report = self.report(n_distinct, repeats)
+        assert report.underdetermined is True
+        assert report.to_dict()["n_anchors"] == n_distinct * repeats
+
+    @pytest.mark.parametrize("n_distinct, repeats", [(5, 1), (5, 10), (50, 1)])
+    def test_not_flagged(self, n_distinct, repeats):
+        assert self.report(n_distinct, repeats).underdetermined is False
+
+    def test_rotation_recovered_from_d_plus_one(self):
+        rng = np.random.default_rng(12)
+        words = [f"w{i}" for i in range(50)]
+        source = random_space(rng, "src", words, 4)
+        rot = random_rotation(rng, 4)
+        target = EmbeddingSpace.from_rows("tgt", words, source.matrix @ rot)
+        _, report = procrustes_align(source, target, words[:5] * 3)
+        assert np.abs(report.rotation - rot).max() <= 1e-12
+
 
 class TestRoundTripStability:
     def test_identical_spaces_all_stable(self):
@@ -240,8 +289,8 @@ class TestResidualFromAlignedRows:
         assert [a.shape for a in arrays] == [(900, 6), (900,)]
 
     def test_in_order_anchors_map_in_place(self):
-        # The centered copy of the source is the aligned matrix, so the
-        # map holds one copy of the rows beyond the two spaces.
+        # No centered copy of either space is made, so the map holds one
+        # copy of the rows beyond the two spaces: the aligned matrix.
         rng = np.random.default_rng(34)
         n, dim = 20_000, 50
         words = [f"w{i}" for i in range(n)]

@@ -217,8 +217,8 @@ class TestSweatCommand:
         path.write_text(json.dumps(raw), encoding="utf-8")
         assert main(["sweat", "--config", str(path)]) == 0
         err = capsys.readouterr().err
-        assert err == ("warning: fewer anchors than dimensions; rotation is "
-                       "underdetermined\n")
+        assert err == ("warning: no more distinct anchors than dimensions; "
+                       "rotation is underdetermined\n")
 
     def test_one_association_pass_per_space(self, tmp_path, capsys,
                                              monkeypatch):
@@ -384,6 +384,78 @@ class TestWeatCommand:
         report = json.loads((tmp_path / "weat.json").read_text())
         assert report["command"] == "weat"
         assert 0.0 <= report["result"]["p_value"] <= 1.0
+
+
+class TestReportMeta:
+    """``meta`` records the BLAS library, the thread variables the run saw
+    and the process's peak memory; the report outside ``meta`` does not
+    depend on them."""
+
+    THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    KEYS = ["alignment", "command", "config", "meta", "plots", "refinement",
+            "result", "schema_version", "toolkit_version"]
+
+    def run(self, tmp_path, command):
+        fx = write_fixture(tmp_path)
+        if command == "sweat":
+            path, _ = base_config(tmp_path, fx)
+            report = tmp_path / "report.json"
+        else:
+            path = tmp_path / "weat.config.json"
+            path.write_text(json.dumps(weat_raw(fx, tmp_path)),
+                            encoding="utf-8")
+            report = tmp_path / "weat.json"
+        assert main([command, "--config", str(path)]) == 0
+        return json.loads(report.read_text())
+
+    @pytest.mark.parametrize("command", ["sweat", "weat"])
+    def test_keys_present(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        report = self.run(tmp_path, command)
+        assert sorted(report) == self.KEYS
+        meta = report["meta"]
+        assert sorted(meta) == ["blas", "created", "peak_rss_mb", "timings"]
+        assert sorted(meta["blas"]) == ["name", "threads", "version"]
+        assert sorted(meta["blas"]["threads"]) == sorted(self.THREADS)
+        assert meta["blas"]["threads"]["OPENBLAS_NUM_THREADS"] == "1"
+        assert meta["blas"]["threads"]["MKL_NUM_THREADS"] is None
+        if os.path.exists("/proc/self/status"):
+            assert meta["peak_rss_mb"] > 1.0
+
+    @pytest.mark.parametrize("command", ["sweat", "weat"])
+    def test_outside_meta_unchanged(self, tmp_path, capsys, monkeypatch,
+                                    command):
+        # The variables are read after numpy's BLAS has started, so only
+        # what is recorded differs between the runs.
+        reports = []
+        for threads in ("1", "3"):
+            for var in self.THREADS:
+                monkeypatch.setenv(var, threads)
+            reports.append(self.run(tmp_path, command))
+        metas = [r.pop("meta") for r in reports]
+        assert reports[0] == reports[1]
+        assert [m["blas"]["threads"] for m in metas] == [
+            dict.fromkeys(self.THREADS, t) for t in ("1", "3")]
+
+    def test_absent_sources_read_null(self, tmp_path, capsys, monkeypatch):
+        import builtins
+
+        import sweatkit.cli
+
+        def no_proc(path, *args, **kwargs):
+            if path == "/proc/self/status":
+                raise FileNotFoundError(path)
+            return builtins.open(path, *args, **kwargs)
+
+        def no_config(*args, **kwargs):
+            raise TypeError("show_config() got an unexpected keyword")
+
+        monkeypatch.setattr(sweatkit.cli, "open", no_proc, raising=False)
+        monkeypatch.setattr(sweatkit.cli.np, "show_config", no_config)
+        meta = self.run(tmp_path, "sweat")["meta"]
+        assert meta["peak_rss_mb"] is None
+        assert (meta["blas"]["name"], meta["blas"]["version"]) == (None, None)
 
 
 class TestOtherCommands:

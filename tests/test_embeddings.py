@@ -594,7 +594,8 @@ class TestSpaceValidation:
 
 
 class TestHeaderBound:
-    """The header sizes nothing: the matrix grows with the rows read, so a
+    """The header alone sizes nothing: the matrix is allocated once for the
+    smaller of the header's rows and the rows the file's size allows, so a
     header declaring more rows than the file holds ends in a row's error or
     a row-count mismatch, never in an allocation of the declared size."""
 
