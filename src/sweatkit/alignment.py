@@ -4,6 +4,7 @@ cross-space round-trip stability test."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -54,9 +55,9 @@ def procrustes_align(
             f"dimension mismatch: {source.dimension} vs {target.dimension}"
         )
     at_src, at_tgt = _positions(source, anchors), _positions(target, anchors)
-    missing = {w for at in (at_src, at_tgt) if at is not None
-               for w, i in zip(anchors, at) if i is None}
-    if missing:
+    if any(at is not None and np.min(at) < 0 for at in (at_src, at_tgt)):
+        missing = {w for space in (source, target)
+                   for w in space.missing(anchors)}
         raise VocabularyError(
             "anchors missing from one of the spaces: " + ", ".join(sorted(missing)),
             missing=missing,
@@ -112,12 +113,13 @@ def procrustes_align(
 
 
 def _positions(space: EmbeddingSpace, words: list):
-    """Row of each of ``words`` in ``space``, None for a word it lacks; or
-    None for all when ``words`` are its vocabulary in order, so that
-    ``_rows`` reads them as slices instead of gathers."""
+    """Row of each of ``words`` in ``space`` as an array, -1 for a word it
+    lacks; or None for all when ``words`` are its vocabulary in order, so
+    that ``_rows`` reads them as slices instead of gathers."""
     if len(words) == len(space) and tuple(words) == space.words:
         return None
-    return [space._index.get(w) for w in words]
+    return np.fromiter(map(space._index.get, words, repeat(-1)),
+                       dtype=np.intp, count=len(words))
 
 
 def _rows(matrix: np.ndarray, at, part: slice) -> np.ndarray:

@@ -495,7 +495,8 @@ def cmd_align(args) -> int:
     aligned, report = procrustes_align(source, target, anchors)
     save_word2vec_text(aligned, args.out)
     if args.report:
-        _json_dump(report.to_dict(), args.report)
+        _json_dump({**report.to_dict(), "meta": {
+            "blas": _blas(), "peak_rss_mb": _peak_rss_mb()}}, args.report)
     print(
         f"aligned '{source.label}' onto '{target.label}' with "
         f"{len(anchors)} anchors, residual {report.residual:.3e}"

@@ -9,6 +9,7 @@ import stat
 import sys
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import count
 
 import numpy as np
@@ -300,20 +301,41 @@ def _row_best(space: EmbeddingSpace, lo: int, sims: np.ndarray):
 # the chunk and its index add only a few MB to peak memory.
 _CHUNK_CHARS = 1 << 20
 
-# ASCII separators that numpy's float parser strips as whitespace but
-# float() rejects; a body holding one is left to the row validator.
-_SEPARATORS = "\x1c\x1d\x1e\x1f"
-
-# Most digits of a field that ``_parse_fixed`` reads: its digits m are below
+# Most digits of a field that ``_read_fixed`` reads: its digits m are below
 # 10**15 < 2**53, so m and 10**k are exact doubles.
 _FIXED_DIGITS = 15
+
+# Most significant digits of a field that ``_read_decimal`` reads: its
+# digits w are below 10**19 < 2**64, a uint64.
+_DECIMAL_DIGITS = 19
+
+# Fewest fields of a pass of ``_read_decimal`` not read by ``_mantissa``
+# alone (exponents, mostly) that go through the arrays again; fewer go to
+# ``float()`` one by one, which costs less than the arrays' numpy calls,
+# about 130 us a pass however few fields they hold. On a 19 MB file of
+# "%.6g" text, about 2 such fields a pass, load CPU fell about 12% (best
+# and median of 7 alternating fresh-process loads, 2 vCPU).
+_FEW_FIELDS = 128
+
+# Values per pass of ``_read_decimal``, half a pass of ``_parse_decimal``.
+# It holds about 15 arrays of 8 bytes a value at once; passes twice as long
+# freed about 2 MB at their end, which the allocator gave back to the system
+# and mapped afresh for the next pass: a 40 MB file of repr text took 25,000
+# page faults instead of 2,600, and up to a quarter more CPU.
+_DECIMAL_VALUES = 1 << 13
 
 _BOM = b"\xef\xbb\xbf"
 # Bytes below "-" are structural in ``_line_index``: every separator and
 # line end, and any such byte that a word holds.
 _STRUCTURAL = ord("-")
-_NEWLINE, _CR, _TAB, _SPACE, _POINT, _MINUS = b"\n\r\t .-"
+# Bytes below this are structural in a word2vec body: the space and the
+# control bytes. "+" and the other punctuation below "-" are read as part
+# of a field or a word.
+_BLANK = ord(" ") + 1
+_NEWLINE, _CR, _TAB, _SPACE, _POINT, _MINUS, _PLUS, _E = b"\n\r\t .-+e"
 _ZERO = np.uint8(ord("0"))
+# ORed into a letter's byte, this makes an ASCII capital lower case.
+_LOWER = np.uint8(0x20)
 
 
 def load_word2vec_text(path: str, label: str | None = None) -> EmbeddingSpace:
@@ -326,18 +348,20 @@ def load_word2vec_text(path: str, label: str | None = None) -> EmbeddingSpace:
 
     The input is read once as bytes, files and pipes alike, a chunk of
     whole lines at a time, into a matrix allocated once (see
-    ``_read_word2vec_text``). Each chunk of fixed-point text is read by an
-    exact decimal kernel from a structural index of its bytes. A chunk the
-    kernel declines is decoded and parsed in bulk by loadtxt, and one that
-    too declines (a blank line, say) is read by the row-by-row validator
-    alone, which raises the ``FormatError`` of a row; the next chunk goes to
-    the bulk parse again. Line ends are those of text mode: ``\\n``,
+    ``_read_word2vec_text``). Each chunk is read by an exact decimal kernel
+    from a structural index of its bytes (``_parse_decimal``), every field
+    bit for bit as ``float()`` reads it. A chunk the kernel declines, for a
+    defect of its structure or a field that is not a finite number (a blank
+    line, say), is decoded and read by the row-by-row validator alone, which
+    raises the ``FormatError`` of a row; the next chunk goes to the kernel
+    again. Line ends are those of text mode: ``\\n``,
     ``\\r\\n`` and a lone ``\\r``. Components and header fields are ASCII:
     ``_`` and the digits of other scripts, which ``float()`` and ``int()``
     read, are errors. One UTF-8 byte order mark before the header is
     skipped.
     """
-    # Both parsers checked the shape, the words and every value.
+    # The kernel and the validator checked the shape, the words and every
+    # value.
     words, rows = _read_word2vec_text(path)
     return EmbeddingSpace._adopt(_label(path, label), words, rows)
 
@@ -372,22 +396,16 @@ def _read_word2vec_text(path: str) -> tuple[dict, np.ndarray]:
         most = _most_rows(_bytes_left(raw, len(head)), dim)
         rows = np.empty((min(vocab_size, most), dim))
         lineno = 2
-        fixed = True  # until the kernel declines a chunk
         for buf in chunks:
-            read = None
-            if fixed:
-                read, fixed = _parse_bytes(buf, dim, words, vocab_size, rows)
-            if read is not None:
-                lineno += read  # every line of the chunk was a row
-                continue
-            lines = _lines(buf)
-            block = _parse_bulk(lines, dim, words, vocab_size)
-            if block is None:  # the validator reads it, or names its defect
+            read = _parse_bytes(buf, dim, words, vocab_size, rows)
+            if read is None:  # the validator reads it, or names its defect
+                lines = _lines(buf)
                 block = _parse_rows(lines, path, vocab_size, dim, words, lineno)
-            filled = len(words) - len(block)
-            _reserve(rows, len(words), vocab_size)
-            rows[filled:len(words)] = block
-            lineno += len(lines)
+                filled = len(words) - len(block)
+                _reserve(rows, len(words), vocab_size)
+                rows[filled:len(words)] = block
+                read = len(lines)
+            lineno += read
     if len(words) != vocab_size:
         raise FormatError(f"{path}: row count mismatch: header declares "
                           f"{vocab_size}, found {len(words)}")
@@ -642,18 +660,18 @@ def _rest_of_line(raw, after_cr: bool = False) -> bytearray:
     return line
 
 
-def _line_index(buf: np.ndarray, sep: int):
+def _line_index(buf: np.ndarray, sep: int, below: int = _STRUCTURAL):
     """Structural index of ``buf``, a chunk of whole lines: ``(low, first,
     last)``, or None if a line holds no ``sep`` byte.
 
-    ``low`` holds the position of every byte below "-": the separators and
-    line ends, and any such byte that a word holds. ``last`` is the index in
-    ``low`` of each line's end, the chunk's end for a last line without
-    ``\\n``; ``first`` is that of the line's first ``sep``, which ends its
-    word. The fields after the word end at the entries of ``low`` after
-    ``first`` up to ``last``. This is the structural index of simdjson
-    (Langdale and Lemire, "Parsing Gigabytes of JSON per Second", VLDB
-    Journal 2019) for lines of fields.
+    ``low`` holds the position of every byte below ``below``: the
+    separators and line ends, and any such byte that a word holds. ``last``
+    is the index in ``low`` of each line's end, the chunk's end for a last
+    line without ``\\n``; ``first`` is that of the line's first ``sep``,
+    which ends its word. The fields after the word end at the entries of
+    ``low`` after ``first`` up to ``last``. This is the structural index of
+    simdjson (Langdale and Lemire, "Parsing Gigabytes of JSON per Second",
+    VLDB Journal 2019) for lines of fields.
     """
     if not len(buf):  # the empty line after a byte order mark alone
         return None
@@ -661,7 +679,7 @@ def _line_index(buf: np.ndarray, sep: int):
     # come from memory the allocator reuses (see ``_PASS_VALUES``): a whole
     # chunk's took about 10,000 page faults per 42 MB file.
     step = 8 * _PASS_VALUES
-    low = np.concatenate([np.flatnonzero(buf[at:at + step] < _STRUCTURAL) + at
+    low = np.concatenate([np.flatnonzero(buf[at:at + step] < below) + at
                           for at in range(0, len(buf), step)])
     kinds = buf[low]
     if buf[-1] != _NEWLINE:
@@ -671,7 +689,7 @@ def _line_index(buf: np.ndarray, sep: int):
     first = np.empty_like(last)
     first[0] = 0
     first[1:] = last[:-1] + 1
-    # Lines whose word holds a byte below "-", or that hold no sep.
+    # Lines whose word holds a byte below ``below``, or that hold no sep.
     for i in np.flatnonzero(kinds[first] != sep).tolist():
         seps = np.flatnonzero(kinds[first[i]:last[i]] == sep)
         if not len(seps):
@@ -704,58 +722,48 @@ def _lines(buf: np.ndarray) -> list[str]:
 
 def _parse_bytes(buf: np.ndarray, dim: int, words: dict, vocab_size: int,
                  rows: np.ndarray):
-    """``(read, fixed)``. ``read`` is the number of lines of the chunk
-    ``buf``, every one a row, written to ``rows`` after the ``len(words)``
-    rows read before, their words added to ``words``. It is None, with
-    ``words`` unchanged, if a line has no body, a word repeats or the rows
-    would exceed ``vocab_size`` (``_parse_bulk``'s checks, made on the
-    structural index), if ``_parse_fixed`` declines the chunk, which makes
-    ``fixed`` False, or if a row is all zeros.
+    """The number of lines of the chunk ``buf``, every one a row, written to
+    ``rows`` after the ``len(words)`` rows read before, their words added to
+    ``words``; or None, with ``words`` unchanged, for the validator to read
+    the chunk: if a line holds no space, a word repeats, the rows would
+    exceed ``vocab_size``, ``_parse_decimal`` declines the chunk or a row is
+    all zeros.
 
     ``rows`` grows to hold the rows the chunk's bytes can (``_reserve``),
     and the kernel writes them in place.
     """
-    index = _line_index(buf, _SPACE)
+    index = _line_index(buf, _SPACE, _BLANK)
     if index is None:  # a line with no space has no body
-        return None, True
-    low, first, last = index
-    n = len(last)
+        return None
+    n = len(index[2])
     filled = len(words)
     if filled + n > vocab_size:
-        return None, True
-    ends, seps = low[last], low[first]
-    # The body without one trailing space must hold a byte; loadtxt would
-    # skip the row, and warn.
-    if ((ends - seps - 1 - (buf[ends - 1] == _SPACE)) < 1).any():
-        return None, True
+        return None
     new = dict.fromkeys(_words(buf, *index, " "))
     if len(new) != n or not words.keys().isdisjoint(new):
-        return None, True
+        return None
     _reserve(rows, filled + min(n, _most_rows(len(buf), dim)), vocab_size)
-    block = _parse_fixed(buf, index, rows[filled:filled + n])
-    if block is None:
-        return None, False
-    if not block.any(axis=1).all():
-        return None, True
+    block = _parse_decimal(buf, index, rows[filled:filled + n])
+    if block is None or not block.any(axis=1).all():
+        return None
     words.update(new)
-    return n, True
+    return n
 
 
-def _parse_fixed(buf: np.ndarray, index, out: np.ndarray):
+def _parse_decimal(buf: np.ndarray, index, out: np.ndarray):
     """``out``, holding the fields after each line's word in the chunk
-    ``buf`` indexed by ``_line_index``, if every line holds ``out``'s number
-    of columns of fields joined by single spaces, with at most one trailing
-    space, and every field is ``-?D+.D{k}`` with one k >= 1 for all of them
-    and at most ``_FIXED_DIGITS`` digits; None otherwise, when some of
-    ``out`` may have been written. An ``out`` of fewer rows than ``buf`` has
-    lines, which its bytes cannot hold as rows, is declined.
+    ``buf`` indexed by ``_line_index`` below ``_BLANK``, if every line holds
+    ``out``'s number of columns of fields joined by single spaces, with at
+    most one trailing space, and every field is a finite number that
+    ``float()`` reads, spelled in ASCII without "_"; None otherwise, when
+    some of ``out`` may have been written. An ``out`` of fewer rows than
+    ``buf`` has lines, which its bytes cannot hold as rows, is declined.
 
-    A field's digits m and 10**k are exact doubles, so one division gives
-    m / 10**k correctly rounded, and each value equals ``float(field)`` bit
-    for bit, ``-0.0`` included (Clinger, "How to Read Floating Point Numbers
-    Accurately", PLDI 1990). The bytes are read in place, in passes of
-    about ``_PASS_VALUES`` fields, as ``_format_block`` writes them, so that
-    the temporaries come from memory the allocator reuses.
+    Each value equals ``float(field)`` bit for bit. The bytes are read in
+    place, in passes of about ``_PASS_VALUES`` fields, as ``_format_block``
+    writes them, so that the temporaries come from memory the allocator
+    reuses. A pass is read by ``_read_fixed`` if it can, else by
+    ``_read_decimal``, ``_DECIMAL_VALUES`` fields at a time.
     """
     low, first, last = index
     rows, dim = out.shape
@@ -770,94 +778,350 @@ def _parse_fixed(buf: np.ndarray, index, out: np.ndarray):
         return None
     columns = np.arange(dim + 1)
     step = max(1, _PASS_VALUES // dim)
-    k = None
     for lo in range(0, rows, step):
         # Each field starts after the byte that ends the one before it, or
         # the word.
         bounds = low[first[lo:lo + step, None] + columns]
         starts, ends = (bounds[:, :-1] + 1).ravel(), bounds[:, 1:].ravel()
-        if not (buf[bounds[:, 1:-1]] == _SPACE).all():
+        if not ((buf[bounds[:, 1:-1]] == _SPACE).all()
+                and (ends > starts).all()):
             return None
-        if k is None:  # the decimals of the chunk's first field
-            k = int(ends[0] - starts[0]) - 1 - bytes(
-                buf[starts[0]:ends[0]]).find(b".")
-        neg = buf[starts] == _MINUS
-        whole = ends - starts - neg - (k + 1)  # digits before the point
-        if not (k >= 1 and whole.min() >= 1
-                and whole.max() + k <= _FIXED_DIGITS
-                and (buf[ends - k - 1] == _POINT).all()):
-            return None
-        m = out[lo:lo + step].reshape(-1)
-        m[:] = 0.0
-        if not (_add_digits(buf, ends, k, 0, m)
-                and _add_digits(buf, ends - k - 1, whole, k, m)):
-            return None
-        m /= float(10 ** k)
-        m *= 1.0 - 2.0 * neg  # sets the sign, of a zero too
+        values = out[lo:lo + step].reshape(-1)
+        if _read_fixed(buf, starts, ends, values):
+            continue
+        for at in range(0, len(values), _DECIMAL_VALUES):
+            part = slice(at, at + _DECIMAL_VALUES)
+            if not _read_decimal(buf, starts[part], ends[part], values[part]):
+                return None
     return out
+
+
+def _read_fixed(buf: np.ndarray, starts, ends, values: np.ndarray) -> bool:
+    """Whether every field of ``buf`` from ``starts`` to ``ends`` is spelled
+    as the first one, ``-?D+.D{k}`` or ``-?D+.D{k}(e|E)[+-]D{x}``: the same
+    k >= 1 decimals, at most ``_FIXED_DIGITS`` digits before the exponent,
+    the same x exponent digits, and an exponent e with |e - k| <= 22. If so,
+    ``values`` holds them; otherwise some of ``values`` may have been
+    written.
+
+    A field's digits m and 10**k are exact doubles, so one division gives
+    m / 10**k correctly rounded, and each value equals ``float(field)`` bit
+    for bit, ``-0.0`` included (Clinger, "How to Read Floating Point Numbers
+    Accurately", PLDI 1990). With an exponent, m is multiplied or divided
+    by the exact 10**|e - k| instead.
+    """
+    head = bytes(buf[starts[0]:ends[0]]).removeprefix(b"-")
+    mantissa, mark, tail = head.lower().partition(b"e")
+    if not (mantissa.replace(b".", b"", 1).isdigit()
+            and (not mark or tail[1:].isdigit() and tail[:1] in b"+-")):
+        return False
+    k = len(mantissa) - 1 - mantissa.find(b".")
+    last = ends - (1 + len(tail)) if mark else ends  # the mantissas' ends
+    neg = buf[starts] == _MINUS
+    whole = last - starts - neg - (k + 1)  # digits before the point
+    if not (k >= 1 and whole.min() >= 1
+            and whole.max() + k <= _FIXED_DIGITS
+            and (buf[last - k - 1] == _POINT).all()):
+        return False
+    if mark:
+        sign = buf[last + 1]
+        power = np.zeros(len(ends), dtype=np.int64)
+        if not (((buf[last] | _LOWER) == _E).all()
+                and ((sign == _MINUS) | (sign == _PLUS)).all()
+                and _add_digits(buf, ends, len(tail) - 1, 0, power)):
+            return False
+        power *= 1 - 2 * (sign == _MINUS).astype(np.int64)
+        power -= k
+        if np.abs(power).max() >= len(_POW10_EXACT):
+            return False
+    values[:] = 0.0
+    if not (_add_digits(buf, last, k, 0, values)
+            and _add_digits(buf, last - k - 1, whole, k, values)):
+        return False
+    if mark:
+        scale = _POW10_EXACT[np.abs(power)]
+        values[:] = np.where(power < 0, values / scale, values * scale)
+    else:
+        values /= float(10 ** k)
+    values *= 1.0 - 2.0 * neg  # sets the sign, of a zero too
+    return True
+
+
+def _read_decimal(buf: np.ndarray, starts, ends, values: np.ndarray) -> bool:
+    """Whether every field of ``buf`` from ``starts`` to ``ends`` is a
+    finite number that ``float()`` reads, in ASCII without "_"; if so,
+    ``values`` holds each bit for bit as ``float()`` reads it. Otherwise
+    some of ``values`` may have been written.
+
+    A field ``[+-]D+[.D+][(e|E)[+-]D+]``, with at most 4 bytes after the
+    ``e`` and ``_DECIMAL_DIGITS`` digits before it, leading zeros of a zero
+    whole part aside, is read in place as its digits w times 10**q. Where
+    w <= 2**53 and |q| <= 22, both are exact doubles and one multiply or
+    divide rounds their product correctly (Clinger); the rest go to
+    ``_eisel_lemire``. A field of another spelling (``.5``, ``5.``,
+    ``1e00005``, more digits), and one that Eisel-Lemire leaves, goes to
+    ``float()`` on its own (``_read_each``).
+    """
+    lead = buf[starts]
+    neg = lead == _MINUS
+    begin = starts + (neg | (lead == _PLUS))  # the first digit
+    w, frac, ok = _mantissa(buf, begin, ends)
+    exponent = 0
+    redo = np.flatnonzero(~ok)
+    # An exponent, or a field only float() reads. A few such fields cost
+    # float() less than the arrays' fixed cost.
+    if redo.size >= _FEW_FIELDS:
+        mark, power, marked = _exponent(buf, begin[redo], ends[redo])
+        w[redo], frac[redo], ok[redo] = _mantissa(buf, begin[redo], mark)
+        ok[redo] &= marked
+        exponent = np.zeros(len(starts), dtype=np.int64)
+        exponent[redo] = power
+    q = exponent - frac
+    reach = np.abs(q)
+    # Clinger's exact case, for every field: the others are written over.
+    scale = _POW10_EXACT[np.minimum(reach, len(_POW10_EXACT) - 1)]
+    magnitude = w.astype(np.float64)
+    np.multiply(magnitude, scale, out=values)
+    np.divide(magnitude, scale, out=values, where=q < 0)
+    rest = np.flatnonzero(ok & (w != 0) & (
+        (w > _EXACT_INT) | (reach >= len(_POW10_EXACT))))
+    if rest.size:
+        at = q[rest]
+        inside = (at >= _LEAST_Q) & (at <= _MOST_Q)
+        found, decided = _eisel_lemire(w[rest],
+                                       np.clip(at, _LEAST_Q, _MOST_Q))
+        decided &= inside
+        values[rest[decided]] = found[decided]
+        ok[rest[~decided]] = False
+    values *= 1.0 - 2.0 * neg  # sets the sign, of a zero too
+    left = np.flatnonzero(~ok)
+    if left.size:
+        each = _read_each(buf, starts[left], ends[left])
+        if each is None:
+            return False
+        values[left] = each
+    return True
+
+
+def _mantissa(buf: np.ndarray, begin, end):
+    """``(w, frac, ok)`` for the mantissas of ``buf`` from ``begin`` to
+    ``end``: where ``ok``, a mantissa is ``D+[.D+]`` and w, as uint64, is
+    its digits, frac of them after the point."""
+    # The point: the mantissa's first ".", most often its second byte.
+    point = end.copy()  # a mantissa without a point is all whole digits
+    np.copyto(point, begin + 1, where=(end - begin > 1) & (
+        buf.take(begin + 1, mode="clip") == _POINT))
+    todo = np.flatnonzero(point == end)
+    at = begin[todo]
+    while todo.size:
+        inside = at < end[todo]
+        todo, at = todo[inside], at[inside]
+        hit = buf[at] == _POINT
+        point[todo[hit]] = at[hit]
+        todo, at = todo[~hit], at[~hit] + 1
+    whole = point - begin
+    frac = np.maximum(end - point - 1, 0)
+    ok = ((whole >= 1) & (whole <= _DECIMAL_DIGITS)
+          & ((point == end) | (frac >= 1)))
+    w = np.zeros(len(begin), dtype=np.uint64)
+    ok &= ~_digit_faults(buf, point, (whole * ok).astype(np.uint8), w)
+    # The whole part's digits and the fraction's fit w if there are at most
+    # _DECIMAL_DIGITS of them, or the whole part is zero.
+    ok &= (whole + frac <= _DECIMAL_DIGITS) | (
+        (w == 0) & (frac <= _DECIMAL_DIGITS))
+    frac *= ok
+    w *= _POW10_U64[frac]
+    ok &= ~_digit_faults(buf, end, frac.astype(np.uint8), w)
+    return w, frac, ok
+
+
+def _exponent(buf: np.ndarray, begin, ends):
+    """``(mark, power, ok)`` for the fields of ``buf`` from ``begin`` to
+    ``ends``: where ``ok``, a field ends in an exponent ``(e|E)[+-]D+``, of
+    1 to 4 bytes after its mark, the e, and ``power`` is its value. A field
+    without a mark has its end as ``mark``."""
+    size = np.minimum(ends - begin, 255).astype(np.uint8)
+    # The e or E nearest the end, after the mantissa's first byte. Bytes
+    # read outside a field, or the chunk, count for none.
+    back = np.zeros(len(ends), dtype=np.uint8)
+    at = ends - 6
+    for j in range(5, 1, -1):
+        at += 1
+        np.copyto(back, j, where=((buf.take(at, mode="clip") | _LOWER)
+                                  == _E) & (size > j))
+    mark = ends - back
+    sign = buf.take(mark + 1, mode="clip")
+    eneg = sign == _MINUS
+    width = (back - 1 - (eneg | (sign == _PLUS))) * (back > 0)
+    power = np.zeros(len(ends), dtype=np.int64)
+    ok = ~_digit_faults(buf, ends, width, power) & (width >= 1)
+    power *= 1 - 2 * eneg.astype(np.int64)
+    return mark, power, ok
+
+
+def _read_each(buf: np.ndarray, starts, ends):
+    """The fields of ``buf`` from ``starts`` to ``ends``, each read by
+    ``float()``; None if one is not ASCII, holds "_", is not a number or is
+    not finite, for the validator to name."""
+    values = []
+    for a, b in zip(starts.tolist(), ends.tolist()):
+        field = buf[a:b].tobytes()
+        if not field.isascii() or b"_" in field:
+            return None
+        try:
+            value = float(field)
+        except ValueError:
+            return None
+        if not math.isfinite(value):
+            return None
+        values.append(value)
+    return values
 
 
 def _add_digits(buf: np.ndarray, ends, width, scale: int,
                 total: np.ndarray) -> bool:
+    """``_digit_faults`` as one answer: False, with ``total`` partly added
+    to, if a byte read is not a digit."""
+    return not _digit_faults(buf, ends, width, total, scale).any()
+
+
+def _digit_faults(buf: np.ndarray, ends, width, total: np.ndarray,
+                  scale: int = 0) -> np.ndarray:
     """Add to ``total`` the number that the ``width`` ASCII digits just
     before each of ``ends`` spell, times 10**``scale``, in the dtype of
-    ``total``, which must hold every sum exactly: a column of digits at a
-    time, from the last. False, with ``total`` partly added to, if a byte
-    read is not a digit."""
-    fewest, most = int(np.min(width)), int(np.max(width))
-    at = ends.copy()
-    for j in range(most):
-        at -= 1
-        # The bytes below "0" wrap around to 208 and more.
-        digit = buf[at] - _ZERO
-        if j >= fewest:  # fields with fewer digits read 0 here
-            digit[width <= j] = 0
-        if digit.max() > 9:
-            return False
-        total += digit * total.dtype.type(10 ** (j + scale))
-    return True
+    ``total``, which must hold every sum exactly; return where a byte read
+    is not a digit, and the number added means nothing.
 
-
-def _parse_bulk(lines: list[str], dim: int, words: dict, vocab_size: int):
-    """The rows of ``lines`` as a matrix read by numpy's loadtxt, their
-    words added to ``words``; or None, with ``words`` unchanged, if any row
-    is not plainly well-formed or repeats a word, or the rows would exceed
-    ``vocab_size``. It reads the chunks that ``_parse_fixed`` does not.
-
-    Accepts only what ``_parse_rows`` accepts, with bit-identical values:
-    numpy's loadtxt converts through the same ``PyOS_string_to_double`` as
-    ``float()``, strips the same ASCII whitespace except ``_SEPARATORS``,
-    and rejects underscores. Non-ASCII text, numbers or spaces, which the
-    validator rejects, is left to it.
+    The digits are read a column at a time, from the first, into groups of
+    8 in uint32, and each group is added to ``total`` in one step.
     """
-    if len(words) + len(lines) > vocab_size:
-        return None
-    new: dict[str, None] = {}
-    bodies = []
-    for line in lines:
-        word, _, body = line.partition(" ")
-        if body.endswith(" "):
-            body = body[:-1]
-        if not body:
-            return None  # loadtxt would skip the row, and warn
-        new[word] = None
-        bodies.append(body)
-    if len(new) != len(lines) or not words.keys().isdisjoint(new):
-        return None
-    text = "\n".join(bodies)
-    if not text.isascii() or any(c in text for c in _SEPARATORS):
-        return None
-    try:
-        block = np.loadtxt(bodies, dtype=np.float64, delimiter=" ",
-                           comments=None, ndmin=2)
-    except ValueError:
-        return None
-    if block.shape != (len(lines), dim) or not np.isfinite(block).all():
-        return None
-    if not block.any(axis=1).all():
-        return None
-    words.update(new)
-    return block
+    fewest, most = int(np.min(width)), int(np.max(width))
+    largest = np.zeros(len(ends), dtype=np.uint8)  # of the digits read
+    group = np.zeros(len(ends), dtype=np.uint32)
+    at = ends - most
+    for j in range(most - 1, -1, -1):  # the column of 10**j
+        # The bytes below "0" wrap around to 208 and more; a field with
+        # fewer digits may read outside the chunk here.
+        digit = buf.take(at, mode="clip") - _ZERO
+        at += 1
+        if j >= fewest:  # fields with fewer digits read 0 here
+            digit *= width > j
+        np.maximum(largest, digit, out=largest)
+        group *= np.uint32(10)
+        group += digit
+        if j % 8 == 0:
+            power = 10 ** (j + scale)
+            total += group * total.dtype.type(power) if power > 1 else group
+            group[:] = 0
+    return largest > 9
+
+
+# The decimal exponents of Eisel-Lemire's table: any w * 10**q outside them,
+# with w below 10**19, rounds to 0 or overflows.
+_LEAST_Q, _MOST_Q = -342, 308
+
+
+@cache
+def _pow5_tables():
+    """The high and low 64 bits of 5**q for each q from ``_LEAST_Q`` to
+    ``_MOST_Q``, scaled by a power of two to 128 bits with the top bit set:
+    truncated for q >= 0, and for q < 0 a reciprocal one unit above its
+    truncation. These are the tables of Eisel-Lemire (Lemire, "Number
+    Parsing at a Gigabyte per Second", Software: Practice and Experience
+    2021), made as its reference code makes them, on first use."""
+    high, low = [], []
+    for q in range(_LEAST_Q, _MOST_Q + 1):
+        power = 5 ** abs(q)
+        if q < 0:
+            z = (power - 1).bit_length()  # 2**(z - 1) < 5**-q <= 2**z
+            power = (1 << (z + 127 if q >= -27 else 2 * z + 128)) // power + 1
+        shift = power.bit_length() - 128
+        power = power >> shift if shift > 0 else power << -shift
+        high.append(power >> 64)
+        low.append(power & (2 ** 64 - 1))
+    tables = np.array([high, low], dtype=np.uint64)
+    tables.flags.writeable = False  # one copy, for every caller
+    return tables
+
+
+# 10**k as uint64 for w, and as the exact doubles of Clinger's case.
+_POW10_U64 = np.array([10 ** k for k in range(_DECIMAL_DIGITS + 1)],
+                      dtype=np.uint64)
+_POW10_EXACT = np.array([float(10 ** k) for k in range(23)])
+_EXACT_INT = np.uint64(1 << 53)
+_NINE_BITS = np.uint64(0x1FF)
+_ALL_ONES = np.uint64(2 ** 64 - 1)
+_FRACTION, _TOP = np.uint64(52), np.uint64(63)
+_FRACTION_BITS = np.uint64((1 << 52) - 1)
+# The leading zeros of a nonzero uint64 are this, 63 + 1023, less the biased
+# exponent of the double nearest it.
+_LEADING = np.uint64(1086)
+_LOW32, _HALF = np.uint64(0xFFFFFFFF), np.uint64(32)
+
+
+def _product(a: np.ndarray, b: np.ndarray):
+    """``(hi, lo)``: the uint64 arrays ``a`` times ``b`` as
+    hi * 2**64 + lo, exactly, from four products of 32-bit halves. uint64
+    arrays wrap without warning; every sum here but lo stays below 2**64."""
+    a0, a1 = a & _LOW32, a >> _HALF
+    b0, b1 = b & _LOW32, b >> _HALF
+    cross = a1 * b0 + (a0 * b0 >> _HALF)
+    middle = (cross & _LOW32) + a0 * b1
+    return a1 * b1 + (cross >> _HALF) + (middle >> _HALF), a * b
+
+
+def _eisel_lemire(w: np.ndarray, q: np.ndarray):
+    """``(values, decided)`` for the nonzero uint64 digits ``w``, below
+    10**19, and the int64 decimal exponents ``q``, from ``_LEAST_Q`` to
+    ``_MOST_Q``. Where ``decided`` holds, ``values`` is the double nearest
+    w * 10**q, ties to even, as ``float()`` reads it; elsewhere the value is
+    left to ``float()``.
+
+    This is Eisel-Lemire (Lemire, "Number Parsing at a Gigabyte per
+    Second", SPE 2021) on whole arrays. w, shifted to a top bit of 1, times
+    the 128-bit table entry of 5**q gives the leading bits of w * 10**q; the
+    entry's low half is added only where the bits kept could change.
+    Undecided: a product still in doubt, one that may lie exactly halfway
+    between two doubles, and a result in the subnormal or overflow range.
+    """
+    # w's leading zeros, from the exponent of the double nearest it: one
+    # too few where that rounded up to a power of two.
+    zeros = _LEADING - (w.astype(np.float64).view(np.uint64) >> _FRACTION)
+    zeros += ((w << zeros) >> _TOP) == 0
+    w = w << zeros
+    at = q - _LEAST_Q
+    high, low = _pow5_tables()
+    hi, lo = _product(w, high[at])
+    # Only where hi ends in 9 ones can the entry's low half change the bits
+    # kept: its product is added there.
+    near = np.flatnonzero((hi & _NINE_BITS) == _NINE_BITS)
+    if near.size:
+        top = _product(w[near], low[at[near]])[0]
+        added = lo[near] + top
+        hi[near] += added < top
+        lo[near] = added
+    upper = hi >> _TOP
+    shift = upper + np.uint64(9)
+    mantissa = hi >> shift  # 54 bits: the double's 53 and one to round by
+    # floor(q * log2(10)) + 63, and the bias of a double's exponent.
+    power2 = ((217706 * q) >> 16) + (63 + 1023 + upper.view(np.int64)
+                                     - zeros.view(np.int64))
+    decided = power2 > 0
+    # Undecided too: a product still in doubt, and one that may lie exactly
+    # halfway between two doubles (only zeros shifted out, and the 54th bit
+    # set).
+    decided[near[lo[near] == _ALL_ONES]] = False
+    tie = np.flatnonzero(lo <= 1)
+    decided[tie[((mantissa[tie] & np.uint64(3)) == 1)
+                & ((mantissa[tie] << shift[tie]) == hi[tie])]] = False
+    mantissa += mantissa & np.uint64(1)
+    mantissa >>= np.uint64(1)
+    carry = mantissa >> np.uint64(53)  # 1 where rounding made 2**53
+    mantissa >>= carry
+    power2 += carry.view(np.int64)
+    decided &= power2 < 2047
+    bits = (power2.astype(np.uint64) << _FRACTION) | (mantissa & _FRACTION_BITS)
+    return bits.view(np.float64), decided
 
 
 def _parse_rows(lines, path: str, vocab_size: int, dim: int, words: dict,
@@ -1069,8 +1333,8 @@ def _shortest(values: np.ndarray):
     four times its 53-bit mantissa; vr = mv * 5**i >> q are its decimal
     digits at 10**e10, and vp and vm those of the midpoints to its
     neighbours. Inside fixed notation i <= 27, so 5**i fits 63 bits and one
-    exact 55 x 63-bit product from 32-bit halves replaces Ryū's 125-bit
-    table. Digits are then removed while vp and vm still differ, and the
+    exact 55 x 63-bit product from 32-bit halves (``_product``) replaces
+    Ryū's 125-bit table. Digits are then removed while vp and vm still differ, and the
     last one removed rounds the rest. ``repr`` is left every value that
     would need Ryū's other paths: an exponent outside ``_TAKEN``, an mv
     with q trailing zero bits (vr exact, so ties and exact bounds count),
@@ -1083,15 +1347,7 @@ def _shortest(values: np.ndarray):
     q, pow5 = _Q[biased], _POW5[biased]
     below_q = (np.uint64(1) << q) - np.uint64(1)
     taken = _TAKEN[biased] & ((mv & below_q) != 0)
-    # mv * 5**i as hi * 2**64 + lo. Every sum here stays below 2**64 but
-    # lo's, whose carry is added to hi; uint64 arrays wrap without warning.
-    half = np.uint64(32)
-    a0, a1 = mv & np.uint64(0xFFFFFFFF), mv >> half
-    b0, b1 = pow5 & np.uint64(0xFFFFFFFF), pow5 >> half
-    low = a0 * b0
-    middle = a0 * b1 + a1 * b0
-    lo = low + (middle << half)
-    hi = a1 * b1 + (middle >> half) + (lo < low)
+    hi, lo = _product(mv, pow5)
     # vr, and vp and vm from the q bits shifted out: the upper midpoint is
     # mv + 2, the lower mv - 2 for a nonzero mantissa and mv - 1 for 2**k.
     rest = lo & below_q

@@ -313,7 +313,7 @@ def render_cumulative(data: CumulativePlotData, path: str,
 def _boxplot(svg, scale, values, y, half_h, color):
     vals = np.asarray(values, dtype=np.float64)
     lo, hi = float(vals.min()), float(vals.max())
-    q1, q3 = np.percentile(vals, [25, 75], method="linear").tolist()
+    q1, q3 = _quartiles(vals)
     mean = math.fsum(values) / len(values)
     svg.line(scale(lo), y, scale(hi), y, color)
     svg.rect(scale(q1), y - half_h, max(scale(q3) - scale(q1), 0.0),
@@ -323,6 +323,34 @@ def _boxplot(svg, scale, values, y, half_h, color):
     # Belt marks the mean, not the median.
     svg.line(scale(mean), y - half_h, scale(mean), y + half_h, color, width=2.0)
     return mean
+
+
+def _quartiles(vals: np.ndarray) -> list:
+    """q1 and q3 of ``vals`` as ``np.percentile(vals, [25, 75],
+    method="linear")`` gives them, bit for bit, without its import of
+    ``numpy.ma``: numpy's virtual index (n - 1) * q and its ``_lerp``, which
+    takes b - (b - a) * (1 - t) for t >= 0.5, on one copy partitioned at
+    numpy's own positions, so that equal values such as 0.0 and -0.0 sit
+    where numpy's copy holds them."""
+    n = len(vals)
+    points = []
+    for q in (0.25, 0.75):
+        at = (n - 1) * q
+        below = math.floor(at)
+        above = below + 1
+        if at >= n - 1:  # numpy reads the last value, at -1, for both
+            below = above = -1
+        points.append((at, below, above))
+    ordered = np.array(vals, dtype=np.float64)
+    # The positions numpy partitions at, as the sorted set np.unique gives.
+    ordered.partition(sorted({0, -1, *(i for p in points for i in p[1:])}))
+    quartiles = []
+    for at, below, above in points:
+        t = at - below
+        a, b = float(ordered[below]), float(ordered[above])
+        diff = b - a
+        quartiles.append(b - diff * (1 - t) if t >= 0.5 else a + diff * t)
+    return quartiles
 
 
 def _arrow(svg, scale, mean_a, mean_b, y, color):

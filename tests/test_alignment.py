@@ -288,7 +288,7 @@ class TestResidualFromAlignedRows:
                   if isinstance(v, np.ndarray)]
         assert [a.shape for a in arrays] == [(900, 6), (900,)]
 
-    def test_in_order_anchors_map_in_place(self):
+    def test_map_allocates_only_the_aligned_matrix(self):
         # No centered copy of either space is made, so the map holds one
         # copy of the rows beyond the two spaces: the aligned matrix.
         rng = np.random.default_rng(34)

@@ -3,6 +3,8 @@ import json
 import math
 import os
 import signal
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -129,6 +131,24 @@ class TestValidateConfig:
         path.write_text("{not json", encoding="utf-8")
         with pytest.raises(ConfigError, match="line 1"):
             validate_config(str(path))
+
+
+def test_sweat_run_imports_no_numpy_ma(tmp_path):
+    # numpy.ma took about 13.5 ms to import; nothing a run does needs it.
+    fx = write_fixture(tmp_path)
+    path, raw = base_config(tmp_path, fx)
+    raw["outputs"]["cumulative_svg"] = str(tmp_path / "cum.svg")
+    raw["outputs"]["detail_svg"] = str(tmp_path / "det.svg")
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(embeddings.__file__))
+    code = ("import sys; from sweatkit.cli import main; "
+            f"code = main(['sweat', '--config', {str(path)!r}]); "
+            "print(code, 'numpy.ma' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert (tmp_path / "det.svg").exists()
+    assert out.splitlines()[-1] == "0 False"
 
 
 class TestSweatCommand:
@@ -437,6 +457,22 @@ class TestReportMeta:
         assert reports[0] == reports[1]
         assert [m["blas"]["threads"] for m in metas] == [
             dict.fromkeys(self.THREADS, t) for t in ("1", "3")]
+
+    def test_align_report_keys(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        fx = write_fixture(tmp_path)
+        argv = pair_argv("align", tmp_path, fx, fx["space1"], fx["space2"])
+        assert main(argv) == 0
+        report = json.loads((tmp_path / "out" / "align.json").read_text())
+        assert sorted(report) == ["meta", "n_anchors", "residual",
+                                  "source_label", "target_label",
+                                  "underdetermined"]
+        meta = report["meta"]
+        assert sorted(meta) == ["blas", "peak_rss_mb"]
+        assert sorted(meta["blas"]) == ["name", "threads", "version"]
+        assert meta["blas"]["threads"]["OPENBLAS_NUM_THREADS"] == "2"
+        if os.path.exists("/proc/self/status"):
+            assert meta["peak_rss_mb"] > 1.0
 
     def test_absent_sources_read_null(self, tmp_path, capsys, monkeypatch):
         import builtins

@@ -192,12 +192,16 @@ LOADER_CONTRACT = {
     "non_ascii_space_in_field": (
         "3 3\ncat 1 0 0\ndog 0 1\u2003 0\nfox 0 0 1\n",
         "{path}:3: non-numeric component"),
+    # The empty field ends the chunk, with no line end after it.
+    "short_row_trailing_space_no_line_end": (
+        "3 3\ncat 1 0 0\ndog 0 1 0\nfox 0 1 ",
+        "{path}:4: non-numeric component"),
 }
 
 
 class TestLoaderContract:
-    """The bulk parse and the row validator accept the same files, give the
-    same values, and every error comes from the validator unchanged."""
+    """The decimal kernel and the row validator accept the same files, give
+    the same values, and every error comes from the validator unchanged."""
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("name", sorted(LOADER_CONTRACT))
@@ -216,7 +220,7 @@ class TestLoaderContract:
 
     @staticmethod
     def _large_file(path, rng, n_rows=1500, dim=100):
-        """Mixed float spellings over more than one bulk-parse chunk."""
+        """Mixed float spellings over more than one chunk."""
         spellings = [repr, "{:.5f}".format, "{:e}".format, "{:.17g}".format,
                      lambda x: repr(float(round(x)) or -0.0)]
         words, fields = [], []
@@ -290,7 +294,7 @@ class TestLoaderContract:
         self._large_file(p, np.random.default_rng(8), n_rows=3000)
         expected = load_word2vec_text(str(p))
         lines = p.read_text(encoding="utf-8").splitlines(keepends=True)
-        # Past the first chunk, so bulk-parsed rows precede the validator's.
+        # Past the first chunk, so the kernel's rows precede the validator's.
         lines.insert(len(lines) // 2, "\n")
         blank = tmp_path / "blank.txt"
         blank.write_text("".join(lines), encoding="utf-8")
@@ -315,37 +319,40 @@ def fixed_fields(k):
 
 
 def parse_fixed(text, rows, dim):
-    """``_parse_fixed`` on the ``rows`` lines of ``text``, each after a
+    """``_parse_decimal`` on the ``rows`` lines of ``text``, each after a
     word: the matrix it writes, or None."""
     chunk = "".join(f"w{i} {line}\n"
                     for i, line in enumerate(text.split("\n")))
     buf = np.frombuffer(chunk.encode("ascii"), dtype=np.uint8)
-    return embeddings._parse_fixed(buf, embeddings._line_index(buf, ord(" ")),
-                                   np.empty((rows, dim)))
+    index = embeddings._line_index(buf, ord(" "), embeddings._BLANK)
+    return embeddings._parse_decimal(buf, index, np.empty((rows, dim)))
 
 
 def kernel_spy(monkeypatch):
-    """Record each ``_parse_fixed`` call as True (read) or False
-    (declined)."""
+    """Record each ``_parse_decimal`` call as True (read) or False
+    (declined, for the validator to read)."""
     calls = []
-    kernel = embeddings._parse_fixed
+    kernel = embeddings._parse_decimal
 
     def spy(*args):
         block = kernel(*args)
         calls.append(block is not None)
         return block
 
-    monkeypatch.setattr(embeddings, "_parse_fixed", spy)
+    monkeypatch.setattr(embeddings, "_parse_decimal", spy)
     return calls
 
 
-# The body of the second of three rows, the others fixed-point with k = 2.
-DECLINED_ROWS = {
+# The body of the second of three rows, the others fixed-point with k = 2:
+# spellings the kernel reads, and rows it declines for the validator.
+READ_ROWS = {
     "exponent": "0.25 1.50e1 3.00",
     "plus_sign": "0.25 +1.50 3.00",
-    # Its 16 digits m = 9999999999999999 are not a double.
+    # Its 16 digits m = 9999999999999999 are not a double: Eisel-Lemire.
     "sixteen_digits": "0.25 99999999999999.99 3.00",
     "mixed_decimals": "0.25 1.500 3.00",
+}
+DECLINED_ROWS = {
     "double_space": "0.25  1.50 3.00",
     "tab": "0.25\t1.50 3.00",
     # One trailing space is allowed and stripped; the second is not.
@@ -359,7 +366,8 @@ DECLINED_ROWS = {
 
 class TestFixedPointKernel:
     """Fixed-point text is read by one division per field, bit for bit as
-    ``float()`` reads it; every other chunk goes to loadtxt unchanged."""
+    ``float()`` reads it; other spellings are read bit for bit too, and a
+    chunk the kernel declines goes to the validator unchanged."""
 
     @pytest.mark.parametrize("k", range(1, 15))
     def test_values_equal_float(self, k):
@@ -372,8 +380,11 @@ class TestFixedPointKernel:
         assert np.array_equal(block.view(np.int64), expected.view(np.int64))
 
     def test_fifteen_decimals_have_sixteen_digits(self):
+        # Past the one division: read by the decimal kernel, as float().
         text = "0.123456789012345 -0.000000000000001"
-        assert parse_fixed(text, 1, 2) is None
+        block = parse_fixed(text, 1, 2)
+        assert block.view(np.int64).tolist() == np.array(
+            [[0.123456789012345, -0.000000000000001]]).view(np.int64).tolist()
 
     def test_signed_zero(self):
         block = parse_fixed("-0.000 0.000 -00.000", 1, 3)
@@ -389,6 +400,23 @@ class TestFixedPointKernel:
         assert space.matrix.tolist() == [[0.5, -1.25], [2.0, 0.75]]
 
     @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name", sorted(READ_ROWS))
+    def test_spelling_read_by_the_kernel(self, tmp_path, monkeypatch, name):
+        rows = (f"cat 0.25 -1.50 3.00\ndog {READ_ROWS[name]}\n"
+                "fox -0.75 2.50 1.00\n")
+        p = tmp_path / "v.txt"
+        write(p, f"3 3\n{rows}")
+        with monkeypatch.context() as m:
+            m.setattr(embeddings, "_parse_decimal", lambda *args: None)
+            expected = load_word2vec_text(str(p))
+        calls = kernel_spy(monkeypatch)
+        space = load_word2vec_text(str(p))
+        assert calls == [True]
+        assert space.matrix.tobytes() == expected.matrix.tobytes()
+        assert space.matrix[1].tolist() == [
+            float(f) for f in READ_ROWS[name].split()]
+
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("name", sorted(DECLINED_ROWS))
     def test_declined_chunk_loads_as_without_kernel(self, tmp_path,
                                                     monkeypatch, name):
@@ -398,15 +426,15 @@ class TestFixedPointKernel:
         p = tmp_path / "v.txt"
         p.write_bytes(text.encode("utf-8"))
         with monkeypatch.context() as m:
-            m.setattr(embeddings, "_parse_fixed", lambda *args: None)
+            m.setattr(embeddings, "_parse_decimal", lambda *args: None)
             expected = outcome(lambda: [load_word2vec_text(str(p))])
         calls = kernel_spy(monkeypatch)
         assert outcome(lambda: [load_word2vec_text(str(p))]) == expected
         assert calls == [False]
 
     @pytest.mark.parametrize("fixed_first", [True, False])
-    def test_no_kernel_after_first_decline(self, tmp_path, monkeypatch,
-                                           fixed_first):
+    def test_every_chunk_takes_the_kernel(self, tmp_path, monkeypatch,
+                                          fixed_first):
         rng = np.random.default_rng(5)
         values = rng.normal(size=(40, 4)).tolist()
         spell = [lambda x: f"{x:.4f}", repr]
@@ -424,8 +452,175 @@ class TestFixedPointKernel:
         calls = kernel_spy(monkeypatch)
         space = load_word2vec_text(str(p))
         assert space.matrix.tobytes() == np.array(expected).tobytes()
-        assert calls[-1] is False and all(calls[:-1])
-        assert len(calls) > 1 if fixed_first else len(calls) == 1
+        assert len(calls) > 20 and all(calls)
+
+
+def halfway_fields(rng, count):
+    """Decimal spellings of values exactly halfway between two adjacent
+    doubles: an odd 54-bit n times 2**(k - 1), written with all its digits,
+    at most 19 of them for k from -2 to 9."""
+    fields = []
+    for _ in range(count):
+        n = int(rng.integers(2 ** 53, 2 ** 54)) | 1
+        k = int(rng.integers(-2, 10))
+        if k > 0:
+            fields.append(str(n << (k - 1)))
+        else:
+            digits = str(n * 5 ** (1 - k))
+            fields.append(digits[:k - 1] + "." + digits[k - 1:])
+    return fields
+
+
+SPELLINGS = {"%.5f": "{:.5f}".format, "%.6g": "{:.6g}".format,
+             "%.5e": "{:.5e}".format, "repr": repr}
+
+# Fields of every form the kernel meets, one at a time between two
+# fixed-point neighbours: read as float() reads them, or the validator's
+# error.
+EDGE_FIELDS = [
+    "-0.0", "0.0", "-0", "+0", "0e0", "-0e-400",
+    "4.9e-324", "5e-324", "2.2250738585072011e-308", "2.2250738585072014e-308",
+    "1e-320", "1e-400", "1e308", "1.7976931348623157e308",
+    "1.7976931348623159e308", "1e309", "-1e309",
+    ".5", "5.", "-.5", "+1.5", "+.5e1", "00001.5", "-000.000125",
+    "0.0000000000000000000001", "1E5", "1e+05", "1.5E-3", "1e0005", "2e22",
+    "2e23", "9007199254740993e-22",
+    "1234567890123456", "12345678901234567", "1234567890123456789",
+    "12345678901234567890", "0.1234567890123456789",
+    "0.0012345678901234567", "9007199254740993", "9007199254740995",
+    "18014398509481986e1",
+    # Digits w just below a power of two, which rounds up to it as a double.
+    "18014398509481983", "1152921504606846975e-3", "1e", "e5", "1.2.3", "--1", "+-1", "1e5e5", "1e+",
+    "nan", "inf", "-Infinity", "0x10", "1_0", "1.5_0",
+]
+
+
+class TestDecimalKernel:
+    """The kernel reads every spelling of a number bit for bit as
+    ``float()`` does, in place where it can; the rest one field at a time
+    by ``float()``, or it declines the chunk for the validator to name."""
+
+    @staticmethod
+    def fields_to_float(monkeypatch):
+        """Record the number of fields each ``_read_each`` call reads."""
+        sent = []
+        each = embeddings._read_each
+
+        def spy(buf, starts, ends):
+            sent.append(len(starts))
+            return each(buf, starts, ends)
+
+        monkeypatch.setattr(embeddings, "_read_each", spy)
+        return sent
+
+    @pytest.mark.parametrize("spelling", sorted(SPELLINGS))
+    def test_spelling_equals_float(self, monkeypatch, spelling):
+        rng = np.random.default_rng(len(spelling))
+        values = rng.normal(size=3000) * 10.0 ** rng.integers(-12, 12, 3000)
+        fields = [SPELLINGS[spelling](x) for x in values.tolist()]
+        sent = self.fields_to_float(monkeypatch)
+        block = parse_fixed("\n".join(" ".join(fields[i:i + 100])
+                                      for i in range(0, 3000, 100)), 30, 100)
+        expected = np.array([float(f) for f in fields]).reshape(30, 100)
+        assert block.view(np.int64).tolist() == expected.view(
+            np.int64).tolist()
+        # Only repr's 20 and 21 digits of values from 1e-4 to 1e-3.
+        assert sum(sent) == 0 if spelling != "repr" else sum(sent) < 60
+
+    def test_halfway_cases_equal_float(self):
+        rng = np.random.default_rng(17)
+        fields = halfway_fields(rng, 2000)
+        # And one unit of their last digit above and below.
+        fields += [f[:-1] + str(int(f[-1]) + d) for f in fields[:500]
+                   for d in (-1, 1) if f[-1] in "12345678"]
+        block = parse_fixed(" ".join(fields), 1, len(fields))
+        expected = np.array([[float(f) for f in fields]])
+        assert block.view(np.int64).tolist() == expected.view(
+            np.int64).tolist()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("field", EDGE_FIELDS)
+    def test_edge_field(self, tmp_path, monkeypatch, field):
+        p = tmp_path / "v.txt"
+        write(p, f"3 3\ncat 0.25 -1.50 3.00\ndog 0.50 {field} 1.25\n"
+                 "fox -0.75 2.50 1.00\n")
+        try:
+            value = float(field)
+        except ValueError:
+            value = math.nan
+        if math.isfinite(value) and "_" not in field:
+            block = parse_fixed(f"0.50 {field} 1.25", 1, 3)
+            assert block[0, 1].tobytes() == np.float64(value).tobytes()
+            return
+        with monkeypatch.context() as m:
+            m.setattr(embeddings, "_parse_decimal", lambda *args: None)
+            expected = outcome(lambda: [load_word2vec_text(str(p))])
+        calls = kernel_spy(monkeypatch)
+        assert outcome(lambda: [load_word2vec_text(str(p))]) == expected
+        assert expected[0] is FormatError and calls == [False]
+
+    @pytest.mark.slow
+    def test_repr_round_trip(self, tmp_path, monkeypatch, capsys):
+        # A rotated space, as align writes one: repr text, with exponents
+        # below 1e-4.
+        rng = np.random.default_rng(23)
+        n, dim = 20_000, 100
+        rotation, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+        space = EmbeddingSpace.from_rows(
+            "rot", [f"w{i}" for i in range(n)],
+            rng.normal(scale=0.3, size=(n, dim)) @ rotation)
+        p = tmp_path / "rot.txt"
+        save_word2vec_text(space, str(p))
+        assert b"e-05 " in p.read_bytes()
+        calls = kernel_spy(monkeypatch)
+        sent = self.fields_to_float(monkeypatch)
+        loaded = load_word2vec_text(str(p))
+        assert loaded.words == space.words
+        assert loaded.matrix.tobytes() == space.matrix.tobytes()
+        assert len(calls) > 30 and all(calls)
+        with capsys.disabled():
+            print(f"\nrepr round trip: {sum(sent)} of {n * dim} fields "
+                  "read by float()")
+
+    @pytest.mark.parametrize("field", EDGE_FIELDS)
+    def test_edge_field_among_exponents(self, field):
+        # Enough fields past their mantissas that the kernel reads their
+        # exponents as arrays, not one by one.
+        row = ["2.5e-3", "-7E+21"] * embeddings._FEW_FIELDS + [field]
+        block = parse_fixed(" ".join(row), 1, len(row))
+        try:
+            value = float(field)
+        except ValueError:
+            value = math.nan
+        if math.isfinite(value) and "_" not in field:
+            assert block[0, -1].tobytes() == np.float64(value).tobytes()
+            assert block[0, :2].tolist() == [2.5e-3, -7e21]
+        else:
+            assert block is None
+
+    @pytest.mark.parametrize("field", ["1.234567+01", "1.23456e+1x",
+                                       "1.23456e*01", "1.23456E+01"])
+    def test_one_exponent_layout(self, field):
+        # The first field's layout, checked for every field: what differs
+        # is read as float() reads it, or declined.
+        row = ["{:.5e}".format(x) for x in (0.5, -20.0, 3e-7)] + [field]
+        block = parse_fixed(" ".join(row), 1, len(row))
+        try:
+            value = float(field)
+        except ValueError:
+            assert block is None
+        else:
+            assert block[0].tolist() == [0.5, -20.0, 3e-7, value]
+
+    def test_plus_is_not_structural(self, tmp_path, monkeypatch):
+        # "+" below "-" ends no field of a body, nor a word.
+        p = tmp_path / "v.txt"
+        write(p, "2 2\nc++ +1.5e+01 2e+0\n+ 1 -0.5E+1\n")
+        calls = kernel_spy(monkeypatch)
+        space = load_word2vec_text(str(p))
+        assert calls == [True]
+        assert space.words == ("c++", "+")
+        assert space.matrix.tolist() == [[15.0, 2.0], [1.0, -5.0]]
 
 
 class TestCosine:
@@ -1122,9 +1317,9 @@ def validator_spy(monkeypatch):
 
 
 class TestChunkByChunk:
-    """Every chunk is read by one rule: the bulk parse reads it, or, if it
+    """Every chunk is read by one rule: the kernel reads it, or, if it
     declines, the validator reads that chunk alone, and the next chunk goes
-    to the bulk parse again."""
+    to the kernel again."""
 
     @pytest.fixture(autouse=True)
     def small_chunks(self, monkeypatch):
@@ -1169,7 +1364,7 @@ class TestChunkByChunk:
         with pytest.raises(FormatError) as exc:
             load_word2vec_text(str(p))
         assert str(exc.value) == f"{p}:{at + 2}: non-finite component"
-        # The second chunk, between them, was read in bulk.
+        # The second chunk, between them, was read by the kernel.
         assert [start for start, _ in calls] == [2]
 
     @pytest.mark.parametrize("last_by", ["bulk", "validator"])
@@ -1210,9 +1405,9 @@ class TestChunkByChunk:
 
 
 class TestNumberSpellings:
-    """A component is a number both parsers read, and a header field is
-    ASCII digits after an optional "-". What only float() or int() reads
-    is a one-line FormatError, whichever parser meets it."""
+    """A component is a number the kernel and the validator read, and a
+    header field is ASCII digits after an optional "-". What only float()
+    or int() reads is a one-line FormatError, whichever reader meets it."""
 
     @pytest.mark.parametrize("neighbours", ["0.50 0.25", "5e-1 2.5e-1"],
                              ids=["fixed_point", "loadtxt"])
@@ -1428,7 +1623,8 @@ BYTE_FILES = {
 
 
 def kernel_declined(monkeypatch):
-    monkeypatch.setattr(embeddings, "_parse_fixed", lambda *args: None)
+    """The kernel declines every chunk: the validator reads them all."""
+    monkeypatch.setattr(embeddings, "_parse_decimal", lambda *args: None)
 
 
 class TestByteReader:

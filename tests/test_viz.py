@@ -18,6 +18,8 @@ from sweatkit import (
     sweat_score,
 )
 
+from sweatkit import viz
+
 from conftest import make_space, random_space
 
 
@@ -222,6 +224,28 @@ def dict_bar(label, beta_a, beta_b):
 
     return SpaceBar(label=label, beta_a=beta_a, beta_b=beta_b,
                     cumulate=beta_a - beta_b)
+
+
+class TestQuartiles:
+    """A boxplot's quartiles equal ``np.percentile``'s bit for bit."""
+
+    @pytest.mark.parametrize("pool", [None, (-0.0, 0.0),
+                                      (-0.0, 0.0, 0.5, 1.0, -1.0)],
+                             ids=["normal", "signed_zeros", "ties"])
+    def test_equal_to_percentile(self, pool):
+        rng = np.random.default_rng(11)
+        for n in range(1, 51):
+            for _ in range(20):
+                vals = (np.round(rng.normal(size=n), 1) if pool is None
+                        else rng.choice(pool, size=n))
+                expected = np.percentile(vals, [25, 75], method="linear")
+                got = np.array(viz._quartiles(vals))
+                assert got.tobytes() == expected.tobytes(), vals.tolist()
+
+    def test_input_untouched(self):
+        vals = np.array([3.0, -1.0, 2.0, 0.0])
+        assert viz._quartiles(vals) == [-0.25, 2.25]
+        assert vals.tolist() == [3.0, -1.0, 2.0, 0.0]
 
 
 class TestJsonRoundTrip:
