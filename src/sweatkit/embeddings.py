@@ -309,21 +309,6 @@ _FIXED_DIGITS = 15
 # digits w are below 10**19 < 2**64, a uint64.
 _DECIMAL_DIGITS = 19
 
-# Fewest fields of a pass of ``_read_decimal`` not read by ``_mantissa``
-# alone (exponents, mostly) that go through the arrays again; fewer go to
-# ``float()`` one by one, which costs less than the arrays' numpy calls,
-# about 130 us a pass however few fields they hold. On a 19 MB file of
-# "%.6g" text, about 2 such fields a pass, load CPU fell about 12% (best
-# and median of 7 alternating fresh-process loads, 2 vCPU).
-_FEW_FIELDS = 128
-
-# Values per pass of ``_read_decimal``, half a pass of ``_parse_decimal``.
-# It holds about 15 arrays of 8 bytes a value at once; passes twice as long
-# freed about 2 MB at their end, which the allocator gave back to the system
-# and mapped afresh for the next pass: a 40 MB file of repr text took 25,000
-# page faults instead of 2,600, and up to a quarter more CPU.
-_DECIMAL_VALUES = 1 << 13
-
 _BOM = b"\xef\xbb\xbf"
 # Bytes below "-" are structural in ``_line_index``: every separator and
 # line end, and any such byte that a word holds.
@@ -763,7 +748,7 @@ def _parse_decimal(buf: np.ndarray, index, out: np.ndarray):
     place, in passes of about ``_PASS_VALUES`` fields, as ``_format_block``
     writes them, so that the temporaries come from memory the allocator
     reuses. A pass is read by ``_read_fixed`` if it can, else by
-    ``_read_decimal``, ``_DECIMAL_VALUES`` fields at a time.
+    ``_read_decimal``.
     """
     low, first, last = index
     rows, dim = out.shape
@@ -787,12 +772,9 @@ def _parse_decimal(buf: np.ndarray, index, out: np.ndarray):
                 and (ends > starts).all()):
             return None
         values = out[lo:lo + step].reshape(-1)
-        if _read_fixed(buf, starts, ends, values):
-            continue
-        for at in range(0, len(values), _DECIMAL_VALUES):
-            part = slice(at, at + _DECIMAL_VALUES)
-            if not _read_decimal(buf, starts[part], ends[part], values[part]):
-                return None
+        if not (_read_fixed(buf, starts, ends, values)
+                or _read_decimal(buf, starts, ends, values)):
+            return None
     return out
 
 
@@ -808,7 +790,9 @@ def _read_fixed(buf: np.ndarray, starts, ends, values: np.ndarray) -> bool:
     m / 10**k correctly rounded, and each value equals ``float(field)`` bit
     for bit, ``-0.0`` included (Clinger, "How to Read Floating Point Numbers
     Accurately", PLDI 1990). With an exponent, m is multiplied or divided
-    by the exact 10**|e - k| instead.
+    by the exact 10**|e - k| instead: read by ``_read_decimal``, whose
+    search for each field's mark serves few exponents, "%.5e" text loaded
+    in about twice the CPU time.
     """
     head = bytes(buf[starts[0]:ends[0]]).removeprefix(b"-")
     mantissa, mark, tail = head.lower().partition(b"e")
@@ -865,17 +849,9 @@ def _read_decimal(buf: np.ndarray, starts, ends, values: np.ndarray) -> bool:
     lead = buf[starts]
     neg = lead == _MINUS
     begin = starts + (neg | (lead == _PLUS))  # the first digit
-    w, frac, ok = _mantissa(buf, begin, ends)
-    exponent = 0
-    redo = np.flatnonzero(~ok)
-    # An exponent, or a field only float() reads. A few such fields cost
-    # float() less than the arrays' fixed cost.
-    if redo.size >= _FEW_FIELDS:
-        mark, power, marked = _exponent(buf, begin[redo], ends[redo])
-        w[redo], frac[redo], ok[redo] = _mantissa(buf, begin[redo], mark)
-        ok[redo] &= marked
-        exponent = np.zeros(len(starts), dtype=np.int64)
-        exponent[redo] = power
+    mark, exponent, marked = _exponent(buf, begin, ends)
+    w, frac, ok = _mantissa(buf, begin, mark)
+    ok &= marked
     q = exponent - frac
     reach = np.abs(q)
     # Clinger's exact case, for every field: the others are written over.
@@ -937,25 +913,34 @@ def _mantissa(buf: np.ndarray, begin, end):
 
 def _exponent(buf: np.ndarray, begin, ends):
     """``(mark, power, ok)`` for the fields of ``buf`` from ``begin`` to
-    ``ends``: where ``ok``, a field ends in an exponent ``(e|E)[+-]D+``, of
-    1 to 4 bytes after its mark, the e, and ``power`` is its value. A field
-    without a mark has its end as ``mark``."""
-    size = np.minimum(ends - begin, 255).astype(np.uint8)
-    # The e or E nearest the end, after the mantissa's first byte. Bytes
-    # read outside a field, or the chunk, count for none.
-    back = np.zeros(len(ends), dtype=np.uint8)
-    at = ends - 6
-    for j in range(5, 1, -1):
-        at += 1
-        np.copyto(back, j, where=((buf.take(at, mode="clip") | _LOWER)
-                                  == _E) & (size > j))
-    mark = ends - back
-    sign = buf.take(mark + 1, mode="clip")
-    eneg = sign == _MINUS
-    width = (back - 1 - (eneg | (sign == _PLUS))) * (back > 0)
+    ``ends``, given in the order of their bytes. A field's mark is its last
+    e or E after its first byte: where ``ok``, what follows the mark is an
+    exponent ``[+-]D+`` of at most 4 bytes, and ``power`` is its value. A
+    field without a mark has its end as ``mark``, power 0 and ``ok``.
+
+    The bytes are searched for marks in one step, so that a pass with few
+    exponents, as "%g" and repr text hold, costs little more than one with
+    none.
+    """
+    mark = ends.copy()
     power = np.zeros(len(ends), dtype=np.int64)
-    ok = ~_digit_faults(buf, ends, width, power) & (width >= 1)
-    power *= 1 - 2 * eneg.astype(np.int64)
+    ok = np.ones(len(ends), dtype=bool)
+    lo = begin[0]
+    hit = lo + np.flatnonzero((buf[lo:ends[-1]] | _LOWER) == _E)
+    field = np.searchsorted(ends, hit)
+    # Each field's last mark, so that each is written once; a word's bytes
+    # lie before its line's first field.
+    last = hit > begin[field]
+    last[:-1] &= field[1:] != field[:-1]
+    at, hit = field[last], hit[last]
+    sign = buf.take(hit + 1, mode="clip")
+    eneg = sign == _MINUS
+    width = ends[at] - hit - 1 - (eneg | (sign == _PLUS))
+    found = np.zeros(len(at), dtype=np.int64)
+    ok[at] = (width >= 1) & (width <= 4) & ~_digit_faults(
+        buf, ends[at], np.minimum(width, 4), found)
+    mark[at] = hit
+    power[at] = found * (1 - 2 * eneg.astype(np.int64))
     return mark, power, ok
 
 
@@ -995,7 +980,8 @@ def _digit_faults(buf: np.ndarray, ends, width, total: np.ndarray,
     The digits are read a column at a time, from the first, into groups of
     8 in uint32, and each group is added to ``total`` in one step.
     """
-    fewest, most = int(np.min(width)), int(np.max(width))
+    fewest = int(np.min(width, initial=255))
+    most = int(np.max(width, initial=0))
     largest = np.zeros(len(ends), dtype=np.uint8)  # of the digits read
     group = np.zeros(len(ends), dtype=np.uint32)
     at = ends - most
@@ -1145,7 +1131,7 @@ def _parse_rows(lines, path: str, vocab_size: int, dim: int, words: dict,
         if word in words:
             raise FormatError(f"{path}:{lineno}: duplicate word '{word}'")
         # float() also reads "_" between digits and the digits and spaces
-        # of other scripts; the bulk parse reads neither, nor does this.
+        # of other scripts; the decimal kernel reads neither, nor does this.
         spelled = "".join(fields[1:])
         try:
             if "_" in spelled or not spelled.isascii():

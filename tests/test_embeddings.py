@@ -584,9 +584,7 @@ class TestDecimalKernel:
 
     @pytest.mark.parametrize("field", EDGE_FIELDS)
     def test_edge_field_among_exponents(self, field):
-        # Enough fields past their mantissas that the kernel reads their
-        # exponents as arrays, not one by one.
-        row = ["2.5e-3", "-7E+21"] * embeddings._FEW_FIELDS + [field]
+        row = ["2.5e-3", "-7E+21", field]
         block = parse_fixed(" ".join(row), 1, len(row))
         try:
             value = float(field)
@@ -611,6 +609,32 @@ class TestDecimalKernel:
             assert block is None
         else:
             assert block[0].tolist() == [0.5, -20.0, 3e-7, value]
+
+    @pytest.mark.parametrize("spelling", sorted(SPELLINGS))
+    def test_one_layout_takes_one_division(self, monkeypatch, spelling):
+        # A pass whose fields all share the first one's layout, "%.5f" or
+        # "%.5e", is read without _read_decimal.
+        read = []
+        decimal = embeddings._read_decimal
+        monkeypatch.setattr(embeddings, "_read_decimal",
+                            lambda *args: read.append(1) or decimal(*args))
+        values = np.random.default_rng(3).normal(size=300)
+        fields = [SPELLINGS[spelling](x) for x in values.tolist()]
+        block = parse_fixed(" ".join(fields), 1, len(fields))
+        assert block[0].tolist() == [float(f) for f in fields]
+        assert bool(read) == (spelling in ("%.6g", "repr"))
+
+    @pytest.mark.parametrize("last", ["1e5", "1e", "1e+"])
+    def test_exponent_at_end_of_file(self, tmp_path, monkeypatch, last):
+        # A last line without a line end: its exponent ends the chunk.
+        p = tmp_path / "v.txt"
+        write(p, f"2 2\ncat 1.5 2e5\ndog 0.5 {last}")
+        with monkeypatch.context() as m:
+            m.setattr(embeddings, "_parse_decimal", lambda *args: None)
+            expected = outcome(lambda: [load_word2vec_text(str(p))])
+        calls = kernel_spy(monkeypatch)
+        assert outcome(lambda: [load_word2vec_text(str(p))]) == expected
+        assert calls == [last == "1e5"]
 
     def test_plus_is_not_structural(self, tmp_path, monkeypatch):
         # "+" below "-" ends no field of a body, nor a word.
