@@ -82,27 +82,22 @@ class RunConfig:
     plot_json: bool = False
 
     def echo(self) -> dict:
-        return {
+        echo = {
             "embeddings": [asdict(e) for e in self.embeddings],
             "topic": self.topic and asdict(self.topic),
             "topic_x": self.topic_x and asdict(self.topic_x),
             "topic_y": self.topic_y and asdict(self.topic_y),
             "poles": self.lexicon and {**asdict(self.lexicon.poles),
                                        "provenance": self.lexicon.provenance},
-            "alignment": {"mode": self.alignment_mode, "anchors": self.anchors},
-            "refinement": {
-                "enabled": self.refinement_enabled,
-                "zipf_threshold": self.zipf_threshold,
-            },
+            "alignment": {"anchors": self.anchors},
             "permutations": asdict(self.permutations),
-            "tail": self.tail,
-            "outputs": {
-                "report": self.report_path,
-                "cumulative_svg": self.cumulative_svg,
-                "detail_svg": self.detail_svg,
-                "plot_json": self.plot_json,
-            },
         }
+        # Each scalar under the key path it is read from.
+        for name, attr, _, _ in _SCALARS:
+            section, _, key = name.rpartition(".")
+            into = echo.setdefault(section, {}) if section else echo
+            into[key] = getattr(self, attr)
+        return echo
 
 
 def _number(text: str):

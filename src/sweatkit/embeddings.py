@@ -301,7 +301,7 @@ def _row_best(space: EmbeddingSpace, lo: int, sims: np.ndarray):
 # the chunk and its index add only a few MB to peak memory.
 _CHUNK_CHARS = 1 << 20
 
-# Most digits of a field that ``_read_fixed`` reads: its digits m are below
+# Most digits of a field that ``_fixed_point`` reads: its digits m are below
 # 10**15 < 2**53, so m and 10**k are exact doubles.
 _FIXED_DIGITS = 15
 
@@ -747,8 +747,7 @@ def _parse_decimal(buf: np.ndarray, index, out: np.ndarray):
     Each value equals ``float(field)`` bit for bit. The bytes are read in
     place, in passes of about ``_PASS_VALUES`` fields, as ``_format_block``
     writes them, so that the temporaries come from memory the allocator
-    reuses. A pass is read by ``_read_fixed`` if it can, else by
-    ``_read_decimal``.
+    reuses, and each pass is read by ``_read_decimal``.
     """
     low, first, last = index
     rows, dim = out.shape
@@ -772,63 +771,9 @@ def _parse_decimal(buf: np.ndarray, index, out: np.ndarray):
                 and (ends > starts).all()):
             return None
         values = out[lo:lo + step].reshape(-1)
-        if not (_read_fixed(buf, starts, ends, values)
-                or _read_decimal(buf, starts, ends, values)):
+        if not _read_decimal(buf, starts, ends, values):
             return None
     return out
-
-
-def _read_fixed(buf: np.ndarray, starts, ends, values: np.ndarray) -> bool:
-    """Whether every field of ``buf`` from ``starts`` to ``ends`` is spelled
-    as the first one, ``-?D+.D{k}`` or ``-?D+.D{k}(e|E)[+-]D{x}``: the same
-    k >= 1 decimals, at most ``_FIXED_DIGITS`` digits before the exponent,
-    the same x exponent digits, and an exponent e with |e - k| <= 22. If so,
-    ``values`` holds them; otherwise some of ``values`` may have been
-    written.
-
-    A field's digits m and 10**k are exact doubles, so one division gives
-    m / 10**k correctly rounded, and each value equals ``float(field)`` bit
-    for bit, ``-0.0`` included (Clinger, "How to Read Floating Point Numbers
-    Accurately", PLDI 1990). With an exponent, m is multiplied or divided
-    by the exact 10**|e - k| instead: read by ``_read_decimal``, whose
-    search for each field's mark serves few exponents, "%.5e" text loaded
-    in about twice the CPU time.
-    """
-    head = bytes(buf[starts[0]:ends[0]]).removeprefix(b"-")
-    mantissa, mark, tail = head.lower().partition(b"e")
-    if not (mantissa.replace(b".", b"", 1).isdigit()
-            and (not mark or tail[1:].isdigit() and tail[:1] in b"+-")):
-        return False
-    k = len(mantissa) - 1 - mantissa.find(b".")
-    last = ends - (1 + len(tail)) if mark else ends  # the mantissas' ends
-    neg = buf[starts] == _MINUS
-    whole = last - starts - neg - (k + 1)  # digits before the point
-    if not (k >= 1 and whole.min() >= 1
-            and whole.max() + k <= _FIXED_DIGITS
-            and (buf[last - k - 1] == _POINT).all()):
-        return False
-    if mark:
-        sign = buf[last + 1]
-        power = np.zeros(len(ends), dtype=np.int64)
-        if not (((buf[last] | _LOWER) == _E).all()
-                and ((sign == _MINUS) | (sign == _PLUS)).all()
-                and _add_digits(buf, ends, len(tail) - 1, 0, power)):
-            return False
-        power *= 1 - 2 * (sign == _MINUS).astype(np.int64)
-        power -= k
-        if np.abs(power).max() >= len(_POW10_EXACT):
-            return False
-    values[:] = 0.0
-    if not (_add_digits(buf, last, k, 0, values)
-            and _add_digits(buf, last - k - 1, whole, k, values)):
-        return False
-    if mark:
-        scale = _POW10_EXACT[np.abs(power)]
-        values[:] = np.where(power < 0, values / scale, values * scale)
-    else:
-        values /= float(10 ** k)
-    values *= 1.0 - 2.0 * neg  # sets the sign, of a zero too
-    return True
 
 
 def _read_decimal(buf: np.ndarray, starts, ends, values: np.ndarray) -> bool:
@@ -837,18 +782,22 @@ def _read_decimal(buf: np.ndarray, starts, ends, values: np.ndarray) -> bool:
     ``values`` holds each bit for bit as ``float()`` reads it. Otherwise
     some of ``values`` may have been written.
 
-    A field ``[+-]D+[.D+][(e|E)[+-]D+]``, with at most 4 bytes after the
-    ``e`` and ``_DECIMAL_DIGITS`` digits before it, leading zeros of a zero
-    whole part aside, is read in place as its digits w times 10**q. Where
-    w <= 2**53 and |q| <= 22, both are exact doubles and one multiply or
-    divide rounds their product correctly (Clinger); the rest go to
-    ``_eisel_lemire``. A field of another spelling (``.5``, ``5.``,
-    ``1e00005``, more digits), and one that Eisel-Lemire leaves, goes to
-    ``float()`` on its own (``_read_each``).
+    A pass of fixed-point fields is read by one division each
+    (``_fixed_point``). Otherwise a field ``[+-]D+[.D+][(e|E)[+-]D+]``, with
+    at most 4 bytes after the ``e`` and ``_DECIMAL_DIGITS`` digits before
+    it, leading zeros of a zero whole part aside, is read in place as its
+    digits w times 10**q. Where w <= 2**53 and |q| <= 22, both are exact
+    doubles and one multiply or divide rounds their product correctly
+    (Clinger); the rest go to ``_eisel_lemire``. A field of another
+    spelling (``.5``, ``5.``, ``1e00005``, more digits), and one that
+    Eisel-Lemire leaves, goes to ``float()`` on its own (``_read_each``).
     """
     lead = buf[starts]
     neg = lead == _MINUS
     begin = starts + (neg | (lead == _PLUS))  # the first digit
+    if _fixed_point(buf, begin, ends, values):
+        values *= 1.0 - 2.0 * neg
+        return True
     mark, exponent, marked = _exponent(buf, begin, ends)
     w, frac, ok = _mantissa(buf, begin, mark)
     ok &= marked
@@ -876,6 +825,31 @@ def _read_decimal(buf: np.ndarray, starts, ends, values: np.ndarray) -> bool:
         if each is None:
             return False
         values[left] = each
+    return True
+
+
+def _fixed_point(buf: np.ndarray, begin, ends, values: np.ndarray) -> bool:
+    """Whether every field of ``buf`` from ``begin``, after its sign, to
+    ``ends`` is spelled ``D+.D{k}`` with the first one's k >= 1 decimals and
+    at most ``_FIXED_DIGITS`` digits. If so, ``values`` holds their
+    magnitudes; otherwise some of ``values`` may have been written.
+
+    A field's digits m and 10**k are exact doubles, so one division gives
+    m / 10**k correctly rounded, equal to ``float()`` bit for bit
+    (Clinger, "How to Read Floating Point Numbers Accurately", PLDI 1990).
+    """
+    head = bytes(buf[begin[0]:ends[0]])
+    k = len(head) - 1 - head.find(b".")
+    whole = ends - begin - (k + 1)  # digits before the point
+    if not (head.replace(b".", b"", 1).isdigit() and k >= 1
+            and whole.min() >= 1 and whole.max() + k <= _FIXED_DIGITS
+            and (buf[ends - k - 1] == _POINT).all()):
+        return False
+    values[:] = 0.0
+    if (_digit_faults(buf, ends, k, values).any()
+            or _digit_faults(buf, ends - k - 1, whole, values, k).any()):
+        return False
+    values /= float(10 ** k)
     return True
 
 
@@ -961,13 +935,6 @@ def _read_each(buf: np.ndarray, starts, ends):
             return None
         values.append(value)
     return values
-
-
-def _add_digits(buf: np.ndarray, ends, width, scale: int,
-                total: np.ndarray) -> bool:
-    """``_digit_faults`` as one answer: False, with ``total`` partly added
-    to, if a byte read is not a digit."""
-    return not _digit_faults(buf, ends, width, total, scale).any()
 
 
 def _digit_faults(buf: np.ndarray, ends, width, total: np.ndarray,

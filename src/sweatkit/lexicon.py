@@ -11,7 +11,7 @@ import numpy as np
 
 from .alignment import round_trip_stability
 from .association import PoleWordsets
-from .embeddings import (_BOM, _TAB, EmbeddingSpace, _add_digits, _chunks,
+from .embeddings import (_BOM, _TAB, EmbeddingSpace, _chunks, _digit_faults,
                          _line_index, _lines, _words)
 from .errors import FormatError, VocabularyError, open_text
 
@@ -237,7 +237,7 @@ def _read_counts(buf, counts: dict, total):
     if not (1 <= width.min() and width.max() <= _COUNT_DIGITS):
         return None
     values = np.zeros(len(ends), dtype=np.int64)
-    if not _add_digits(buf, ends, width, 0, values):
+    if _digit_faults(buf, ends, width, values).any():
         return None
     new = dict(zip(_words(buf, *index, "\t"), values.tolist()))
     if (len(new) != len(ends) or not counts.keys().isdisjoint(new)

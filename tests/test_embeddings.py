@@ -610,19 +610,35 @@ class TestDecimalKernel:
         else:
             assert block[0].tolist() == [0.5, -20.0, 3e-7, value]
 
+    @staticmethod
+    def exponent_calls(monkeypatch):
+        """Record each pass that reaches ``_exponent``, past the one
+        division of fixed-point text."""
+        read = []
+        exponent = embeddings._exponent
+        monkeypatch.setattr(embeddings, "_exponent",
+                            lambda *args: read.append(1) or exponent(*args))
+        return read
+
     @pytest.mark.parametrize("spelling", sorted(SPELLINGS))
     def test_one_layout_takes_one_division(self, monkeypatch, spelling):
-        # A pass whose fields all share the first one's layout, "%.5f" or
-        # "%.5e", is read without _read_decimal.
-        read = []
-        decimal = embeddings._read_decimal
-        monkeypatch.setattr(embeddings, "_read_decimal",
-                            lambda *args: read.append(1) or decimal(*args))
+        # A pass whose fields all share the first one's "%.5f" layout never
+        # reaches _exponent.
+        read = self.exponent_calls(monkeypatch)
         values = np.random.default_rng(3).normal(size=300)
         fields = [SPELLINGS[spelling](x) for x in values.tolist()]
         block = parse_fixed(" ".join(fields), 1, len(fields))
         assert block[0].tolist() == [float(f) for f in fields]
-        assert bool(read) == (spelling in ("%.6g", "repr"))
+        assert bool(read) == (spelling != "%.5f")
+
+    def test_signed_fixed_point_takes_one_division(self, monkeypatch):
+        read = self.exponent_calls(monkeypatch)
+        fields = ["+1.50000", "-0.25000", "+0.00000", "-0.00000", "0.12500",
+                  "+12.00001"]
+        block = parse_fixed(" ".join(fields), 1, len(fields))
+        assert read == []
+        assert block.view(np.int64).tolist() == np.array(
+            [[float(f) for f in fields]]).view(np.int64).tolist()
 
     @pytest.mark.parametrize("last", ["1e5", "1e", "1e+"])
     def test_exponent_at_end_of_file(self, tmp_path, monkeypatch, last):
@@ -1391,7 +1407,7 @@ class TestChunkByChunk:
         # The second chunk, between them, was read by the kernel.
         assert [start for start, _ in calls] == [2]
 
-    @pytest.mark.parametrize("last_by", ["bulk", "validator"])
+    @pytest.mark.parametrize("last_by", ["kernel", "validator"])
     def test_row_count_mismatch_either_way(self, tmp_path, monkeypatch,
                                            last_by):
         lines = fixed_rows()[0]
@@ -1434,7 +1450,7 @@ class TestNumberSpellings:
     or int() reads is a one-line FormatError, whichever reader meets it."""
 
     @pytest.mark.parametrize("neighbours", ["0.50 0.25", "5e-1 2.5e-1"],
-                             ids=["fixed_point", "loadtxt"])
+                             ids=["fixed_point", "exponent"])
     @pytest.mark.parametrize("field", ["1_0.5", "\u0663", "1\u2003",
                                        "\uff11", "\u0661.50"])
     def test_component(self, tmp_path, neighbours, field):
