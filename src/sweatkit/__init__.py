@@ -7,7 +7,6 @@ from .alignment import (
     AlignmentReport,
     default_anchors,
     procrustes_align,
-    round_trip_stable,
     round_trip_stability,
 )
 from .association import (
@@ -22,14 +21,12 @@ from .association import (
     run_weat,
     single_word_association,
     sweat_score,
-    weat_score,
 )
 from .embeddings import (
     EmbeddingSpace,
     cosine,
     load_word2vec_pair,
     load_word2vec_text,
-    nearest_neighbor,
     nearest_neighbors,
     save_word2vec_text,
 )
@@ -48,7 +45,6 @@ from .lexicon import (
     load_frequency_table,
     load_lexicon,
     refine,
-    zipf_score,
 )
 from .viz import (
     CumulativePlotData,

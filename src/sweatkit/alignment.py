@@ -142,21 +142,13 @@ def _weights(space: EmbeddingSpace, at) -> np.ndarray:
             else np.bincount(at, minlength=len(space)))
 
 
-def round_trip_stable(
-    word: str, space1: EmbeddingSpace, space2: EmbeddingSpace
-) -> bool:
-    """True iff the word's vector in either space has the word itself as the
-    nearest neighbor in the other space. Assumes aligned coordinates; the
-    one-word case of ``round_trip_stability``."""
-    return round_trip_stability([word], space1, space2)[0]
-
-
 def round_trip_stability(
     words, space1: EmbeddingSpace, space2: EmbeddingSpace
 ) -> list[bool]:
-    """For each of ``words``, in order, whether ``round_trip_stable`` holds:
-    one batched search from space 1 into space 2, then one back for the
-    words that passed the first."""
+    """For each of ``words``, in order, whether the word's vector in either
+    space has the word itself as its nearest neighbor in the other space.
+    Assumes aligned coordinates. One batched search runs from space 1 into
+    space 2, then one back for the words that passed the first."""
     words = list(words)
     space1.require(words)
     space2.require(words)

@@ -8,7 +8,7 @@ order (fsum returns the correctly rounded true sum).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -25,7 +25,6 @@ __all__ = [
     "associations",
     "topic_associations",
     "single_word_association",
-    "weat_score",
     "sweat_score",
     "effect_size",
     "permutation_test",
@@ -113,7 +112,8 @@ class PermutationConfig:
     """How to run the permutation test.
 
     ``auto`` enumerates every partition when C(2n, n) <= exact_limit and
-    falls back to seeded Monte Carlo sampling otherwise.
+    falls back to seeded Monte Carlo sampling otherwise, which needs the
+    ``montecarlo`` mode's 100 samples at least.
     """
 
     mode: str = "auto"
@@ -246,21 +246,6 @@ def require_disjoint(x: TopicWordset, y: TopicWordset) -> None:
         raise DataError("target wordsets overlap: " + ", ".join(sorted(overlap)))
 
 
-def _target_values(x, y, space, poles) -> tuple[list, list]:
-    """Per-word associations of two WEAT target sets."""
-    require_disjoint(x, y)
-    return (associations(x.words, space, poles).values,
-            associations(y.words, space, poles).values)
-
-
-def weat_score(
-    x: TopicWordset, y: TopicWordset, space: EmbeddingSpace, poles: PoleWordsets
-) -> float:
-    """Sum of X associations minus sum of Y associations in one space."""
-    sx, sy = _target_values(x, y, space, poles)
-    return math.fsum(sx) - math.fsum(sy)
-
-
 def sweat_score(
     topic: TopicWordset,
     space1: EmbeddingSpace,
@@ -279,13 +264,16 @@ def sweat_score(
 
 def effect_size(values_1, values_2) -> float:
     """Standardized mean difference: (mean1 - mean2) / population std of the
-    pooled values."""
+    pooled values. The std's sums are fsums too, so the order of the values
+    changes no bit of the result."""
     values_1 = list(values_1)
     values_2 = list(values_2)
     if not values_1 or not values_2:
         raise DataError("effect size needs nonempty value lists")
-    pooled = np.array(values_1 + values_2, dtype=np.float64)
-    std = float(pooled.std(ddof=0))
+    pooled = values_1 + values_2
+    mean = math.fsum(pooled) / len(pooled)
+    std = math.sqrt(math.fsum([(v - mean) * (v - mean) for v in pooled])
+                    / len(pooled))
     if std == 0.0:
         raise DataError("degenerate association distribution (zero std)")
     mean1 = math.fsum(values_1) / len(values_1)
@@ -409,6 +397,9 @@ def permutation_test(
     method = cfg.mode
     if method == "auto":
         method = "exact" if math.comb(2 * n, n) <= cfg.exact_limit else "montecarlo"
+        if method == "montecarlo":
+            # Monte Carlo's own rules hold however it was chosen.
+            replace(cfg, mode=method).validate()
     if method == "exact":
         total = math.comb(2 * n, n)
         p = _exact_count(pool, s_obs, tail) / total
@@ -455,9 +446,12 @@ def run_weat(
     cfg: PermutationConfig | None = None,
     tail: str = "directional",
 ) -> WeatResult:
-    """Full WEAT within one space, reported in the same shape as SWEAT. The
+    """Full WEAT within one space, reported in the same shape as SWEAT. Its
+    score is the sum of X associations minus the sum of Y associations; the
     permutation test needs target sets of equal size."""
-    sx, sy = _target_values(x, y, space, poles)
+    require_disjoint(x, y)
+    sx = associations(x.words, space, poles).values
+    sy = associations(y.words, space, poles).values
     return WeatResult(
         **_run_test(sx, sy, x.label, y.label, poles, cfg, tail),
         per_word_x=list(zip(x.words, sx)),

@@ -215,15 +215,6 @@ def _block_rows(dim: int) -> int:
     return max(1, _NN_BLOCK_BYTES // (8 * dim))
 
 
-def nearest_neighbor(space: EmbeddingSpace, query) -> str:
-    """Vocabulary word maximizing cosine with ``query``: the one-query case
-    of ``nearest_neighbors``."""
-    query = np.asarray(query, dtype=np.float64)
-    if query.ndim != 1:
-        raise DataError(f"query must be one vector, got shape {query.shape}")
-    return nearest_neighbors(space, query[None, :])[0]
-
-
 def nearest_neighbors(space: EmbeddingSpace, queries) -> list[str]:
     """For each row of ``queries``, the vocabulary word maximizing cosine
     with it.

@@ -70,10 +70,6 @@ def _first_out_of_range(counts: dict, total: int):
     return next(i for i, c in enumerate(values) if not 1 <= c <= total)
 
 
-def zipf_score(word: str, table: FrequencyTable) -> float:
-    return table.zipf(word)
-
-
 @dataclass
 class Lexicon:
     """Candidate pole wordsets plus a provenance note."""

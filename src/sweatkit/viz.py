@@ -188,8 +188,6 @@ def _tick(v: float) -> str:
 
 class _Svg:
     def __init__(self, width, height):
-        self.width = width
-        self.height = height
         self.parts = [
             '<?xml version="1.0" encoding="UTF-8" standalone="no"?>\n'
             f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -209,21 +207,20 @@ class _Svg:
             f'stroke="{stroke}" stroke-width="{_f(width)}"/>\n'
         )
 
-    def circle(self, cx, cy, r, fill, cls=""):
-        attr = f' class="{cls}"' if cls else ""
+    def circle(self, cx, cy, r, fill):
         self.parts.append(
             f'<circle cx="{_f(cx)}" cy="{_f(cy)}" r="{_f(r)}" '
-            f'fill="{fill}"{attr}/>\n'
+            f'fill="{fill}" class="cumulate"/>\n'
         )
 
     def polygon(self, points, fill):
         pts = " ".join(f"{_f(x)},{_f(y)}" for x, y in points)
         self.parts.append(f'<polygon points="{pts}" fill="{fill}"/>\n')
 
-    def text(self, x, y, s, size=12, anchor="start", fill="#000000"):
+    def text(self, x, y, s, size=12, anchor="start"):
         self.parts.append(
             f'<text x="{_f(x)}" y="{_f(y)}" font-family="sans-serif" '
-            f'font-size="{size}" text-anchor="{anchor}" fill="{fill}">'
+            f'font-size="{size}" text-anchor="{anchor}" fill="#000000">'
             f"{_escape(s)}</text>\n"
         )
 
@@ -274,12 +271,12 @@ def _legend(svg, data, x):
     svg.text(x + 144, 39, data.pole_label_b, size=11)
 
 
-def render_cumulative(data: CumulativePlotData, path: str,
-                      width: int = 640) -> None:
+def render_cumulative(data: CumulativePlotData, path: str) -> None:
     """Centered horizontal stacked bars, one per space: pole-A mass drawn
     rightward, pole-B mass leftward, black cumulate dot at beta_a - beta_b.
     The horizontal scale auto-fits the data and is printed on the axis."""
     margin_l, margin_r, top, row_h, axis_h = 100, 30, 56, 64, 30
+    width = 640
     height = top + row_h * len(data.bars) + axis_h
     svg = _Svg(width, height)
 
@@ -301,10 +298,7 @@ def render_cumulative(data: CumulativePlotData, path: str,
         svg.rect(min(x_zero, xa), y_bar, abs(xa - x_zero), bar_h, COLOR_A)
         xb = scale(-bar.beta_b)
         svg.rect(min(x_zero, xb), y_bar, abs(xb - x_zero), bar_h, COLOR_B)
-        svg.circle(
-            scale(bar.cumulate), y_bar + bar_h / 2.0, 5, COLOR_CUMULATE,
-            cls="cumulate",
-        )
+        svg.circle(scale(bar.cumulate), y_bar + bar_h / 2.0, 5, COLOR_CUMULATE)
     svg.line(x_zero, top, x_zero, top + row_h * len(data.bars), "#888888")
     _axis(svg, scale, top + row_h * len(data.bars) + 4)
     svg.write(path)

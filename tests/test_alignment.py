@@ -6,7 +6,7 @@ from sweatkit import (
     VocabularyError,
     cosine,
     procrustes_align,
-    round_trip_stable,
+    round_trip_stability,
 )
 from sweatkit import alignment
 from sweatkit.embeddings import EmbeddingSpace
@@ -197,7 +197,7 @@ class TestRoundTripStability:
         space1 = random_space(rng, "s1", words, 4)
         space2 = EmbeddingSpace.from_rows("s2", words, space1.matrix)
         for w in words:
-            assert round_trip_stable(w, space1, space2)
+            assert round_trip_stability([w], space1, space2)[0]
 
     def test_swapped_pair_unstable(self):
         base = {
@@ -210,10 +210,10 @@ class TestRoundTripStability:
         swapped["x"], swapped["y"] = base["y"], base["x"]
         space1 = make_space("s1", base)
         space2 = make_space("s2", swapped)
-        assert not round_trip_stable("x", space1, space2)
-        assert not round_trip_stable("y", space1, space2)
-        assert round_trip_stable("p", space1, space2)
-        assert round_trip_stable("q", space1, space2)
+        assert not round_trip_stability(["x"], space1, space2)[0]
+        assert not round_trip_stability(["y"], space1, space2)[0]
+        assert round_trip_stability(["p"], space1, space2)[0]
+        assert round_trip_stability(["q"], space1, space2)[0]
 
     def test_symmetric_in_spaces(self):
         rng = np.random.default_rng(5)
@@ -221,15 +221,14 @@ class TestRoundTripStability:
         space1 = random_space(rng, "s1", words, 4)
         space2 = random_space(rng, "s2", words, 4)
         for w in words:
-            assert round_trip_stable(w, space1, space2) == round_trip_stable(
-                w, space2, space1
-            )
+            assert round_trip_stability([w], space1, space2) == (
+                round_trip_stability([w], space2, space1))
 
     def test_absent_word_is_error(self):
         space1 = make_space("s1", {"x": (1.0, 0.0)})
         space2 = make_space("s2", {"y": (1.0, 0.0)})
         with pytest.raises(VocabularyError):
-            round_trip_stable("x", space1, space2)
+            round_trip_stability(["x"], space1, space2)
 
 
 class TestResidualFromAlignedRows:

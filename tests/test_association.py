@@ -21,7 +21,6 @@ from sweatkit import (
     run_weat,
     single_word_association,
     sweat_score,
-    weat_score,
 )
 from sweatkit.embeddings import cosine, cosines
 
@@ -114,9 +113,9 @@ class TestScores:
             {"x": (1.0, 0.0), "y": (0.0, 1.0), "a": (1.0, 0.0), "b": (0.0, 1.0)},
         )
         poles = PoleWordsets("A", "B", ["a"], ["b"])
-        s = weat_score(
+        s = run_weat(
             TopicWordset("X", ["x"]), TopicWordset("Y", ["y"]), space, poles
-        )
+        ).score
         assert s == 2.0
 
     def test_weat_swap_negates(self):
@@ -126,7 +125,8 @@ class TestScores:
         poles = PoleWordsets("A", "B", ["a1", "a2"], ["b1", "b2"])
         x = TopicWordset("X", ["x1", "x2"])
         y = TopicWordset("Y", ["y1", "y2"])
-        assert weat_score(x, y, space, poles) == -weat_score(y, x, space, poles)
+        assert (run_weat(x, y, space, poles).score
+                == -run_weat(y, x, space, poles).score)
 
     def test_weat_rejects_overlap(self):
         space = make_space(
@@ -134,7 +134,7 @@ class TestScores:
         )
         poles = PoleWordsets("A", "B", ["a"], ["b"])
         with pytest.raises(DataError, match="overlap"):
-            weat_score(
+            run_weat(
                 TopicWordset("X", ["x"]), TopicWordset("Y", ["x"]), space, poles
             )
 
@@ -334,6 +334,17 @@ class TestPermutationTest:
         with pytest.raises(DataError, match="at least 100"):
             permutation_test([1.0], [2.0],
                              PermutationConfig(mode="montecarlo", samples=50))
+
+    def test_auto_falling_back_to_montecarlo_keeps_its_sample_floor(self):
+        v = np.random.default_rng(12).normal(size=24).tolist()
+        with pytest.raises(DataError,
+                           match=r"^permutations\.samples: .*at least 100"):
+            permutation_test(v[:12], v[12:],
+                             PermutationConfig(mode="auto", samples=1))
+        # Where auto resolves to exact, the sample count is not used.
+        p, total, method, _ = permutation_test(
+            v[:3], v[3:6], PermutationConfig(mode="auto", samples=1))
+        assert method == "exact" and total == 20
 
 
 class TestExactSplit:
@@ -536,6 +547,8 @@ class TestOrderIndependence:
         assert bits([v for _, *pair in res.per_word for v in pair]) == bits(
             [v for w, *_ in res.per_word for v in s_of[w]])
         assert bits([res.score]) == bits([base.score])
+        assert bits([res.effect_size, res.p_value]) == bits(
+            [base.effect_size, base.p_value])
 
         grown = [*topic.words, "w1410", "w1411", "w1412"]
         for k, space in enumerate((space1, space2)):

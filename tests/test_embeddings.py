@@ -14,7 +14,6 @@ from sweatkit import (
     cosine,
     load_word2vec_pair,
     load_word2vec_text,
-    nearest_neighbor,
     nearest_neighbors,
     save_word2vec_text,
 )
@@ -742,27 +741,27 @@ class TestCosine:
 class TestNearestNeighbor:
     def test_self_match(self):
         space = make_space("s", {"cat": (1.0, 0.2), "dog": (-0.5, 1.0)})
-        assert nearest_neighbor(space, space.vector("cat")) == "cat"
+        assert nearest_neighbors(space, space.vector("cat")[None])[0] == "cat"
 
     def test_hand_query(self):
         space = make_space("s", {"x": (1.0, 0.0), "y": (0.0, 1.0)})
-        assert nearest_neighbor(space, [0.9, 0.1]) == "x"
+        assert nearest_neighbors(space, [[0.9, 0.1]])[0] == "x"
 
     def test_lexicographic_tie_break(self):
         space = make_space("s", {"b": (1.0, 0.0), "a": (1.0, 0.0)})
-        assert nearest_neighbor(space, [1.0, 0.0]) == "a"
+        assert nearest_neighbors(space, [[1.0, 0.0]])[0] == "a"
 
     def test_dimension_mismatch(self):
         space = make_space("s", {"x": (1.0, 0.0)})
         with pytest.raises(DataError):
-            nearest_neighbor(space, [1.0, 0.0, 0.0])
+            nearest_neighbors(space, [[1.0, 0.0, 0.0]])
 
     def test_every_word_is_own_neighbor(self):
         rng = np.random.default_rng(7)
         words = [f"w{i}" for i in range(30)]
         space = EmbeddingSpace.from_rows("s", words, rng.normal(size=(30, 5)))
         for w in words:
-            assert nearest_neighbor(space, space.vector(w)) == w
+            assert nearest_neighbors(space, space.vector(w)[None])[0] == w
 
 
 class TestSpaceValidation:
@@ -929,7 +928,7 @@ class TestNearestNeighbors:
         assert space._unit[0, 0] != space._unit[1, 0]
         assert brute_nearest(space, query) == larger
         assert nearest_neighbors(space, [query, query]) == [larger, larger]
-        assert nearest_neighbor(space, query) == larger
+        assert nearest_neighbors(space, query[None])[0] == larger
 
     def test_one_row_case_agrees(self, monkeypatch):
         monkeypatch.setattr(embeddings, "_NN_BLOCK_BYTES", 8 * 50)
@@ -938,7 +937,7 @@ class TestNearestNeighbors:
             "s", [f"w{i}" for i in range(30)], rng.normal(size=(30, 5)))
         queries = rng.normal(size=(25, 5))
         batch = nearest_neighbors(space, queries)
-        assert batch == [nearest_neighbor(space, q) for q in queries]
+        assert batch == [nearest_neighbors(space, q[None])[0] for q in queries]
         assert batch == [brute_nearest(space, q) for q in queries]
 
     def test_no_queries(self):
@@ -950,7 +949,7 @@ class TestNearestNeighbors:
         with pytest.raises(DataError, match="zero-norm query"):
             nearest_neighbors(space, [[1.0, 0.0], [0.0, 0.0]])
         with pytest.raises(DataError, match="zero-norm query"):
-            nearest_neighbor(space, [0.0, 0.0])
+            nearest_neighbors(space, [[0.0, 0.0]])
         with pytest.raises(DataError, match="vector norm underflows"):
             nearest_neighbors(space, [[1.0, 0.0], [1e-170, 1e-170]])
 
@@ -967,11 +966,6 @@ class TestNearestNeighbors:
         space = make_space("s", {"x": (1.0, 0.0)})
         with pytest.raises(DataError, match="does not match space dimension"):
             nearest_neighbors(space, queries)
-
-    def test_one_query_must_be_a_vector(self):
-        space = make_space("s", {"x": (1.0, 0.0)})
-        with pytest.raises(DataError):
-            nearest_neighbor(space, [[1.0, 0.0]])
 
 
 class TestNearestNeighborMemory:

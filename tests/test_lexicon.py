@@ -17,7 +17,6 @@ from sweatkit import (
     load_frequency_table,
     load_lexicon,
     refine,
-    zipf_score,
 )
 from sweatkit import embeddings
 from sweatkit import lexicon as lexicon_module
@@ -32,9 +31,9 @@ def table(counts, total):
 
 class TestZipf:
     def test_hand_values(self):
-        assert zipf_score("w", table({"w": 100}, 10**6)) == pytest.approx(5.0)
-        assert zipf_score("w", table({"w": 1}, 10**9)) == pytest.approx(0.0)
-        assert zipf_score("w", table({"w": 10**6}, 10**6)) == pytest.approx(9.0)
+        assert table({"w": 100}, 10**6).zipf("w") == pytest.approx(5.0)
+        assert table({"w": 1}, 10**9).zipf("w") == pytest.approx(0.0)
+        assert table({"w": 10**6}, 10**6).zipf("w") == pytest.approx(9.0)
 
     def test_huge_total(self):
         # count / total underflows to 0 or to a subnormal: the score comes
@@ -53,7 +52,7 @@ class TestZipf:
 
     def test_absent_word_is_error(self):
         with pytest.raises(VocabularyError):
-            zipf_score("nope", table({"w": 1}, 100))
+            table({"w": 1}, 100).zipf("nope")
 
     def test_invalid_counts(self):
         with pytest.raises(FormatError):

@@ -143,7 +143,7 @@ class TestRendering:
         space1, space2, topic, poles = random_fixture(4)
         data = cumulative_data(topic, space1, space2, poles)
         out = tmp_path / "cum.svg"
-        render_cumulative(data, str(out), width=640)
+        render_cumulative(data, str(out))
         root = ET.parse(str(out)).getroot()
         ns = {"svg": "http://www.w3.org/2000/svg"}
         dots = root.findall(".//svg:circle[@class='cumulate']", ns)
