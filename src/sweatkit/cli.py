@@ -24,7 +24,7 @@ from .association import (
     PoleWordsets,
     SweatResult,
     TopicWordset,
-    require_disjoint,
+    require_targets,
     run_weat,
     topic_associations,
 )
@@ -266,7 +266,7 @@ def validate_config(path: str, command: str = "sweat",
             else:
                 setattr(cfg, key, _check_topic(raw[key], key, errors))
         if cfg.topic_x and cfg.topic_y:
-            _checked(lambda: require_disjoint(cfg.topic_x, cfg.topic_y),
+            _checked(lambda: require_targets(cfg.topic_x, cfg.topic_y),
                      "topic_x/topic_y: ", errors)
 
     if "poles" not in raw:
@@ -301,7 +301,9 @@ def validate_config(path: str, command: str = "sweat",
     cfg.permutations = PermutationConfig(**{
         key: perms.get(key, default)
         for key, default in asdict(PermutationConfig()).items()})
-    errors.extend(cfg.permutations.errors())
+    # WEAT tests each target set; n = 0 stands for a topic that failed.
+    topic = cfg.topic or cfg.topic_x
+    errors.extend(cfg.permutations.errors(len(topic.words) if topic else 0))
 
     if errors:
         raise ConfigError(errors)

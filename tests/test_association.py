@@ -1,5 +1,5 @@
 import math
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 import pytest
@@ -267,28 +267,30 @@ class TestPermutationTest:
         assert abs(p_mc - p_exact) <= max(tol, 1e-4)
 
     def test_montecarlo_pinned_over_several_blocks(self):
-        # Pinned p-values of this seeded stream over 16 blocks; the block
+        # Pinned p-values of this seeded stream over 16 blocks, as (b + 1) /
+        # (m + 1) from the counts b of draws at least as extreme; the block
         # size of the counting loop must not change them.
         rng = np.random.default_rng(16)
         v1 = rng.normal(size=7).tolist()
         v2 = (rng.normal(size=7) + 0.5).tolist()
         cfg = PermutationConfig(mode="montecarlo", samples=250_000, seed=7)
         assert permutation_test(v1, v2, cfg, "directional")[:2] == (
-            0.178468, 250_000)
+            (44_664 + 1) / 250_001, 250_000)
         assert permutation_test(v1, v2, cfg, "two_sided")[:2] == (
-            0.358524, 250_000)
+            (89_530 + 1) / 250_001, 250_000)
 
     def test_montecarlo_pinned_at_a_zero_score(self):
         # A score of exactly 0 counts, in the directional tail, the drawn
-        # partitions scoring >= 0, replayed here from the seeded stream.
-        # Dyadic values, so every score is exact.
+        # partitions scoring >= 0, replayed here from the seeded stream over
+        # the pool in ascending order. Dyadic values, so every score is
+        # exact.
         v1, v2 = [0.5, 1.25, -2.0, 3.0], [3.0, -2.0, 1.25, 0.5]
-        pool = np.array(v1 + v2)
+        pool = np.sort(v1 + v2)
         samples, seed = 3 * association._BLOCK + 5, 13
         rng = np.random.default_rng(seed)
         idx = np.argsort(rng.random((samples, 8)), axis=1)[:, :4]
         scores = 2.0 * pool[idx].sum(axis=1) - pool.sum()
-        expected = np.count_nonzero(scores >= 0) / samples
+        expected = (np.count_nonzero(scores >= 0) + 1) / (samples + 1)
         cfg = PermutationConfig(mode="montecarlo", samples=samples, seed=seed)
         assert permutation_test(v1, v2, cfg) == (
             expected, samples, "montecarlo", "directional")
@@ -318,13 +320,18 @@ class TestPermutationTest:
         assert permutation_test(v1[::-1], v2[::-1], cfg) == baseline
 
     def test_auto_mode_switches(self):
-        cfg = PermutationConfig(mode="auto", exact_limit=900, samples=200, seed=0)
-        v = np.random.default_rng(12).normal(size=12).tolist()
-        _, _, method, _ = permutation_test(v[:6], v[6:], cfg)
-        assert method == "montecarlo"  # C(12,6) = 924 > 900
-        cfg = PermutationConfig(mode="auto", exact_limit=924)
-        _, total, method, _ = permutation_test(v[:6], v[6:], cfg)
-        assert method == "exact" and total == 924
+        assert association.AUTO_EXACT_MAX_N == 16
+        cfg = PermutationConfig(mode="auto", samples=200)
+        v = np.random.default_rng(12).normal(size=34).tolist()
+        assert permutation_test(v[:16], v[16:32], cfg)[1:3] == (
+            math.comb(32, 16), "exact")
+        assert permutation_test(v[:17], v[17:], cfg)[1:3] == (
+            200, "montecarlo")
+        assert [cfg.method(n) for n in (1, 16, 17, 200)] == [
+            "exact", "exact", "montecarlo", "montecarlo"]
+        for mode in ("exact", "montecarlo"):
+            assert {PermutationConfig(mode=mode).method(n)
+                    for n in (1, 16, 17, 200)} == {mode}
 
     def test_unequal_sizes_rejected(self):
         with pytest.raises(DataError, match="equal group sizes"):
@@ -336,10 +343,10 @@ class TestPermutationTest:
                              PermutationConfig(mode="montecarlo", samples=50))
 
     def test_auto_falling_back_to_montecarlo_keeps_its_sample_floor(self):
-        v = np.random.default_rng(12).normal(size=24).tolist()
+        v = np.random.default_rng(12).normal(size=34).tolist()
         with pytest.raises(DataError,
                            match=r"^permutations\.samples: .*at least 100"):
-            permutation_test(v[:12], v[12:],
+            permutation_test(v[:17], v[17:],
                              PermutationConfig(mode="auto", samples=1))
         # Where auto resolves to exact, the sample count is not used.
         p, total, method, _ = permutation_test(
@@ -361,6 +368,23 @@ class TestExactSplit:
             v1, v2, PermutationConfig(mode="exact"), tail)
         assert method == "exact"
         assert (p, total) == brute_force_exact_p(v1, v2, tail)
+
+    def test_auto_at_eleven_words_matches_numpy_enumeration(self):
+        # auto runs exact at n = 11; all C(22, 11) = 705,432 partitions of
+        # dyadic values, whose every score is exact, scored in numpy.
+        pool = np.random.default_rng(21).integers(-64, 65, size=22) / 64
+        pool[:11] += 0.5
+        idx = np.fromiter(chain.from_iterable(combinations(range(22), 11)),
+                          dtype=np.int8, count=705_432 * 11).reshape(-1, 11)
+        scores = np.concatenate([2.0 * pool[rows].sum(axis=1) - pool.sum()
+                                 for rows in np.array_split(idx, 8)])
+        s_obs = 2.0 * pool[:11].sum() - pool.sum()
+        assert s_obs > 0
+        for tail, hits in (("directional", scores >= s_obs),
+                           ("two_sided", np.abs(scores) >= s_obs)):
+            assert permutation_test(pool[:11].tolist(), pool[11:].tolist(),
+                                    PermutationConfig(), tail) == (
+                np.count_nonzero(hits) / 705_432, 705_432, "exact", tail)
 
     def test_ties_everywhere(self):
         # Every partition ties the observed score.
@@ -477,7 +501,7 @@ class TestWordsetValidation:
 
 class TestPermutationConfigRules:
     @pytest.mark.parametrize("cfg", [
-        PermutationConfig(mode="auto", samples=0, exact_limit=1),
+        PermutationConfig(mode="auto", samples=0),
         PermutationConfig(mode="montecarlo", seed=-1),
         PermutationConfig(mode="montecarlo", seed=1.5),
         PermutationConfig(mode="montecarlo", samples=150.5),
@@ -487,11 +511,22 @@ class TestPermutationConfigRules:
             permutation_test([1.0, 2.0], [3.0, 4.0], cfg)
 
     def test_every_broken_field_named(self):
-        cfg = PermutationConfig(mode="sideways", samples=True, seed=-2,
-                                exact_limit=0)
-        assert [e.split(":")[0] for e in cfg.errors()] == [
-            "permutations.mode", "permutations.samples", "permutations.seed",
-            "permutations.exact_limit"]
+        cfg = PermutationConfig(mode="sideways", samples=True, seed=-2)
+        assert [e.split(":")[0] for e in cfg.errors(1)] == [
+            "permutations.mode", "permutations.samples", "permutations.seed"]
+
+    def test_only_the_running_test_rules(self):
+        # Past sixteen words auto runs montecarlo and needs its 100 samples;
+        # through sixteen it runs exact, which draws none.
+        cfg = PermutationConfig(mode="auto", samples=1)
+        assert cfg.errors(16) == []
+        assert cfg.errors(17) == [
+            "permutations.samples: auto mode with more than 16 topic words "
+            "needs at least 100 samples, got 1"]
+        assert PermutationConfig(mode="montecarlo", samples=99).errors(1) == [
+            "permutations.samples: montecarlo mode needs at least 100 "
+            "samples, got 99"]
+        assert PermutationConfig(mode="exact", samples=1).errors(200) == []
 
 
 class TestTopicLabel:
@@ -528,7 +563,10 @@ class TestOrderIndependence:
     def test_shuffles_and_added_words_keep_every_bit(self, seed):
         rng, space1, space2, topic, poles = self.fixture(seed)
         cfg = PermutationConfig(mode="exact")
+        montecarlo = PermutationConfig(mode="montecarlo", samples=2_000,
+                                       seed=seed)
         base = run_sweat(topic, space1, space2, poles, cfg)
+        base_mc = run_sweat(topic, space1, space2, poles, montecarlo)
         s_of = {w: (s1, s2) for w, s1, s2 in base.per_word}
 
         def summary(res):
@@ -549,6 +587,10 @@ class TestOrderIndependence:
         assert bits([res.score]) == bits([base.score])
         assert bits([res.effect_size, res.p_value]) == bits(
             [base.effect_size, base.p_value])
+        # The Monte Carlo test draws from the pool in one order of its
+        # values, so its p keeps its bits too.
+        res = run_sweat(shuffled, space1, space2, poles, montecarlo)
+        assert bits([res.p_value]) == bits([base_mc.p_value])
 
         grown = [*topic.words, "w1410", "w1411", "w1412"]
         for k, space in enumerate((space1, space2)):

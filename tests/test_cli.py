@@ -84,7 +84,6 @@ class TestValidateConfig:
         assert cfg.alignment_mode == "pre_aligned"
         assert cfg.zipf_threshold == 5.0
         assert cfg.tail == "directional"
-        assert cfg.permutations.exact_limit == 500_000
 
     def test_identical_labels_rejected(self, tmp_path):
         fx = write_fixture(tmp_path)
@@ -361,7 +360,6 @@ class TestConfigTypes:
     @pytest.mark.parametrize("section, key, value", [
         ("permutations", "samples", "lots"),
         ("permutations", "seed", 1.5),
-        ("permutations", "exact_limit", True),
         ("refinement", "zipf_threshold", "high"),
     ])
     def test_non_numeric_field(self, tmp_path, capsys, section, key, value):
@@ -381,6 +379,61 @@ class TestConfigTypes:
         assert main(["sweat", "--config", str(path)]) == 1
         assert "permutations: must be an object" in one_line_error(
             capsys, "config error:")
+
+
+class TestMethodAtConfigTime:
+    """The topic size fixes the test ``auto`` runs when the config is read,
+    so a rule of that test fails before any space is loaded."""
+
+    @pytest.fixture
+    def no_load(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a space was loaded")
+
+        for name in ("load_word2vec_pair", "load_word2vec_text"):
+            monkeypatch.setattr(f"sweatkit.cli.{name}", refuse)
+
+    def auto_config(self, tmp_path, n):
+        fx = write_fixture(tmp_path)
+        words = (fx["topic"].words + fx["control"].words)[:n]
+        return base_config(tmp_path, fx, topic={"label": "t", "words": words},
+                           permutations={"mode": "auto", "samples": 1})[0]
+
+    def test_auto_past_sixteen_words_needs_montecarlo_samples(
+            self, tmp_path, capsys, no_load):
+        path = self.auto_config(tmp_path, 17)
+        assert main(["sweat", "--config", str(path)]) == 1
+        assert one_line_error(capsys, "config error:") == (
+            "config error: permutations.samples: auto mode with more than 16 "
+            "topic words needs at least 100 samples, got 1\n")
+
+    def test_auto_runs_exact_through_sixteen_words(self, tmp_path):
+        path = self.auto_config(tmp_path, 12)
+        assert main(["sweat", "--config", str(path)]) == 0
+        result = json.loads((tmp_path / "report.json").read_text())["result"]
+        assert (result["method"], result["n_permutations"]) == (
+            "exact", math.comb(24, 12))
+
+    def test_weat_targets_of_unequal_size(self, tmp_path, capsys, no_load):
+        fx = write_fixture(tmp_path)
+        raw = weat_raw(fx, tmp_path)
+        raw["topic_x"]["words"] = fx["topic"].words[:3]
+        raw["topic_y"]["words"] = fx["control"].words[:4]
+        path = tmp_path / "weat.config.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["weat", "--config", str(path)]) == 1
+        assert one_line_error(capsys, "config error:") == (
+            "config error: topic_x/topic_y: target wordsets must be of equal "
+            "size, got 3 and 4\n")
+
+    def test_exact_limit_is_ignored(self, tmp_path):
+        # Configs from before the size rule may still set it.
+        fx = write_fixture(tmp_path)
+        path, _ = base_config(tmp_path, fx, permutations={
+            "mode": "auto", "samples": 500, "exact_limit": 1})
+        cfg = validate_config(str(path))
+        assert cfg.echo()["permutations"] == {
+            "mode": "auto", "samples": 500, "seed": 0}
 
 
 class TestWeatCommand:
@@ -1077,7 +1130,6 @@ FUZZ_TARGETS = [
     ("sweat", ("permutations", "mode")),
     ("sweat", ("permutations", "samples")),
     ("sweat", ("permutations", "seed")),
-    ("sweat", ("permutations", "exact_limit")),
     ("sweat", ("tail",)),
     ("sweat", ("outputs",)),
     ("sweat", ("outputs", "report")),
@@ -1250,25 +1302,20 @@ class TestConfigRules:
     def test_integral_floats_read_as_integers(self, tmp_path):
         fx = write_fixture(tmp_path)
         path, _ = base_config(tmp_path, fx, permutations={
-            "mode": "montecarlo", "samples": 2e3, "seed": 7.0,
-            "exact_limit": 1e4})
+            "mode": "montecarlo", "samples": 2e3, "seed": 7.0})
         perms = validate_config(str(path)).permutations
-        assert (perms.samples, perms.seed, perms.exact_limit) == (
-            2000, 7, 10_000)
-        assert all(type(v) is int
-                   for v in (perms.samples, perms.seed, perms.exact_limit))
+        assert (perms.samples, perms.seed) == (2000, 7)
+        assert all(type(v) is int for v in (perms.samples, perms.seed))
 
     def test_every_bad_permutation_field_on_its_own_line(self, tmp_path,
                                                          capsys):
         fx = write_fixture(tmp_path)
         path, _ = base_config(tmp_path, fx, permutations={
-            "mode": "montecarlo", "samples": 0, "seed": -1, "exact_limit": 0})
+            "mode": "montecarlo", "samples": 0, "seed": -1})
         assert main(["sweat", "--config", str(path)]) == 1
         assert capsys.readouterr().err == (
             "config error: permutations.samples: must be at least 1, got 0\n"
-            "config error: permutations.seed: must be at least 0, got -1\n"
-            "config error: permutations.exact_limit: must be at least 1, "
-            "got 0\n")
+            "config error: permutations.seed: must be at least 0, got -1\n")
 
     def test_override_replaces_config_value_before_checks(self, tmp_path,
                                                           capsys):
