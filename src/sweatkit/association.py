@@ -49,9 +49,9 @@ _BLOCK = 1 << 14
 # 14, 16, 17 and 20, against 6-9 ms for 10,000 Monte Carlo draws.
 AUTO_EXACT_MAX_N = 16
 
-# Most subset sums the exact test builds for one half of the pool: 2**n
-# float64 values for a topic of n words, 128 MiB at n = 24.
-_EXACT_MAX_SUMS = 1 << 24
+# The exact test runs through this many topic words: it builds 2**n float64
+# subset sums per half of the pool, 2^24 of them (128 MiB) at n = 24.
+EXACT_MAX_N = 24
 
 
 def _words(words, what: str) -> list:
@@ -116,7 +116,7 @@ class PoleWordsets:
 class PermutationConfig:
     """How to run the permutation test. ``auto`` runs ``exact`` for a topic
     of at most AUTO_EXACT_MAX_N words and ``montecarlo`` otherwise, which
-    needs 100 samples at least."""
+    needs 100 samples at least; ``exact`` runs through EXACT_MAX_N words."""
 
     mode: str = "auto"
     samples: int = 10_000
@@ -135,6 +135,9 @@ class PermutationConfig:
         if self.mode not in ("exact", "montecarlo", "auto"):
             errors.append("permutations.mode: must be exact, montecarlo or "
                           f"auto, got {self.mode!r}")
+        elif self.method(n) == "exact" and n > EXACT_MAX_N:
+            errors.append("permutations.mode: exact needs at most "
+                          f"{EXACT_MAX_N} topic words, got {n}; use montecarlo")
         for key, least in (("samples", 1), ("seed", 0)):
             value = getattr(self, key)
             if isinstance(value, bool) or not isinstance(value, int):
@@ -317,34 +320,24 @@ def _exact_count(pool, s_obs, tail) -> int:
     n 2**n steps instead of C(2n, n).
     """
     n = len(pool) // 2
-    if 2 ** n > _EXACT_MAX_SUMS:
-        raise DataError(
-            f"exact permutation test over {2 * n} values needs 2^{n} subset "
-            f"sums per half, more than {_EXACT_MAX_SUMS}; use mode montecarlo")
     pool = np.asarray(pool, dtype=np.float64)
     total = pool.sum()
-    # Scores at least as extreme, on the slack of ``_tail_fraction``: those
-    # >= bound on the side of s_obs, and for two_sided also <= -bound.
+    # Swapping a partition's groups turns its score s into -s, so as many
+    # partitions score at most -bound as at least bound: whatever the sign
+    # of s_obs, the count takes scores of at least bound (|s_obs| less the
+    # slack of ``_tail_fraction``), doubled for two_sided.
     bound = abs(s_obs) - _TIE_EPS
     if tail == "two_sided" and bound <= 0:
         return math.comb(2 * n, n)
-    edges = []
-    if tail == "two_sided" or s_obs >= 0:
-        edges.append((bound, "left"))
-    if tail == "two_sided" or s_obs < 0:
-        edges.append((-bound, "right"))
     left, right = _subset_sums(pool[:n]), _subset_sums(pool[n:])
     count = 0
     for k in range(n + 1):
         sums_l, sums_r = left[k], right[n - k]
         sums_r.sort()
-        for edge, side in edges:
-            # 2 (l + r) - total lies past edge where r lies past
-            # (edge + total) / 2 - l.
-            at = int(np.searchsorted(sums_r, (edge + total) / 2 - sums_l,
-                                     side).sum())
-            count += len(sums_l) * len(sums_r) - at if side == "left" else at
-    return count
+        # 2 (l + r) - total >= bound where r >= (bound + total) / 2 - l.
+        below = int(np.searchsorted(sums_r, (bound + total) / 2 - sums_l).sum())
+        count += len(sums_l) * len(sums_r) - below
+    return 2 * count if tail == "two_sided" else count
 
 
 def _montecarlo_blocks(size: int, n: int, samples: int, seed: int):

@@ -311,22 +311,28 @@ def validate_config(path: str, command: str = "sweat",
 
 
 def _run_config(args, command) -> RunConfig:
-    """The config of ``args``, checked with the command line's overrides."""
+    """The config of ``args``, checked with the command line's overrides.
+    An output whose directory does not exist is a config error, so the run
+    does not fail at its end."""
     cfg = validate_config(args.config, command, {
         key: getattr(args, key) for key in ("seed", "samples")
         if getattr(args, key) is not None})
     if args.tail is not None:
         cfg.tail = args.tail
-    if args.out_dir is not None:
-        os.makedirs(args.out_dir, exist_ok=True)
-        cfg.report_path = os.path.join(
-            args.out_dir, os.path.basename(cfg.report_path)
-        )
-        for attr in ("cumulative_svg", "detail_svg"):
-            value = getattr(cfg, attr)
-            if value:
-                setattr(cfg, attr, os.path.join(args.out_dir,
-                                                os.path.basename(value)))
+    errors = []
+    for name, attr in (("outputs.report", "report_path"),
+                       ("outputs.cumulative_svg", "cumulative_svg"),
+                       ("outputs.detail_svg", "detail_svg")):
+        value = getattr(cfg, attr)
+        if value and args.out_dir is not None:
+            os.makedirs(args.out_dir, exist_ok=True)
+            value = os.path.join(args.out_dir, os.path.basename(value))
+            setattr(cfg, attr, value)
+        folder = os.path.dirname(value or "")
+        if folder and not os.path.isdir(folder):
+            errors.append(f"{name}: directory '{folder}' does not exist")
+    if errors:
+        raise ConfigError(errors)
     return cfg
 
 

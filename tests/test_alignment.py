@@ -65,6 +65,12 @@ class TestProcrustes:
         with pytest.raises(DataError):
             procrustes_align(space, space, [])
 
+    def test_dimension_mismatch_rejected(self):
+        source = make_space("src", {"x": (1.0, 0.0, 0.0)})
+        target = make_space("tgt", {"x": (1.0, 0.0)})
+        with pytest.raises(DataError, match="^dimension mismatch: 3 vs 2$"):
+            procrustes_align(source, target, ["x"])
+
     def test_rotation_preserves_intra_space_cosines(self):
         rng = np.random.default_rng(3)
         words = [f"w{i}" for i in range(20)]
@@ -375,6 +381,13 @@ class TestDefaultAnchors:
         space = make_space("s", {"a": (1.0, 0.0), "b": (0.0, 1.0),
                                  "c": (1.0, 1.0)})
         assert alignment.default_anchors(space, space, table, table) == ["b"]
+
+    def test_disjoint_vocabularies_rejected(self):
+        space1 = make_space("s1", {"a": (1.0, 0.0)})
+        space2 = make_space("s2", {"b": (1.0, 0.0)})
+        with pytest.raises(DataError, match="^spaces share no vocabulary; "
+                                            "cannot pick anchors$"):
+            alignment.default_anchors(space1, space2)
 
     def test_no_frequent_word_keeps_shared(self):
         table = FrequencyTable({"a": 10, "b": 10 ** 5}, 10 ** 9)

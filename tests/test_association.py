@@ -190,6 +190,11 @@ class TestEffectSize:
         with pytest.raises(DataError, match="degenerate"):
             effect_size([0.5, 0.5], [0.5, 0.5])
 
+    def test_empty_group(self):
+        with pytest.raises(DataError,
+                           match="^effect size needs nonempty value lists$"):
+            effect_size([], [1.0])
+
     def test_matches_brute_force(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
@@ -337,6 +342,15 @@ class TestPermutationTest:
         with pytest.raises(DataError, match="equal group sizes"):
             permutation_test([1.0, 2.0], [3.0])
 
+    @pytest.mark.parametrize("v1, v2, tail, message", [
+        ([1.0], [2.0], "left", "^unknown tail 'left'$"),
+        ([], [], "directional", "^permutation test needs nonempty groups$"),
+        ([], [1.0], "two_sided", "^permutation test needs nonempty groups$"),
+    ], ids=["unknown-tail", "empty", "empty-first"])
+    def test_bad_input_rejected(self, v1, v2, tail, message):
+        with pytest.raises(DataError, match=message):
+            permutation_test(v1, v2, PermutationConfig(mode="exact"), tail)
+
     def test_too_few_samples_rejected(self):
         with pytest.raises(DataError, match="at least 100"):
             permutation_test([1.0], [2.0],
@@ -393,17 +407,24 @@ class TestExactSplit:
                                     PermutationConfig(mode="exact"),
                                     tail)[:2] == (1.0, math.comb(14, 7))
 
-    @pytest.mark.parametrize("n", [association._EXACT_MAX_SUMS.bit_length(),
-                                   200])
-    def test_large_topic_is_data_error_at_once(self, n):
-        # Past the guard the split would need 2**n sums per half; without
-        # it, n = 200 would never finish.
+    @pytest.mark.parametrize("n", [association.EXACT_MAX_N + 1, 200])
+    def test_large_topic_is_data_error_at_once(self, n, monkeypatch):
+        # Past the limit the split would need 2**n sums per half; without
+        # it, n = 200 would never finish. The config rule fires before any
+        # table is built.
+        def refuse(values):
+            raise AssertionError("a subset-sum table was built")
+
+        monkeypatch.setattr(association, "_subset_sums", refuse)
         v = np.random.default_rng(20).normal(size=2 * n).tolist()
-        with pytest.raises(DataError, match=f"needs 2\\^{n} subset sums"):
+        with pytest.raises(DataError, match=(
+                f"^permutations\\.mode: exact needs at most 24 topic words, "
+                f"got {n}; use montecarlo$")):
             permutation_test(v[:n], v[n:], PermutationConfig(mode="exact"))
 
     def test_guard_is_two_to_the_24(self):
-        assert association._EXACT_MAX_SUMS == 1 << 24
+        # 2**24 subset sums per half, 128 MiB of float64.
+        assert association.EXACT_MAX_N == 24
 
 
 class TestRunners:
@@ -494,6 +515,10 @@ class TestWordsetValidation:
         with pytest.raises(DataError, match="duplicate"):
             PoleWordsets("A", "B", ["x", "x"], ["y"])
 
+    def test_pole_b_duplicates_rejected(self):
+        with pytest.raises(DataError, match="^pole 'B' has duplicate words$"):
+            PoleWordsets("A", "B", ["x"], ["y", "z", "y"])
+
     def test_empty_topic_rejected(self):
         with pytest.raises(DataError, match="empty"):
             TopicWordset("t", [])
@@ -517,7 +542,8 @@ class TestPermutationConfigRules:
 
     def test_only_the_running_test_rules(self):
         # Past sixteen words auto runs montecarlo and needs its 100 samples;
-        # through sixteen it runs exact, which draws none.
+        # through sixteen it runs exact, which draws none. Exact itself runs
+        # through 24 words.
         cfg = PermutationConfig(mode="auto", samples=1)
         assert cfg.errors(16) == []
         assert cfg.errors(17) == [
@@ -526,7 +552,10 @@ class TestPermutationConfigRules:
         assert PermutationConfig(mode="montecarlo", samples=99).errors(1) == [
             "permutations.samples: montecarlo mode needs at least 100 "
             "samples, got 99"]
-        assert PermutationConfig(mode="exact", samples=1).errors(200) == []
+        assert PermutationConfig(mode="exact", samples=1).errors(24) == []
+        assert PermutationConfig(mode="exact", samples=1).errors(25) == [
+            "permutations.mode: exact needs at most 24 topic words, got 25; "
+            "use montecarlo"]
 
 
 class TestTopicLabel:

@@ -76,6 +76,16 @@ def base_config(tmp_path, fx, **overrides):
     return path, cfg
 
 
+@pytest.fixture
+def no_load(monkeypatch):
+    """Loading a space fails the test: the run must stop before it."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a space was loaded")
+
+    for name in ("load_word2vec_pair", "load_word2vec_text"):
+        monkeypatch.setattr(f"sweatkit.cli.{name}", refuse)
+
+
 class TestValidateConfig:
     def test_minimal_config_defaults(self, tmp_path):
         fx = write_fixture(tmp_path)
@@ -124,6 +134,9 @@ class TestValidateConfig:
         assert "poles: required" in joined
         assert "tail:" in joined
         assert "missing1.txt" in joined and "missing2.txt" in joined
+
+    def test_one_message_is_a_list_of_one(self):
+        assert ConfigError("one").errors == ["one"]
 
     def test_parse_error_has_position(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -179,11 +192,71 @@ class TestSweatCommand:
         assert main(["sweat", "--config", str(path)]) == 1
 
     def test_io_error_exit_3(self, tmp_path, capsys):
+        # The report's directory exists, but the report path is a directory.
         fx = write_fixture(tmp_path)
         path, raw = base_config(tmp_path, fx)
-        raw["outputs"]["report"] = str(tmp_path / "no" / "dir" / "r.json")
+        (tmp_path / "r.json").mkdir()
+        raw["outputs"]["report"] = str(tmp_path / "r.json")
         path.write_text(json.dumps(raw), encoding="utf-8")
         assert main(["sweat", "--config", str(path)]) == 3
+        assert "r.json" in one_line_error(capsys, "io error:")
+
+    @pytest.mark.parametrize("key", ["report", "cumulative_svg",
+                                     "detail_svg"])
+    def test_output_without_its_directory_is_config_error(
+            self, tmp_path, capsys, no_load, key):
+        fx = write_fixture(tmp_path)
+        path, raw = base_config(tmp_path, fx)
+        raw["outputs"][key] = str(tmp_path / "x" / "out")
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["sweat", "--config", str(path)]) == 1
+        assert one_line_error(capsys, "config error:") == (
+            f"config error: outputs.{key}: directory '{tmp_path / 'x'}' "
+            "does not exist\n")
+
+    def test_out_dir_takes_each_output_by_name(self, tmp_path, capsys,
+                                               monkeypatch):
+        # Output directories that do not exist are not used: each output
+        # goes to --out-dir under its own file name.
+        monkeypatch.chdir(tmp_path)
+        fx = write_fixture(tmp_path)
+        path, raw = base_config(tmp_path, fx)
+        raw["outputs"] = {"report": "sub/r.json", "cumulative_svg": "x/c.svg",
+                          "detail_svg": "d.svg"}
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["sweat", "--config", str(path), "--out-dir",
+                     "outd"]) == 0
+        assert sorted(os.listdir("outd")) == ["c.svg", "d.svg", "r.json"]
+        assert not any(os.path.exists(name) for name in ("sub", "x", "d.svg"))
+
+    def test_refinement_needs_frequency_tables(self, tmp_path, capsys,
+                                               no_load):
+        fx = write_fixture(tmp_path)
+        path, raw = base_config(tmp_path, fx)
+        for entry in raw["embeddings"]:
+            del entry["frequency_table"]
+        raw["refinement"] = {"enabled": True}
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["sweat", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == "".join(
+            f"config error: embeddings[{i}].frequency_table: required when "
+            "refinement is enabled\n" for i in range(2))
+
+    def test_refinement_emptying_a_pole_is_data_error(self, tmp_path,
+                                                      capsys):
+        # Every word of pole B is rare in space 1's table: Zipf 3 < 5.
+        fx = write_fixture(tmp_path)
+        lines = fx["freq1"].read_text(encoding="utf-8").splitlines()
+        fx["freq1"].write_text("".join(
+            line.partition("\t")[0] + "\t1\n" if line.startswith("bad")
+            else line + "\n" for line in lines), encoding="utf-8")
+        path, raw = base_config(tmp_path, fx)
+        raw["refinement"] = {"enabled": True}
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["sweat", "--config", str(path)]) == 2
+        assert one_line_error(capsys, "data error:") == (
+            "data error: refinement emptied a pole wordset; cannot run the "
+            "test\n")
 
     def test_determinism_outside_meta(self, tmp_path, capsys):
         fx = write_fixture(tmp_path)
@@ -305,23 +378,6 @@ def test_norm_overflow_is_data_error(tmp_path, capsys):
     assert err == "data error: vector norm overflows for words: a, c\n"
 
 
-def test_exact_test_past_its_table_is_data_error(tmp_path, capsys,
-                                                 monkeypatch):
-    # A 24-word topic against a guard lowered to 2^23 sums per half: the
-    # run stops before building any table, on one line.
-    monkeypatch.setattr(association, "_EXACT_MAX_SUMS", 1 << 23)
-    fx = write_fixture(tmp_path)
-    path, raw = base_config(tmp_path, fx)
-    raw["topic"]["words"] = fx["topic"].words + fx["control"].words
-    raw["permutations"] = {"mode": "exact"}
-    path.write_text(json.dumps(raw), encoding="utf-8")
-    assert main(["sweat", "--config", str(path)]) == 2
-    err = one_line_error(capsys, "data error:")
-    assert err == ("data error: exact permutation test over 48 values needs "
-                   "2^24 subset sums per half, more than 8388608; use mode "
-                   "montecarlo\n")
-
-
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("row, message", [
     # Nonzero components whose squares all underflow.
@@ -385,14 +441,6 @@ class TestMethodAtConfigTime:
     """The topic size fixes the test ``auto`` runs when the config is read,
     so a rule of that test fails before any space is loaded."""
 
-    @pytest.fixture
-    def no_load(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("a space was loaded")
-
-        for name in ("load_word2vec_pair", "load_word2vec_text"):
-            monkeypatch.setattr(f"sweatkit.cli.{name}", refuse)
-
     def auto_config(self, tmp_path, n):
         fx = write_fixture(tmp_path)
         words = (fx["topic"].words + fx["control"].words)[:n]
@@ -425,6 +473,38 @@ class TestMethodAtConfigTime:
         assert one_line_error(capsys, "config error:") == (
             "config error: topic_x/topic_y: target wordsets must be of equal "
             "size, got 3 and 4\n")
+
+    @pytest.mark.parametrize("command", ["sweat", "weat"])
+    def test_exact_past_24_words_is_config_error(self, tmp_path, capsys,
+                                                 no_load, command):
+        # 2^25 subset sums per half would be built; the config says so
+        # before any file is read.
+        fx = write_fixture(tmp_path)
+        words = [f"w{i}" for i in range(50)]
+        if command == "sweat":
+            path, raw = base_config(tmp_path, fx)
+            raw["topic"]["words"] = words[:25]
+        else:
+            raw = weat_raw(fx, tmp_path)
+            raw["topic_x"]["words"] = words[:25]
+            raw["topic_y"]["words"] = words[25:]
+            path = tmp_path / "weat.config.json"
+        raw["permutations"] = {"mode": "exact"}
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        assert main([command, "--config", str(path)]) == 1
+        assert one_line_error(capsys, "config error:") == (
+            "config error: permutations.mode: exact needs at most 24 topic "
+            "words, got 25; use montecarlo\n")
+
+    def test_weat_without_topic_x(self, tmp_path, capsys):
+        fx = write_fixture(tmp_path)
+        raw = weat_raw(fx, tmp_path)
+        del raw["topic_x"]
+        path = tmp_path / "weat.config.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["weat", "--config", str(path)]) == 1
+        assert one_line_error(capsys, "config error:") == (
+            "config error: topic_x: required\n")
 
     def test_exact_limit_is_ignored(self, tmp_path):
         # Configs from before the size rule may still set it.
@@ -646,6 +726,14 @@ class TestOtherCommands:
         out = capsys.readouterr().out.splitlines()
         assert out[0].startswith("# label=")
         assert "\t" in out[1]
+
+    def test_inspect_prints_the_frequency_table_size(self, tmp_path, capsys):
+        fx = write_fixture(tmp_path)
+        assert main(["inspect", "--embeddings", str(fx["space1"]), "--freq",
+                     str(fx["freq1"])]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[1] == "# frequency_table words=40 total_tokens=1000000"
+        assert len(out) == 2 + 40
 
     def test_inspect_prints_the_norm_of_each_row(self, tmp_path, capsys):
         fx = write_fixture(tmp_path)

@@ -756,6 +756,12 @@ class TestNearestNeighbor:
         with pytest.raises(DataError):
             nearest_neighbors(space, [[1.0, 0.0, 0.0]])
 
+    def test_empty_space(self):
+        space = EmbeddingSpace.from_rows("s", [], np.zeros((0, 2)))
+        with pytest.raises(DataError,
+                           match="^nearest_neighbor on empty space$"):
+            nearest_neighbors(space, [[1.0, 0.0]])
+
     def test_every_word_is_own_neighbor(self):
         rng = np.random.default_rng(7)
         words = [f"w{i}" for i in range(30)]
@@ -772,6 +778,15 @@ class TestSpaceValidation:
     def test_rejects_duplicate_words(self):
         with pytest.raises(DataError):
             EmbeddingSpace.from_rows("s", ["x", "x"], [[1.0, 0.0], [0.0, 1.0]])
+
+    @pytest.mark.parametrize("rows, message", [
+        (np.ones((3, 2)), "matrix shape (3, 2) does not match 2 words"),
+        (np.ones((2, 0)), "embedding dimension must be positive"),
+    ], ids=["rows-past-words", "no-dimension"])
+    def test_rejects_matrix_shape(self, rows, message):
+        with pytest.raises(DataError) as exc:
+            EmbeddingSpace.from_rows("s", ["x", "y"], rows)
+        assert str(exc.value) == message
 
     def test_rows_gathers_in_order(self):
         space = make_space("s", {"x": (1.0, 0.0), "y": (0.0, 2.0)})

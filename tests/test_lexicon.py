@@ -342,6 +342,13 @@ class TestFiles:
         with pytest.raises(FormatError, match="missing fields"):
             load_lexicon(str(p))
 
+    def test_lexicon_invalid_json(self, tmp_path):
+        p = tmp_path / "lex.json"
+        p.write_text("{", encoding="utf-8")
+        with pytest.raises(FormatError) as exc:
+            load_lexicon(str(p))
+        assert str(exc.value).startswith(f"{p}: invalid JSON: ")
+
 
 class TestFrequencyTableByteOrderMark:
     @pytest.mark.parametrize("raw", [
