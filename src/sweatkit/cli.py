@@ -33,7 +33,7 @@ from .embeddings import (
     load_word2vec_text,
     save_word2vec_text,
 )
-from .errors import ConfigError, DataError, open_text
+from .errors import ConfigError, DataError, _replacing, open_text
 from .lexicon import (
     Lexicon,
     candidate_topics,
@@ -76,10 +76,11 @@ class RunConfig:
     zipf_threshold: float = 5.0
     permutations: PermutationConfig = field(default_factory=PermutationConfig)
     tail: str = "directional"
-    report_path: str = "sweat_report.json"
+    report: str = "sweat_report.json"
     cumulative_svg: str | None = None
     detail_svg: str | None = None
     plot_json: bool = False
+    inputs: dict = field(default_factory=dict)  # each file read, by key path
 
     def echo(self) -> dict:
         echo = {
@@ -116,10 +117,11 @@ def _read_wordlist(path: str) -> list:
     return [word for word in map(str.strip, lines) if word]
 
 
-def _readable(path, name, errors) -> bool:
-    """Whether ``path`` is a string naming an existing file; if not,
-    records an error."""
+def _readable(path, name, errors, inputs) -> bool:
+    """Whether ``path`` is a string naming an existing file, then recorded
+    in ``inputs`` under ``name``; if not, records an error."""
     if isinstance(path, str) and os.path.isfile(path):
+        inputs[name] = path
         return True
     errors.append(f"{name}: unreadable path '{path}'")
     return False
@@ -134,13 +136,13 @@ def _checked(make, prefix, errors):
         return None
 
 
-def _check_topic(raw, name, errors) -> TopicWordset | None:
+def _check_topic(raw, name, errors, inputs) -> TopicWordset | None:
     if not isinstance(raw, dict):
         errors.append(f"{name}: must be an object")
         return None
     words = raw.get("words")
     if "file" in raw:
-        if not _readable(raw["file"], f"{name}.file", errors):
+        if not _readable(raw["file"], f"{name}.file", errors, inputs):
             return None
         words = _checked(lambda: _read_wordlist(raw["file"]), f"{name}.file: ",
                          errors)
@@ -151,12 +153,12 @@ def _check_topic(raw, name, errors) -> TopicWordset | None:
                     errors)
 
 
-def _check_poles(raw, errors) -> Lexicon | None:
+def _check_poles(raw, errors, inputs) -> Lexicon | None:
     if not isinstance(raw, dict):
         errors.append("poles: must be an object")
         return None
     if "file" in raw:
-        if not _readable(raw["file"], "poles.file", errors):
+        if not _readable(raw["file"], "poles.file", errors, inputs):
             return None
         return _checked(lambda: load_lexicon(raw["file"]), "poles.file: ",
                         errors)
@@ -193,7 +195,7 @@ _SCALARS = (
      lambda v: isinstance(v, bool)),
     ("refinement.zipf_threshold", "zipf_threshold", "a finite number", _finite),
     ("tail", "tail", " or ".join(TAILS), TAILS.__contains__),
-    ("outputs.report", "report_path", "a path string",
+    ("outputs.report", "report", "a path string",
      lambda v: v and _output(v)),
     ("outputs.cumulative_svg", "cumulative_svg", "a path string", _output),
     ("outputs.detail_svg", "detail_svg", "a path string", _output),
@@ -222,7 +224,7 @@ def validate_config(path: str, command: str = "sweat",
             [f"config must be a JSON object, got {type(raw).__name__}"]
         )
     errors: list = []
-    cfg = RunConfig(embeddings=[])
+    cfg = RunConfig(embeddings=[], inputs={"--config": path})
 
     embeddings = raw.get("embeddings")
     want = 2 if command == "sweat" else 1
@@ -242,10 +244,11 @@ def validate_config(path: str, command: str = "sweat",
         if not epath:
             errors.append(f"embeddings[{i}].path: required nonempty path")
         else:
-            _readable(epath, f"embeddings[{i}].path", errors)
+            _readable(epath, f"embeddings[{i}].path", errors, cfg.inputs)
         ftable = entry.get("frequency_table") if isinstance(entry, dict) else None
         if ftable:
-            _readable(ftable, f"embeddings[{i}].frequency_table", errors)
+            _readable(ftable, f"embeddings[{i}].frequency_table", errors,
+                      cfg.inputs)
         labels.append(label)
         cfg.embeddings.append(
             EmbeddingEntry(label=label or f"space{i + 1}", path=epath or "",
@@ -258,13 +261,15 @@ def validate_config(path: str, command: str = "sweat",
         if "topic" not in raw:
             errors.append("topic: required")
         else:
-            cfg.topic = _check_topic(raw["topic"], "topic", errors)
+            cfg.topic = _check_topic(raw["topic"], "topic", errors,
+                                     cfg.inputs)
     elif command == "weat":
         for key in ("topic_x", "topic_y"):
             if key not in raw:
                 errors.append(f"{key}: required")
             else:
-                setattr(cfg, key, _check_topic(raw[key], key, errors))
+                setattr(cfg, key,
+                        _check_topic(raw[key], key, errors, cfg.inputs))
         if cfg.topic_x and cfg.topic_y:
             _checked(lambda: require_targets(cfg.topic_x, cfg.topic_y),
                      "topic_x/topic_y: ", errors)
@@ -272,7 +277,7 @@ def validate_config(path: str, command: str = "sweat",
     if "poles" not in raw:
         errors.append("poles: required")
     else:
-        cfg.lexicon = _check_poles(raw["poles"], errors)
+        cfg.lexicon = _check_poles(raw["poles"], errors, cfg.inputs)
 
     sections = {"": raw}
     for key in ("alignment", "refinement", "permutations", "outputs"):
@@ -288,7 +293,7 @@ def validate_config(path: str, command: str = "sweat",
 
     cfg.anchors = sections["alignment"].get("anchors", cfg.anchors)
     if cfg.anchors != "auto":
-        _readable(cfg.anchors, "alignment.anchors", errors)
+        _readable(cfg.anchors, "alignment.anchors", errors, cfg.inputs)
     if cfg.refinement_enabled:
         for i, entry in enumerate(cfg.embeddings):
             if not entry.frequency_table:
@@ -310,19 +315,17 @@ def validate_config(path: str, command: str = "sweat",
     return cfg
 
 
-def _run_config(args, command) -> RunConfig:
-    """The config of ``args``, checked with the command line's overrides.
-    An output whose directory does not exist is a config error, so the run
-    does not fail at its end."""
+def _run_config(args, command) -> tuple:
+    """The config of ``args`` with the command line's overrides, and each
+    output's file by key path (``--out-dir`` takes each by its file name),
+    checked by ``_check_outputs`` and for a missing folder before any load."""
     cfg = validate_config(args.config, command, {
         key: getattr(args, key) for key in ("seed", "samples")
         if getattr(args, key) is not None})
     if args.tail is not None:
         cfg.tail = args.tail
-    errors = []
-    for name, attr in (("outputs.report", "report_path"),
-                       ("outputs.cumulative_svg", "cumulative_svg"),
-                       ("outputs.detail_svg", "detail_svg")):
+    errors, outputs = [], {}
+    for attr in ("report", "cumulative_svg", "detail_svg"):
         value = getattr(cfg, attr)
         if value and args.out_dir is not None:
             os.makedirs(args.out_dir, exist_ok=True)
@@ -330,17 +333,51 @@ def _run_config(args, command) -> RunConfig:
             setattr(cfg, attr, value)
         folder = os.path.dirname(value or "")
         if folder and not os.path.isdir(folder):
-            errors.append(f"{name}: directory '{folder}' does not exist")
+            errors.append(f"outputs.{attr}: directory '{folder}' does not exist")
+        outputs[f"outputs.{attr}"] = value
+    base, _ = os.path.splitext(cfg.report)
+    for chart in ("cumulative", "detail") if cfg.plot_json else ():
+        outputs[f"outputs.plot_json.{chart}"] = f"{base}.{chart}.json"
+    _check_outputs(outputs, cfg.inputs, errors)
+    return cfg, outputs
+
+
+def _check_outputs(outputs: dict, inputs: dict, errors=()) -> None:
+    """Raise a ConfigError of ``errors`` and a line for each output that
+    names the file of an input or of an output before it, by key: the same
+    path once resolved, or an existing file by another name (a hard link).
+    A path of None is no file. An output that exists and is not a regular
+    file, such as a device or a FIFO, is written in place (``_replacing``)
+    and exempt."""
+    errors = list(errors)
+    taken = [(key, path) for key, path in inputs.items() if path]
+    for key, path in outputs.items():
+        if not path or os.path.exists(path) and not os.path.isfile(path):
+            continue
+        same = next((other for other, named in taken
+                     if _same_file(path, named)), None)
+        if same:
+            errors.append(f"{key}: '{path}' names the same file as {same}")
+        taken.append((key, path))
     if errors:
         raise ConfigError(errors)
-    return cfg
+
+
+def _same_file(path, other) -> bool:
+    """Whether two paths name one file: equal once resolved, or, where both
+    exist, one file by two names."""
+    try:
+        return (os.path.realpath(path) == os.path.realpath(other)
+                or os.path.samefile(path, other))
+    except OSError:  # one of them does not exist
+        return False
 
 
 def _json_dump(obj, path) -> None:
-    """Write ``obj`` to ``path`` as indented JSON with sorted keys, in one
-    write: ``json.dump`` would write each token on its own."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    """Write ``obj`` to ``path`` whole, as indented JSON with sorted keys, in
+    one write: ``json.dump`` would write each token on its own."""
+    with _replacing(path) as fh:
+        fh.write((json.dumps(obj, indent=2, sort_keys=True) + "\n").encode())
 
 
 def _load_pair(entry1, entry2) -> tuple:
@@ -395,7 +432,7 @@ def _write_report(cfg, command, title, result, timings, alignment=None,
             "blas": _blas(),
             "peak_rss_mb": _peak_rss_mb(),
         },
-    }, cfg.report_path)
+    }, cfg.report)
     print(
         f"{title}: score={result.score:.6f} "
         f"d={result.effect_size:.6f} p={result.p_value:.6g} "
@@ -405,7 +442,7 @@ def _write_report(cfg, command, title, result, timings, alignment=None,
 
 
 def cmd_sweat(args) -> int:
-    cfg = _run_config(args, "sweat")
+    cfg, outputs = _run_config(args, "sweat")
     timings: dict = {}
 
     t0 = time.perf_counter()
@@ -458,9 +495,8 @@ def cmd_sweat(args) -> int:
         render_detail(det, cfg.detail_svg)
     plots = {"cumulative": cum.to_dict(), "detail": det.to_dict()}
     if cfg.plot_json:
-        base, _ = os.path.splitext(cfg.report_path)
         for name, doc in plots.items():
-            _json_dump(doc, f"{base}.{name}.json")
+            _json_dump(doc, outputs[f"outputs.plot_json.{name}"])
     timings["viz"] = time.perf_counter() - t0
 
     _write_report(cfg, "sweat", f"SWEAT {topic.label}", result, timings,
@@ -470,7 +506,7 @@ def cmd_sweat(args) -> int:
 
 
 def cmd_weat(args) -> int:
-    cfg = _run_config(args, "weat")
+    cfg, _ = _run_config(args, "weat")
     timings: dict = {}
 
     t0 = time.perf_counter()
@@ -489,6 +525,9 @@ def cmd_weat(args) -> int:
 
 
 def cmd_align(args) -> int:
+    _check_outputs({"--out": args.out, "--report": args.report}, {
+        "--source": args.source, "--target": args.target,
+        "--anchors": args.anchors if args.anchors != "auto" else None})
     source, target = load_word2vec_pair((args.source, None),
                                         (args.target, None))
     if args.anchors == "auto":
@@ -513,6 +552,9 @@ def cmd_refine(args) -> int:
     if not _finite(args.zipf_threshold):
         raise ConfigError(["--zipf-threshold: must be a finite number, got "
                            f"{args.zipf_threshold!r}"])
+    _check_outputs({"--out": args.out}, {
+        "--lexicon": args.lexicon, "--space1": args.space1,
+        "--space2": args.space2, "--freq1": args.freq1, "--freq2": args.freq2})
     lexicon = load_lexicon(args.lexicon)
     space1, space2, table1, table2 = _load_pair(
         EmbeddingEntry(None, args.space1, args.freq1),
@@ -544,11 +586,13 @@ def cmd_candidates(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    with open(args.report, "r", encoding="utf-8") as fh:
-        try:
+    _check_outputs({"--cumulative": args.cumulative, "--detail": args.detail},
+                   {"--report": args.report})
+    try:
+        with open_text(args.report) as fh:
             doc = json.load(fh)
-        except ValueError as exc:  # malformed JSON or UTF-8
-            raise DataError(f"report '{args.report}' is not JSON: {exc}") from None
+    except ValueError as exc:  # malformed JSON (open_text maps bad UTF-8)
+        raise DataError(f"report '{args.report}' is not JSON: {exc}") from None
     plots = doc.get("plots") if isinstance(doc, dict) else None
     if not plots:
         raise DataError(f"report '{args.report}' carries no plot data")

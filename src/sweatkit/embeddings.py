@@ -7,14 +7,14 @@ import os
 import pickle
 import stat
 import sys
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import count
 
 import numpy as np
 
-from .errors import DataError, FormatError, VocabularyError, open_text
+from .errors import (DataError, FormatError, VocabularyError, _replacing,
+                     open_text)
 
 # Cosines of unit rows exceed [-1, 1] by rounding noise only, far below this.
 _COSINE_OVERSHOOT = 1e-9
@@ -362,11 +362,11 @@ def _read_word2vec_text(path: str) -> tuple[dict, np.ndarray]:
         chunks = _chunks(raw)
         try:
             vocab_size, dim = _read_header(head, path)
-        except FormatError:
-            # Bytes of the first chunk that are not UTF-8 are named first,
+        except FormatError as exc:
+            # A byte of the first chunk that is not UTF-8 is named first,
             # as when the header was read as text.
-            _lines(next(chunks, np.zeros(0, np.uint8)))
-            raise
+            first = next(chunks, np.zeros(0, np.uint8))
+            raise _lines(first, path, 2)[1] or exc from None
         # Words in row order, held as dict keys so a repeat is one lookup.
         words: dict[str, None] = {}
         most = _most_rows(_bytes_left(raw, len(head)), dim)
@@ -375,8 +375,10 @@ def _read_word2vec_text(path: str) -> tuple[dict, np.ndarray]:
         for buf in chunks:
             read = _parse_bytes(buf, dim, words, vocab_size, rows)
             if read is None:  # the validator reads it, or names its defect
-                lines = _lines(buf)
+                lines, bad = _lines(buf, path, lineno)
                 block = _parse_rows(lines, path, vocab_size, dim, words, lineno)
+                if bad:
+                    raise bad
                 filled = len(words) - len(block)
                 _reserve(rows, len(words), vocab_size)
                 rows[filled:len(words)] = block
@@ -689,11 +691,21 @@ def _words(buf: np.ndarray, low, first, last, sep: str) -> list[str]:
     return buf[at].tobytes().decode("utf-8").split(sep)[:-1]
 
 
-def _lines(buf: np.ndarray) -> list[str]:
-    """The lines of a chunk, decoded as strict UTF-8, without their line
-    ends: split at ``\\n`` alone, as text mode splits translated text, never
-    at the other breaks ``str.splitlines`` knows."""
-    return str(buf, "utf-8").removesuffix("\n").split("\n")
+def _lines(buf: np.ndarray, path: str, start: int) -> tuple:
+    """``(lines, None)``: the lines of a chunk, decoded as strict UTF-8,
+    without their line ends: split at ``\\n`` alone, as text mode splits
+    translated text, never at the other breaks ``str.splitlines`` knows.
+    If a byte is not UTF-8, ``(lines, error)``: the lines before the byte's
+    line, which the caller reads first, so that an earlier defect is named
+    at any chunk size, and a FormatError naming that line, numbered from
+    ``start``, to raise after them."""
+    try:
+        return str(buf, "utf-8").removesuffix("\n").split("\n"), None
+    except UnicodeDecodeError as exc:
+        head, reason = buf[:exc.start].tobytes(), exc.reason
+    lines = str(head[:head.rfind(b"\n") + 1], "utf-8").split("\n")[:-1]
+    return lines, FormatError(
+        f"{path}:{start + len(lines)}: not valid UTF-8 ({reason})")
 
 
 def _parse_bytes(buf: np.ndarray, dim: int, words: dict, vocab_size: int,
@@ -715,7 +727,10 @@ def _parse_bytes(buf: np.ndarray, dim: int, words: dict, vocab_size: int,
     filled = len(words)
     if filled + n > vocab_size:
         return None
-    new = dict.fromkeys(_words(buf, *index, " "))
+    try:
+        new = dict.fromkeys(_words(buf, *index, " "))
+    except UnicodeDecodeError:  # the validator names the byte's line
+        return None
     if len(new) != n or not words.keys().isdisjoint(new):
         return None
     _reserve(rows, filled + min(n, _most_rows(len(buf), dim)), vocab_size)
@@ -1125,9 +1140,7 @@ def save_word2vec_text(space: EmbeddingSpace, path: str) -> None:
     the same however many CPUs made it; lines end in ``\\n`` everywhere. A
     worker that cannot be forked leaves its blocks to this process.
 
-    A regular file at ``path``, or none, is replaced only once the whole
-    text is written (see ``_replacing``), so a write that fails leaves the
-    old file or none, never part of the new one.
+    The file is written whole, as every output is (see ``_replacing``).
 
     A word holding a space, ``\n`` or ``\r`` would not read back as one
     word: such words are a ``DataError`` before anything is written.
@@ -1152,62 +1165,6 @@ def save_word2vec_text(space: EmbeddingSpace, path: str) -> None:
                 fh.write(_frame(children[i % workers][1], path, "formatting"))
             else:
                 fh.write(_format_block(space, lo, hi))
-
-
-@contextmanager
-def _replacing(path: str):
-    """A binary file to write ``path`` through.
-
-    When ``path`` is absent or a regular file, the bytes go to a new file
-    beside it, with its permission bits, that replaces it when the block
-    ends and is removed if the block raises. A symbolic link is followed:
-    the file it names is replaced. Anything else at ``path`` (a device, a
-    FIFO, ``/dev/stdout``), or a directory that takes no new file, is
-    written in place. A process killed outright cannot remove its new
-    file, ``.<name>.<pid>-<n>.tmp``, but leaves ``path`` whole.
-    """
-    try:
-        mode = os.stat(path).st_mode
-    except FileNotFoundError:
-        mode = None
-    except (OSError, ValueError):
-        mode = 0  # of no file type: open raises the error, naming path
-    created = None
-    if mode is None or stat.S_ISREG(mode):
-        real = os.path.realpath(path)
-        created = _create_beside(real)
-    if created is None:
-        with open(path, "wb") as fh:
-            yield fh
-        return
-    fd, tmp = created
-    try:
-        with open(fd, "wb") as fh:
-            if mode is not None:
-                os.chmod(tmp, stat.S_IMODE(mode))
-            yield fh
-        os.replace(tmp, real)
-    except BaseException as exc:
-        with suppress(OSError):
-            os.unlink(tmp)
-        if isinstance(exc, OSError) and exc.filename == tmp:
-            raise OSError(exc.errno, exc.strerror, path) from None
-        raise
-
-
-def _create_beside(real: str):
-    """``(fd, name)`` of a new empty file in the directory of ``real``,
-    named after it, or None if none can be made there."""
-    head, tail = os.path.split(real)
-    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
-    for n in count():
-        tmp = os.path.join(head, f".{tail}.{os.getpid()}-{n}.tmp")
-        try:
-            return os.open(tmp, flags, 0o666), tmp
-        except FileExistsError:  # left by another process: take the next
-            continue
-        except OSError:
-            return None
 
 
 def _send_blocks(out, space: EmbeddingSpace, blocks) -> None:

@@ -1,10 +1,13 @@
-"""Exception hierarchy shared by all sweatkit modules.
+"""Exception hierarchy shared by all sweatkit modules, and how they open files.
 
 The CLI maps these onto exit codes: ConfigError -> 1, DataError (and
 subclasses) -> 2, OSError -> 3.
 """
 
-from contextlib import contextmanager
+import os
+import stat
+from contextlib import contextmanager, suppress
+from itertools import count
 
 
 class SweatKitError(Exception):
@@ -42,9 +45,65 @@ def open_text(path):
     """Open ``path`` for reading as UTF-8 text. Bytes that are not UTF-8,
     met anywhere while reading, raise a FormatError naming the file. A
     reader of bytes reads ``fh.buffer`` and decodes them itself, strictly:
-    its ``UnicodeDecodeError`` is mapped the same way."""
+    a ``UnicodeDecodeError`` it lets pass is mapped the same way."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             yield fh
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not valid UTF-8 ({exc.reason})") from None
+
+
+@contextmanager
+def _replacing(path: str):
+    """A binary file to write ``path`` through.
+
+    When ``path`` is absent or a regular file, the bytes go to a new file
+    beside it, with its permission bits, that replaces it when the block
+    ends and is removed if the block raises. A symbolic link is followed:
+    the file it names is replaced. Anything else at ``path`` (a device, a
+    FIFO, ``/dev/stdout``), or a directory that takes no new file, is
+    written in place. A process killed outright cannot remove its new
+    file, ``.<name>.<pid>-<n>.tmp``, but leaves ``path`` whole.
+    """
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    except (OSError, ValueError):
+        mode = 0  # of no file type: open raises the error, naming path
+    created = None
+    if mode is None or stat.S_ISREG(mode):
+        real = os.path.realpath(path)
+        created = _create_beside(real)
+    if created is None:
+        with open(path, "wb") as fh:
+            yield fh
+        return
+    fd, tmp = created
+    try:
+        with open(fd, "wb") as fh:
+            if mode is not None:
+                os.chmod(tmp, stat.S_IMODE(mode))
+            yield fh
+        os.replace(tmp, real)
+    except BaseException as exc:
+        with suppress(OSError):
+            os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.filename == tmp:
+            raise OSError(exc.errno, exc.strerror, path) from None
+        raise
+
+
+def _create_beside(real: str):
+    """``(fd, name)`` of a new empty file in the directory of ``real``,
+    named after it, or None if none can be made there."""
+    head, tail = os.path.split(real)
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+    for n in count():
+        tmp = os.path.join(head, f".{tail}.{os.getpid()}-{n}.tmp")
+        try:
+            return os.open(tmp, flags, 0o666), tmp
+        except FileExistsError:  # left by another process: take the next
+            continue
+        except OSError:
+            return None

@@ -186,8 +186,10 @@ def load_frequency_table(path: str) -> FrequencyTable:
                 buf = buf[3:]
             new = _read_counts(buf, counts, total)
             if new is None:  # the line loop reads it, or names its defect
-                lines = _lines(buf)
+                lines, bad = _lines(buf, path, lineno)
                 total = _read_lines(lines, path, lineno, counts, where, total)
+                if bad:
+                    raise bad
                 lineno += len(lines)
                 continue
             at = np.arange(lineno, lineno + len(new))
@@ -235,7 +237,10 @@ def _read_counts(buf, counts: dict, total):
     values = np.zeros(len(ends), dtype=np.int64)
     if _digit_faults(buf, ends, width, values).any():
         return None
-    new = dict(zip(_words(buf, *index, "\t"), values.tolist()))
+    try:
+        new = dict(zip(_words(buf, *index, "\t"), values.tolist()))
+    except UnicodeDecodeError:  # the line loop names the byte's line
+        return None
     if (len(new) != len(ends) or not counts.keys().isdisjoint(new)
             or total is not None and "#total" in new):
         return None

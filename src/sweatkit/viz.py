@@ -13,6 +13,7 @@ import numpy as np
 
 from .association import PoleWordsets, TopicWordset, topic_associations
 from .embeddings import EmbeddingSpace
+from .errors import _replacing
 
 COLOR_A = "#2e7d32"
 COLOR_B = "#c62828"
@@ -226,8 +227,8 @@ class _Svg:
 
     def write(self, path):
         self.parts.append("</svg>\n")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("".join(self.parts))
+        with _replacing(path) as fh:
+            fh.write("".join(self.parts).encode("utf-8"))
 
 
 class _Scale:

@@ -1,3 +1,4 @@
+import errno
 import os
 import threading
 import tracemalloc
@@ -5,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import sweatkit.errors as errors
 from sweatkit import EmbeddingSpace, PoleWordsets, TopicWordset
 
 
@@ -70,6 +72,24 @@ def forks(monkeypatch):
 
     monkeypatch.setattr(os, "fork", counting_fork)
     return pids
+
+
+def failing_writes(monkeypatch):
+    """Each file that sweatkit opens for writing fails after its first 16
+    bytes, as on a full disk."""
+    def opener(file, mode="r", *args, **kwargs):
+        fh = open(file, mode, *args, **kwargs)
+        if "w" in mode:
+            write = fh.write
+
+            def fail(data):
+                write(data[:16])
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+            fh.write = fail
+        return fh
+
+    monkeypatch.setattr(errors, "open", opener, raising=False)
 
 
 def use_cpus(monkeypatch, n):

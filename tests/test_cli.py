@@ -1,4 +1,5 @@
 import copy
+import errno
 import json
 import math
 import os
@@ -19,6 +20,7 @@ from sweatkit.errors import ConfigError
 
 from conftest import (
     assert_no_children,
+    failing_writes,
     feed_fifo,
     polarized_fixture,
     random_space,
@@ -792,6 +794,238 @@ def pair_argv(command, tmp_path, fx, space1, space2):
             "--out", str(out / "refined.json")]
 
 
+def collision_inputs(tmp_path, fx):
+    """A sweat config reading a topic file, a lexicon file and an anchors
+    file besides its spaces and tables, and each input by key path."""
+    path, raw = base_config(tmp_path, fx)
+    topic, poles, anchors = (tmp_path / n for n in ("topic.txt", "poles.json",
+                                                    "anchors.txt"))
+    topic.write_text("\n".join(fx["topic"].words) + "\n", encoding="utf-8")
+    poles.write_text(json.dumps(raw["poles"]), encoding="utf-8")
+    anchors.write_text("\n".join(fx["poles"].words_a) + "\n",
+                       encoding="utf-8")
+    raw["topic"] = {"label": "t", "file": str(topic)}
+    raw["poles"] = {"file": str(poles)}
+    raw["alignment"] = {"mode": "procrustes", "anchors": str(anchors)}
+    inputs = {"--config": path, "topic.file": topic, "poles.file": poles,
+              "alignment.anchors": anchors}
+    for i, entry in enumerate(raw["embeddings"]):
+        inputs[f"embeddings[{i}].path"] = entry["path"]
+        inputs[f"embeddings[{i}].frequency_table"] = entry["frequency_table"]
+    return path, raw, inputs
+
+
+def snapshot(folder):
+    """The bytes of each file in ``folder``, by name."""
+    return {p.name: p.read_bytes() for p in folder.iterdir() if p.is_file()}
+
+
+class TestOutputCollisions:
+    """An output that would replace an input, or another output, is one
+    config error line (exit 1), raised before any space is loaded, and
+    leaves every file as it was."""
+
+    @pytest.mark.parametrize("key", ["report", "cumulative_svg",
+                                     "detail_svg"])
+    @pytest.mark.parametrize("source", [
+        "--config", "embeddings[0].path", "embeddings[1].path",
+        "embeddings[0].frequency_table", "embeddings[1].frequency_table",
+        "topic.file", "poles.file", "alignment.anchors"])
+    def test_output_naming_an_input(self, tmp_path, capsys, no_load, key,
+                                    source):
+        fx = write_fixture(tmp_path)
+        path, raw, inputs = collision_inputs(tmp_path, fx)
+        raw["outputs"][key] = str(inputs[source])
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        before = snapshot(tmp_path)
+        assert main(["sweat", "--config", str(path)]) == 1
+        assert one_line_error(capsys, "config error:") == (
+            f"config error: outputs.{key}: '{inputs[source]}' names the "
+            f"same file as {source}\n")
+        assert snapshot(tmp_path) == before
+
+    def test_other_names_of_an_input(self, tmp_path, capsys, no_load,
+                                     monkeypatch):
+        # A relative path, a symbolic link and a hard link to a space.
+        monkeypatch.chdir(tmp_path)
+        fx = write_fixture(tmp_path)
+        os.symlink(fx["space1"], tmp_path / "soft.txt")
+        os.link(fx["space2"], tmp_path / "hard.txt")
+        path, raw = base_config(tmp_path, fx)
+        raw["outputs"] = {"report": "./sub/../space1.txt",
+                          "cumulative_svg": "soft.txt",
+                          "detail_svg": "hard.txt"}
+        (tmp_path / "sub").mkdir()
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["sweat", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "config error: outputs.report: './sub/../space1.txt' names the "
+            "same file as embeddings[0].path\n"
+            "config error: outputs.cumulative_svg: 'soft.txt' names the "
+            "same file as embeddings[0].path\n"
+            "config error: outputs.detail_svg: 'hard.txt' names the same "
+            "file as embeddings[1].path\n")
+
+    def test_two_outputs_naming_one_file(self, tmp_path, capsys, no_load):
+        fx = write_fixture(tmp_path)
+        path, raw = base_config(tmp_path, fx)
+        same = str(tmp_path / "same.out")
+        raw["outputs"] = {"report": same, "cumulative_svg": same}
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["sweat", "--config", str(path)]) == 1
+        assert one_line_error(capsys, "config error:") == (
+            f"config error: outputs.cumulative_svg: '{same}' names the same "
+            "file as outputs.report\n")
+        assert not os.path.exists(same)
+
+    def test_out_dir_file_names_collide(self, tmp_path, capsys, no_load,
+                                        monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        fx = write_fixture(tmp_path)
+        path, raw = base_config(tmp_path, fx)
+        raw["outputs"] = {"report": "r.json", "cumulative_svg": "a/plot.svg",
+                          "detail_svg": "b/plot.svg"}
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["sweat", "--config", str(path), "--out-dir",
+                     "outd"]) == 1
+        assert one_line_error(capsys, "config error:") == (
+            "config error: outputs.detail_svg: 'outd/plot.svg' names the "
+            "same file as outputs.cumulative_svg\n")
+        assert os.listdir("outd") == []
+
+    @pytest.mark.parametrize("chart", ["cumulative", "detail"])
+    def test_plot_json_naming_another_output(self, tmp_path, capsys,
+                                             no_load, chart):
+        fx = write_fixture(tmp_path)
+        path, raw = base_config(tmp_path, fx)
+        svg = str(tmp_path / f"report.{chart}.json")
+        raw["outputs"].update(plot_json=True, detail_svg=svg)
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["sweat", "--config", str(path)]) == 1
+        assert one_line_error(capsys, "config error:") == (
+            f"config error: outputs.plot_json.{chart}: '{svg}' names the "
+            "same file as outputs.detail_svg\n")
+
+    def test_weat_report_naming_its_space(self, tmp_path, capsys, no_load):
+        fx = write_fixture(tmp_path)
+        raw = weat_raw(fx, tmp_path)
+        raw["outputs"]["report"] = str(fx["space1"])
+        path = tmp_path / "weat.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["weat", "--config", str(path)]) == 1
+        assert one_line_error(capsys, "config error:") == (
+            f"config error: outputs.report: '{fx['space1']}' names the same "
+            "file as embeddings[0].path\n")
+
+    @pytest.mark.parametrize("flag, other", [
+        ("--out", "--source"), ("--out", "--target"), ("--out", "--anchors"),
+        ("--report", "--source"), ("--report", "--anchors"),
+        ("--report", "--out")])
+    def test_align(self, tmp_path, capsys, no_load, flag, other):
+        fx = write_fixture(tmp_path)
+        anchors = tmp_path / "anchors.txt"
+        anchors.write_text("\n".join(fx["poles"].words_a) + "\n",
+                           encoding="utf-8")
+        args = {"--source": str(fx["space2"]), "--target": str(fx["space1"]),
+                "--anchors": str(anchors), "--out": str(tmp_path / "al.txt"),
+                "--report": str(tmp_path / "al.json")}
+        args[flag] = args[other]
+        before = snapshot(tmp_path)
+        assert main(["align", *(x for kv in args.items() for x in kv)]) == 1
+        assert one_line_error(capsys, "config error:") == (
+            f"config error: {flag}: '{args[flag]}' names the same file as "
+            f"{other}\n")
+        assert snapshot(tmp_path) == before
+
+    @pytest.mark.parametrize("other", ["--lexicon", "--space1", "--space2",
+                                       "--freq1", "--freq2"])
+    def test_refine(self, tmp_path, capsys, no_load, other):
+        fx = write_fixture(tmp_path)
+        lexicon = tmp_path / "lex.json"
+        lexicon.write_text(json.dumps({
+            "label_a": "pos", "label_b": "neg",
+            "words_a": fx["poles"].words_a, "words_b": fx["poles"].words_b}),
+            encoding="utf-8")
+        args = {"--lexicon": str(lexicon), "--space1": str(fx["space1"]),
+                "--space2": str(fx["space2"]), "--freq1": str(fx["freq1"]),
+                "--freq2": str(fx["freq2"])}
+        args["--out"] = args[other]
+        before = snapshot(tmp_path)
+        assert main(["refine", *(x for kv in args.items() for x in kv)]) == 1
+        assert one_line_error(capsys, "config error:") == (
+            f"config error: --out: '{args[other]}' names the same file as "
+            f"{other}\n")
+        assert snapshot(tmp_path) == before
+
+    @pytest.mark.parametrize("flag, other", [
+        ("--cumulative", "--report"), ("--detail", "--report"),
+        ("--detail", "--cumulative")])
+    def test_plot(self, tmp_path, capsys, flag, other):
+        report = tmp_path / "report.json"
+        report.write_text("{}", encoding="utf-8")
+        args = {"--report": str(report), "--cumulative": str(tmp_path / "c"),
+                "--detail": str(tmp_path / "d")}
+        args[flag] = args[other]
+        assert main(["plot", *(x for kv in args.items() for x in kv)]) == 1
+        assert one_line_error(capsys, "config error:") == (
+            f"config error: {flag}: '{args[flag]}' names the same file as "
+            f"{other}\n")
+        assert os.listdir(tmp_path) == ["report.json"]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/null"),
+                        reason="needs a device")
+    def test_every_output_may_be_dev_null(self, tmp_path, capsys):
+        # The plot data goes beside the report: links to /dev/null.
+        fx = write_fixture(tmp_path)
+        path, raw = base_config(tmp_path, fx)
+        for name in ("r.json", "r.cumulative.json", "r.detail.json"):
+            os.symlink("/dev/null", tmp_path / name)
+        raw["outputs"] = {"report": str(tmp_path / "r.json"),
+                          "cumulative_svg": "/dev/null",
+                          "detail_svg": "/dev/null", "plot_json": True}
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        before = sorted(os.listdir(tmp_path))
+        assert main(["sweat", "--config", str(path)]) == 0
+        assert sorted(os.listdir(tmp_path)) == before
+        assert all(os.path.islink(tmp_path / name) for name in (
+            "r.json", "r.cumulative.json", "r.detail.json"))
+        assert main(["align", "--source", str(fx["space2"]), "--target",
+                     str(fx["space1"]), "--out", "/dev/null", "--report",
+                     "/dev/null"]) == 0
+
+
+class TestWholeWrites:
+    """A report, SVG or plot data file whose write fails part-way leaves
+    the file it replaces as it was, and no new file beside it."""
+
+    @pytest.mark.parametrize("output", ["report", "cumulative_svg",
+                                        "detail_svg", "plot_json"])
+    def test_failed_write_leaves_the_old_file(self, tmp_path, capsys,
+                                              monkeypatch, output):
+        fx = write_fixture(tmp_path)
+        path, raw = base_config(tmp_path, fx)
+        out = tmp_path / "out"
+        out.mkdir()
+        # The first file written is the one under test.
+        raw["outputs"] = {"report": str(out / "report.json")}
+        if output == "plot_json":
+            raw["outputs"]["plot_json"] = True
+            name = "report.cumulative.json"
+        elif output != "report":
+            raw["outputs"][output] = str(out / "chart.svg")
+            name = "chart.svg"
+        else:
+            name = "report.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        (out / name).write_bytes(b"previous\n")
+        failing_writes(monkeypatch)
+        assert main(["sweat", "--config", str(path)]) == 3
+        assert one_line_error(capsys, "io error:") == (
+            f"io error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n")
+        assert snapshot(out) == {name: b"previous\n"}
+        assert os.listdir(out) == [name]
+
+
 class TestConcurrentLoad:
     """Every command that reads two spaces prints, writes and exits as with
     two serial loads when the second is read in a forked process, and
@@ -1068,7 +1302,10 @@ class TestInputFaults:
         path.write_text(json.dumps(raw), encoding="utf-8")
         assert main(argv) == 2
         err = one_line_error(capsys, "data error:")
-        assert f"{bad}: not valid UTF-8" in err
+        # The readers of bytes name the line of the byte that is not UTF-8.
+        where = (f"{bad}:2" if target in ("embeddings", "frequency_table")
+                 else bad)
+        assert f"{where}: not valid UTF-8" in err
 
     @pytest.mark.parametrize("field", [
         "embeddings[0].path", "embeddings[0].frequency_table", "topic.file",
@@ -1616,7 +1853,7 @@ class TestPlotReportFaults:
 
 
 def test_json_report_is_one_write_of_the_dumps_text(tmp_path, monkeypatch):
-    from sweatkit import cli
+    from sweatkit import cli, errors
 
     doc = {"zeta": [1, [2.5, -0.0, 1e-07]], "é": "naïve ☃", "big": 10**30,
            "a": {"nested": [[], {}], "n": None, "t": True}, "m": -1e308}
@@ -1628,9 +1865,9 @@ def test_json_report_is_one_write_of_the_dumps_text(tmp_path, monkeypatch):
         fh.write = lambda text: writes.append(text) or write(text)
         return fh
 
-    monkeypatch.setattr(cli, "open", spy_open, raising=False)
+    monkeypatch.setattr(errors, "open", spy_open, raising=False)
     path = tmp_path / "r.json"
     cli._json_dump(doc, str(path))
-    expected = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    expected = (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
     assert writes == [expected]
-    assert path.read_bytes() == expected.encode("utf-8")
+    assert path.read_bytes() == expected

@@ -1712,10 +1712,14 @@ class TestByteReader:
     ])
     def test_not_utf8_names_the_file(self, tmp_path, name, message):
         p = tmp_path / "v.txt"
-        p.write_bytes(BYTE_FILES[name])
+        data = BYTE_FILES[name]
+        p.write_bytes(data)
+        with pytest.raises(UnicodeDecodeError) as bad:
+            data.decode("utf-8")
+        line = data[:bad.value.start].count(b"\n") + 1
         with pytest.raises(FormatError) as exc:
             load_word2vec_text(str(p))
-        assert str(exc.value) == f"{p}: not valid UTF-8 ({message})"
+        assert str(exc.value) == f"{p}:{line}: not valid UTF-8 ({message})"
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
     def test_pipe_of_many_chunks(self, tmp_path, monkeypatch):
@@ -1730,6 +1734,63 @@ class TestByteReader:
         p.write_bytes(text.encode("utf-8"))
         kernel_declined(monkeypatch)
         assert got == outcome(lambda: [load_word2vec_text(str(p))])
+
+
+# Each body after the header "3 2" and the row "a 1.0 2.0", and the error
+# the load names at any chunk size: line 3 is short, and line 4 (or 3)
+# holds a byte that is not UTF-8.
+NOT_UTF8_AFTER = {
+    "short_row_first": (b"b 1.0\nc\xff 1.0 2.0\n",
+                        "3: expected 3 fields, got 2"),
+    "not_utf8_row": (b"b 1.0 2.0\nc\xff 1.0 2.0\n",
+                     "4: not valid UTF-8 (invalid start byte)"),
+    "not_utf8_field": (b"b 1.0 2.\xe2\n", "3: not valid UTF-8 "
+                       "(invalid continuation byte)"),
+}
+
+
+class TestDefectAtAnyChunkSize:
+    """A byte that is not UTF-8 is named at its line, and only after every
+    defect of the lines before it, whatever the chunk size, in this
+    process and in the forked reader."""
+
+    @pytest.mark.parametrize("chunk", [1 << 20, 64, 4, 1])
+    @pytest.mark.parametrize("name", sorted(NOT_UTF8_AFTER))
+    def test_serial(self, tmp_path, monkeypatch, chunk, name):
+        monkeypatch.setattr(embeddings, "_CHUNK_CHARS", chunk)
+        body, message = NOT_UTF8_AFTER[name]
+        p = tmp_path / "bad.txt"
+        p.write_bytes(b"3 2\na 1.0 2.0\n" + body)
+        with pytest.raises(FormatError) as exc:
+            load_word2vec_text(str(p))
+        assert str(exc.value) == f"{p}:{message}"
+
+    @pytest.mark.parametrize("chunk", [1 << 20, 64, 4, 1])
+    @pytest.mark.parametrize("name", sorted(NOT_UTF8_AFTER))
+    def test_forked_reader(self, tmp_path, monkeypatch, concurrent, chunk,
+                           name):
+        monkeypatch.setattr(embeddings, "_CHUNK_CHARS", chunk)
+        body, message = NOT_UTF8_AFTER[name]
+        first, _ = pair_files(tmp_path, GOOD, "")
+        p = tmp_path / "bad.txt"
+        p.write_bytes(b"3 2\na 1.0 2.0\n" + body)
+        with pytest.raises(FormatError) as exc:
+            load_word2vec_pair(first, (str(p), None))
+        assert str(exc.value) == f"{p}:{message}"
+        assert len(concurrent) == 1
+        assert_no_children()
+
+    @pytest.mark.parametrize("chunk", [1 << 20, 4])
+    def test_byte_of_the_first_chunk_before_the_header_error(
+            self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(embeddings, "_CHUNK_CHARS", chunk)
+        p = tmp_path / "bad.txt"
+        p.write_bytes(b"3 x\na 1.0 2.0\nb\xff 1.0 2.0\n")
+        with pytest.raises(FormatError) as exc:
+            load_word2vec_text(str(p))
+        expected = (f"{p}:3: not valid UTF-8 (invalid start byte)"
+                    if chunk > 30 else f"{p}:1: non-integer header fields")
+        assert str(exc.value) == expected
 
 
 def growth_spy(monkeypatch):

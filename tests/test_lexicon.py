@@ -523,9 +523,23 @@ class TestTableByteReader:
         with pytest.raises(FormatError) as exc:
             load_frequency_table(str(p))
         assert str(exc.value) == (
-            f"{p}: not valid UTF-8 (invalid continuation byte)")
+            f"{p}:2: not valid UTF-8 (invalid continuation byte)")
         p.write_bytes(b"#total\t10\nfoo\t1\nb\xe2\x82")
         with pytest.raises(FormatError) as exc:
             load_frequency_table(str(p))
         assert str(exc.value) == (
-            f"{p}: not valid UTF-8 (unexpected end of data)")
+            f"{p}:3: not valid UTF-8 (unexpected end of data)")
+
+    @pytest.mark.parametrize("chunk", [1 << 20, 64, 4, 1])
+    @pytest.mark.parametrize("body, message", [
+        (b"foo\t1.5\nb\xff\t1\n", "2: non-integer count"),
+        (b"foo\t1\nb\xff\t1\n", "3: not valid UTF-8 (invalid start byte)"),
+    ], ids=["bad-count-first", "not-utf8"])
+    def test_defect_named_at_any_chunk_size(self, tmp_path, monkeypatch,
+                                            chunk, body, message):
+        monkeypatch.setattr(embeddings, "_CHUNK_CHARS", chunk)
+        p = tmp_path / "freq.tsv"
+        p.write_bytes(b"#total\t10\n" + body)
+        with pytest.raises(FormatError) as exc:
+            load_frequency_table(str(p))
+        assert str(exc.value) == f"{p}:{message}"

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import sweatkit.embeddings as embeddings
+import sweatkit.errors as errors
 from sweatkit import DataError, EmbeddingSpace, save_word2vec_text
 from sweatkit.cli import main
 
@@ -413,8 +414,8 @@ class TestReplacingWrite:
                         reason="needs a device")
     def test_device_written_in_place(self, monkeypatch):
         made = []
-        real_create = embeddings._create_beside
-        monkeypatch.setattr(embeddings, "_create_beside",
+        real_create = errors._create_beside
+        monkeypatch.setattr(errors, "_create_beside",
                             lambda real: made.append(real) or real_create(real))
         save_word2vec_text(awkward_space(), "/dev/null")
         if os.path.exists("/dev/full"):
@@ -426,7 +427,7 @@ class TestReplacingWrite:
 
     def test_directory_without_new_files_writes_in_place(self, tmp_path,
                                                          monkeypatch):
-        monkeypatch.setattr(embeddings, "_create_beside", lambda real: None)
+        monkeypatch.setattr(errors, "_create_beside", lambda real: None)
         out = tmp_path / "out.txt"
         out.write_bytes(b"old")
         space = awkward_space()

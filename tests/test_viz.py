@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -20,7 +21,7 @@ from sweatkit import (
 
 from sweatkit import viz
 
-from conftest import make_space, random_space
+from conftest import failing_writes, make_space, random_space
 
 
 def random_fixture(seed, n_topic=3, n_pole=2, dim=5):
@@ -211,6 +212,21 @@ class TestRendering:
                     numbers += [float(v) for pt in text.split()
                                 for v in pt.split(",")]
         assert numbers and all(math.isfinite(v) for v in numbers)
+
+    @pytest.mark.parametrize("chart", ["cumulative", "detail"])
+    def test_failed_write_leaves_the_old_file(self, tmp_path, monkeypatch,
+                                              toy_pair, chart):
+        make, render = {"cumulative": (cumulative_data, render_cumulative),
+                        "detail": (detail_data, render_detail)}[chart]
+        space1, space2, topic, poles = toy_pair
+        data = make(topic, space1, space2, poles)
+        out = tmp_path / "chart.svg"
+        out.write_bytes(b"previous chart\n")
+        failing_writes(monkeypatch)
+        with pytest.raises(OSError):
+            render(data, str(out))
+        assert out.read_bytes() == b"previous chart\n"
+        assert os.listdir(tmp_path) == ["chart.svg"]
 
     def test_unwritable_path(self, tmp_path, toy_pair):
         space1, space2, topic, poles = toy_pair
