@@ -33,7 +33,7 @@ from .embeddings import (
     load_word2vec_text,
     save_word2vec_text,
 )
-from .errors import ConfigError, DataError, _replacing, open_text
+from .errors import ConfigError, DataError, _replacing, open_text, read_json
 from .lexicon import (
     Lexicon,
     candidate_topics,
@@ -81,6 +81,7 @@ class RunConfig:
     detail_svg: str | None = None
     plot_json: bool = False
     inputs: dict = field(default_factory=dict)  # each file read, by key path
+    outputs: dict = field(default_factory=dict)  # each file written, likewise
 
     def echo(self) -> dict:
         echo = {
@@ -204,21 +205,16 @@ _SCALARS = (
 )
 
 
-def validate_config(path: str, command: str = "sweat",
-                    permutations: dict | None = None) -> RunConfig:
+def validate_config(path: str, command: str = "sweat", seed=None,
+                    samples=None, tail=None, out_dir=None) -> RunConfig:
     """Parse and fully validate a run config, reporting every error found.
-    ``permutations`` values replace the config's before they are checked."""
+    ``seed``, ``samples`` and ``tail``, where not None, replace the config's
+    values before they are checked. ``out_dir`` takes each output by its
+    file name, and is made once every check has passed."""
     try:
-        with open_text(path) as fh:
-            raw = json.load(fh, parse_float=_number)
+        raw = read_json(path, parse_float=_number)
     except (OSError, DataError) as exc:
         raise ConfigError([f"cannot read config: {exc}"]) from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            [f"config parse error at line {exc.lineno}, column {exc.colno}: "
-             f"{exc.msg}"]
-        ) from exc
-
     if not isinstance(raw, dict):
         raise ConfigError(
             [f"config must be a JSON object, got {type(raw).__name__}"]
@@ -282,6 +278,11 @@ def validate_config(path: str, command: str = "sweat",
     sections = {"": raw}
     for key in ("alignment", "refinement", "permutations", "outputs"):
         sections[key] = _section(raw, key, errors)
+    for section, key, value in (("", "tail", tail),
+                                ("permutations", "seed", seed),
+                                ("permutations", "samples", samples)):
+        if value is not None:
+            sections[section][key] = value
     for name, attr, rule, ok in _SCALARS:
         section, _, key = name.rpartition(".")
         value = sections[section].get(key, getattr(cfg, attr))
@@ -302,44 +303,29 @@ def validate_config(path: str, command: str = "sweat",
                     "refinement is enabled"
                 )
 
-    perms = {**sections["permutations"], **(permutations or {})}
     cfg.permutations = PermutationConfig(**{
-        key: perms.get(key, default)
+        key: sections["permutations"].get(key, default)
         for key, default in asdict(PermutationConfig()).items()})
     # WEAT tests each target set; n = 0 stands for a topic that failed.
     topic = cfg.topic or cfg.topic_x
     errors.extend(cfg.permutations.errors(len(topic.words) if topic else 0))
 
-    if errors:
-        raise ConfigError(errors)
-    return cfg
-
-
-def _run_config(args, command) -> tuple:
-    """The config of ``args`` with the command line's overrides, and each
-    output's file by key path (``--out-dir`` takes each by its file name),
-    checked by ``_check_outputs`` and for a missing folder before any load."""
-    cfg = validate_config(args.config, command, {
-        key: getattr(args, key) for key in ("seed", "samples")
-        if getattr(args, key) is not None})
-    if args.tail is not None:
-        cfg.tail = args.tail
-    errors, outputs = [], {}
     for attr in ("report", "cumulative_svg", "detail_svg"):
         value = getattr(cfg, attr)
-        if value and args.out_dir is not None:
-            os.makedirs(args.out_dir, exist_ok=True)
-            value = os.path.join(args.out_dir, os.path.basename(value))
+        if value and out_dir is not None:
+            value = os.path.join(out_dir, os.path.basename(value))
             setattr(cfg, attr, value)
         folder = os.path.dirname(value or "")
-        if folder and not os.path.isdir(folder):
+        if out_dir is None and folder and not os.path.isdir(folder):
             errors.append(f"outputs.{attr}: directory '{folder}' does not exist")
-        outputs[f"outputs.{attr}"] = value
+        cfg.outputs[f"outputs.{attr}"] = value
     base, _ = os.path.splitext(cfg.report)
     for chart in ("cumulative", "detail") if cfg.plot_json else ():
-        outputs[f"outputs.plot_json.{chart}"] = f"{base}.{chart}.json"
-    _check_outputs(outputs, cfg.inputs, errors)
-    return cfg, outputs
+        cfg.outputs[f"outputs.plot_json.{chart}"] = f"{base}.{chart}.json"
+    _check_outputs(cfg.outputs, cfg.inputs, errors)
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
+    return cfg
 
 
 def _check_outputs(outputs: dict, inputs: dict, errors=()) -> None:
@@ -442,7 +428,8 @@ def _write_report(cfg, command, title, result, timings, alignment=None,
 
 
 def cmd_sweat(args) -> int:
-    cfg, outputs = _run_config(args, "sweat")
+    cfg = validate_config(args.config, "sweat", args.seed, args.samples,
+                          args.tail, args.out_dir)
     timings: dict = {}
 
     t0 = time.perf_counter()
@@ -496,7 +483,7 @@ def cmd_sweat(args) -> int:
     plots = {"cumulative": cum.to_dict(), "detail": det.to_dict()}
     if cfg.plot_json:
         for name, doc in plots.items():
-            _json_dump(doc, outputs[f"outputs.plot_json.{name}"])
+            _json_dump(doc, cfg.outputs[f"outputs.plot_json.{name}"])
     timings["viz"] = time.perf_counter() - t0
 
     _write_report(cfg, "sweat", f"SWEAT {topic.label}", result, timings,
@@ -506,7 +493,8 @@ def cmd_sweat(args) -> int:
 
 
 def cmd_weat(args) -> int:
-    cfg, _ = _run_config(args, "weat")
+    cfg = validate_config(args.config, "weat", args.seed, args.samples,
+                          args.tail, args.out_dir)
     timings: dict = {}
 
     t0 = time.perf_counter()
@@ -588,11 +576,7 @@ def cmd_candidates(args) -> int:
 def cmd_plot(args) -> int:
     _check_outputs({"--cumulative": args.cumulative, "--detail": args.detail},
                    {"--report": args.report})
-    try:
-        with open_text(args.report) as fh:
-            doc = json.load(fh)
-    except ValueError as exc:  # malformed JSON (open_text maps bad UTF-8)
-        raise DataError(f"report '{args.report}' is not JSON: {exc}") from None
+    doc = read_json(args.report)
     plots = doc.get("plots") if isinstance(doc, dict) else None
     if not plots:
         raise DataError(f"report '{args.report}' carries no plot data")
@@ -624,8 +608,15 @@ def cmd_inspect(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose every error is a config error (exit 1)."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sweatkit",
         description="Relative polarization of a topical wordset across two "
         "aligned word-embedding spaces",
@@ -689,8 +680,8 @@ _LINE_BREAKS = str.maketrans(
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except ConfigError as exc:
         code, prefix, messages = 1, "config error", exc.errors

@@ -4,6 +4,7 @@ The CLI maps these onto exit codes: ConfigError -> 1, DataError (and
 subclasses) -> 2, OSError -> 3.
 """
 
+import json
 import os
 import stat
 from contextlib import contextmanager, suppress
@@ -51,6 +52,17 @@ def open_text(path):
             yield fh
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not valid UTF-8 ({exc.reason})") from None
+
+
+def read_json(path, parse_float=None):
+    """The JSON document in ``path``, read through ``open_text``. Malformed
+    JSON, a number past int()'s digit limit, and JSON nested too deeply to
+    decode raise a FormatError naming the file."""
+    try:
+        with open_text(path) as fh:
+            return json.load(fh, parse_float=parse_float)
+    except (ValueError, RecursionError) as exc:
+        raise FormatError(f"{path}: invalid JSON: {exc}") from None
 
 
 @contextmanager

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from dataclasses import dataclass, field
@@ -13,7 +12,7 @@ from .alignment import round_trip_stability
 from .association import PoleWordsets
 from .embeddings import (_BOM, _TAB, EmbeddingSpace, _chunks, _digit_faults,
                          _line_index, _lines, _words)
-from .errors import FormatError, VocabularyError, open_text
+from .errors import FormatError, VocabularyError, open_text, read_json
 
 REJECT_REASONS = (
     "oov_space1",
@@ -290,11 +289,7 @@ def _read_lines(lines, path: str, start: int, counts: dict, where: list,
 def load_lexicon(path: str) -> Lexicon:
     """Read a lexicon JSON file with label_a/label_b/words_a/words_b and an
     optional provenance note."""
-    with open_text(path) as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: invalid JSON: {exc}") from exc
+    raw = read_json(path)
     if not isinstance(raw, dict):
         raise FormatError(
             f"{path}: lexicon must be a JSON object, got {type(raw).__name__}"

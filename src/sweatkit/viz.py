@@ -84,13 +84,12 @@ class CumulativePlotData:
     @classmethod
     def from_associations(cls, topic, pair, poles):
         """Per-space sums of mean pole associations, from the topic's
-        ``Associations`` in each space. The cumulate dot of each bar is
-        beta_a - beta_b, and the difference of the two cumulates is the
-        SWEAT score."""
-        bars = []
-        for assoc in pair:
-            beta_a, beta_b = math.fsum(assoc.mean_a), math.fsum(assoc.mean_b)
-            bars.append(SpaceBar(assoc.label, beta_a, beta_b, beta_a - beta_b))
+        ``Associations`` in each space. The cumulate dot of each bar is the
+        fsum of the topic's s(w), beta_a - beta_b up to rounding, so the
+        difference of the two cumulates is the SWEAT score bit for bit."""
+        bars = [SpaceBar(assoc.label, math.fsum(assoc.mean_a),
+                         math.fsum(assoc.mean_b), math.fsum(assoc.values))
+                for assoc in pair]
         return cls(topic.label, poles.label_a, poles.label_b, bars)
 
 

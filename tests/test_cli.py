@@ -710,7 +710,8 @@ class TestOtherCommands:
         report.write_text("{truncated", encoding="utf-8")
         assert main(["plot", "--report", str(report),
                      "--cumulative", str(tmp_path / "cum.svg")]) == 2
-        assert "not JSON" in one_line_error(capsys, "data error:")
+        assert one_line_error(capsys, "data error:").startswith(
+            f"data error: {report}: invalid JSON: ")
 
     def test_plot_report_missing_fields(self, tmp_path, capsys):
         report = tmp_path / "report.json"
@@ -891,7 +892,7 @@ class TestOutputCollisions:
         assert one_line_error(capsys, "config error:") == (
             "config error: outputs.detail_svg: 'outd/plot.svg' names the "
             "same file as outputs.cumulative_svg\n")
-        assert os.listdir("outd") == []
+        assert not os.path.exists("outd")
 
     @pytest.mark.parametrize("chart", ["cumulative", "detail"])
     def test_plot_json_naming_another_output(self, tmp_path, capsys,
@@ -1594,6 +1595,128 @@ class TestOneLineErrors:
         assert one_line_error(capsys, "config error:") == (
             "config error: tail: must be directional or two_sided, "
             "got 'a\\rb'\n")
+
+
+# A JSON document that no reader can decode: nested past the recursion
+# limit, or holding an integer past the digits Python converts.
+UNREADABLE_JSON = [
+    pytest.param("[" * 100_000, id="nested"),
+    pytest.param("1" * 5_000, id="long_number", marks=pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"),
+        reason="needs int()'s limit on digits")),
+]
+
+
+class TestInputBoundary:
+    """Bad flags and unreadable JSON end in one line with their documented
+    exit code, and ``--out-dir`` is made only once every check passed."""
+
+    PAIR = ["--space1", "s1", "--space2", "s2", "--freq1", "f1",
+            "--freq2", "f2"]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["sweat", "--config", "c", "--tail", "bogus"],
+         "argument --tail: invalid choice: 'bogus'"),
+        (["sweat", "--config", "c", "--seed", "abc"],
+         "argument --seed: invalid int value: 'abc'"),
+        (["candidates", *PAIR, "--top", "x"],
+         "argument --top: invalid int value: 'x'"),
+        (["refine", "--lexicon", "l", *PAIR, "--out", "o",
+          "--zipf-threshold", "abc"],
+         "argument --zipf-threshold: invalid float value: 'abc'"),
+        (["align", "--source", "a"],
+         "the following arguments are required: --target, --out"),
+        (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+        (["weat", "--config", "c", "--extra"],
+         "unrecognized arguments: --extra"),
+        ([], "the following arguments are required: command"),
+    ], ids=["choice", "int", "top", "float", "missing", "command",
+            "unknown_flag", "nothing"])
+    def test_parser_error_is_config_error(self, capsys, no_load, argv,
+                                          message):
+        assert main(argv) == 1
+        assert one_line_error(capsys, "config error:").startswith(
+            f"config error: {message}")
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("flag", ["--help", "--version"])
+    def test_help_and_version_exit_0(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([flag])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out
+
+    @pytest.mark.parametrize("doc", UNREADABLE_JSON)
+    def test_unreadable_config(self, tmp_path, capsys, doc):
+        path = tmp_path / "config.json"
+        path.write_text(doc, encoding="utf-8")
+        assert main(["sweat", "--config", str(path)]) == 1
+        assert one_line_error(capsys, "config error:").startswith(
+            f"config error: cannot read config: {path}: invalid JSON: ")
+
+    @pytest.mark.parametrize("doc", UNREADABLE_JSON)
+    def test_unreadable_poles_file(self, tmp_path, capsys, no_load, doc):
+        fx = write_fixture(tmp_path)
+        lexicon = tmp_path / "lex.json"
+        lexicon.write_text(doc, encoding="utf-8")
+        path, _ = base_config(tmp_path, fx, poles={"file": str(lexicon)})
+        assert main(["sweat", "--config", str(path)]) == 1
+        assert one_line_error(capsys, "config error:").startswith(
+            f"config error: poles.file: {lexicon}: invalid JSON: ")
+
+    @pytest.mark.parametrize("doc", UNREADABLE_JSON)
+    def test_unreadable_refine_lexicon(self, tmp_path, capsys, no_load, doc):
+        lexicon = tmp_path / "lex.json"
+        lexicon.write_text(doc, encoding="utf-8")
+        assert main(["refine", "--lexicon", str(lexicon), *self.PAIR,
+                     "--out", str(tmp_path / "out.json")]) == 2
+        assert one_line_error(capsys, "data error:").startswith(
+            f"data error: {lexicon}: invalid JSON: ")
+
+    @pytest.mark.parametrize("doc", UNREADABLE_JSON)
+    def test_unreadable_plot_report(self, tmp_path, capsys, doc):
+        report = tmp_path / "report.json"
+        report.write_text(doc, encoding="utf-8")
+        assert main(["plot", "--report", str(report),
+                     "--cumulative", str(tmp_path / "cum.svg")]) == 2
+        assert one_line_error(capsys, "data error:").startswith(
+            f"data error: {report}: invalid JSON: ")
+        assert os.listdir(tmp_path) == ["report.json"]
+
+    @pytest.mark.parametrize("outputs, clash", [
+        ({"report": "r.json", "cumulative_svg": "a/plot.svg",
+          "detail_svg": "b/plot.svg"},
+         "outputs.detail_svg: 'outd/sub/plot.svg' names the same file as "
+         "outputs.cumulative_svg"),
+        ({"report": "r.json", "detail_svg": "x/r.detail.json",
+          "plot_json": True},
+         "outputs.plot_json.detail: 'outd/sub/r.detail.json' names the same "
+         "file as outputs.detail_svg"),
+    ], ids=["svgs", "plot_json"])
+    def test_out_dir_made_only_once_checks_pass(self, tmp_path, capsys,
+                                                monkeypatch, outputs, clash):
+        monkeypatch.chdir(tmp_path)
+        fx = write_fixture(tmp_path)
+        path, raw = base_config(tmp_path, fx, outputs=outputs)
+        argv = ["sweat", "--config", str(path), "--out-dir", "outd/sub"]
+        assert main(argv) == 1
+        assert one_line_error(capsys, "config error:") == (
+            f"config error: {clash}\n")
+        assert not os.path.exists("outd")
+        raw["outputs"] = {"report": "r.json"}
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(argv) == 0
+        assert os.listdir("outd/sub") == ["r.json"]
+
+    def test_tail_flag_replaces_config_value_before_check(self, tmp_path,
+                                                          capsys):
+        fx = write_fixture(tmp_path)
+        path, _ = base_config(tmp_path, fx, tail="sideways")
+        assert main(["sweat", "--config", str(path), "--tail",
+                     "two_sided"]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["config"]["tail"] == report["result"]["tail"] == (
+            "two_sided")
 
 
 class TestConfigRules:

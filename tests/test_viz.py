@@ -9,12 +9,14 @@ import pytest
 from sweatkit import (
     CumulativePlotData,
     DetailPlotData,
+    PermutationConfig,
     PoleWordsets,
     TopicWordset,
     cumulative_data,
     detail_data,
     render_cumulative,
     render_detail,
+    run_sweat,
     single_word_association,
     sweat_score,
 )
@@ -64,6 +66,17 @@ class TestCumulativeData:
         assert data.bars[0].cumulate - data.bars[1].cumulate == pytest.approx(
             score, abs=1e-9
         )
+
+    def test_cumulates_differ_by_the_score_bit_for_bit(self):
+        # Each cumulate is the fsum the score subtracts, not the difference
+        # of the two rounded beta sums.
+        for seed in range(20):
+            space1, space2, topic, poles = random_fixture(seed, n_topic=8)
+            data = cumulative_data(topic, space1, space2, poles)
+            result = run_sweat(topic, space1, space2, poles,
+                               PermutationConfig(mode="exact"))
+            assert data.bars[0].cumulate - data.bars[1].cumulate == (
+                result.score), seed
 
 
 class TestDetailData:
