@@ -79,9 +79,7 @@ class RunConfig:
     report: str = "sweat_report.json"
     cumulative_svg: str | None = None
     detail_svg: str | None = None
-    plot_json: bool = False
     inputs: dict = field(default_factory=dict)  # each file read, by key path
-    outputs: dict = field(default_factory=dict)  # each file written, likewise
 
     def echo(self) -> dict:
         echo = {
@@ -109,13 +107,9 @@ def _number(text: str):
 
 
 def _read_wordlist(path: str) -> list:
-    """The nonblank lines of ``path``, stripped. One UTF-8 byte order mark
-    at the start of the file is skipped."""
+    """The nonblank lines of ``path``, stripped."""
     with open_text(path) as fh:
-        lines = list(fh)
-    if lines:
-        lines[0] = lines[0].removeprefix("\ufeff")
-    return [word for word in map(str.strip, lines) if word]
+        return [word for word in map(str.strip, fh) if word]
 
 
 def _readable(path, name, errors, inputs) -> bool:
@@ -200,8 +194,6 @@ _SCALARS = (
      lambda v: v and _output(v)),
     ("outputs.cumulative_svg", "cumulative_svg", "a path string", _output),
     ("outputs.detail_svg", "detail_svg", "a path string", _output),
-    ("outputs.plot_json", "plot_json", "true or false",
-     lambda v: isinstance(v, bool)),
 )
 
 
@@ -210,7 +202,8 @@ def validate_config(path: str, command: str = "sweat", seed=None,
     """Parse and fully validate a run config, reporting every error found.
     ``seed``, ``samples`` and ``tail``, where not None, replace the config's
     values before they are checked. ``out_dir`` takes each output by its
-    file name, and is made once every check has passed."""
+    file name; it must name a directory or nothing yet, and is made once
+    every check has passed."""
     try:
         raw = read_json(path, parse_float=_number)
     except (OSError, DataError) as exc:
@@ -310,6 +303,10 @@ def validate_config(path: str, command: str = "sweat", seed=None,
     topic = cfg.topic or cfg.topic_x
     errors.extend(cfg.permutations.errors(len(topic.words) if topic else 0))
 
+    if out_dir is not None and (not out_dir or os.path.lexists(out_dir)
+                                and not os.path.isdir(out_dir)):
+        errors.append(f"--out-dir: must name a directory, got {out_dir!r}")
+    outputs = {}
     for attr in ("report", "cumulative_svg", "detail_svg"):
         value = getattr(cfg, attr)
         if value and out_dir is not None:
@@ -318,11 +315,8 @@ def validate_config(path: str, command: str = "sweat", seed=None,
         folder = os.path.dirname(value or "")
         if out_dir is None and folder and not os.path.isdir(folder):
             errors.append(f"outputs.{attr}: directory '{folder}' does not exist")
-        cfg.outputs[f"outputs.{attr}"] = value
-    base, _ = os.path.splitext(cfg.report)
-    for chart in ("cumulative", "detail") if cfg.plot_json else ():
-        cfg.outputs[f"outputs.plot_json.{chart}"] = f"{base}.{chart}.json"
-    _check_outputs(cfg.outputs, cfg.inputs, errors)
+        outputs[f"outputs.{attr}"] = value
+    _check_outputs(outputs, cfg.inputs, errors)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
     return cfg
@@ -480,15 +474,11 @@ def cmd_sweat(args) -> int:
         render_cumulative(cum, cfg.cumulative_svg)
     if cfg.detail_svg:
         render_detail(det, cfg.detail_svg)
-    plots = {"cumulative": cum.to_dict(), "detail": det.to_dict()}
-    if cfg.plot_json:
-        for name, doc in plots.items():
-            _json_dump(doc, cfg.outputs[f"outputs.plot_json.{name}"])
     timings["viz"] = time.perf_counter() - t0
 
     _write_report(cfg, "sweat", f"SWEAT {topic.label}", result, timings,
                   alignment=alignment_info, refinement=refinement_info,
-                  plots=plots)
+                  plots={"cumulative": cum.to_dict(), "detail": det.to_dict()})
     return 0
 
 

@@ -300,7 +300,6 @@ _FIXED_DIGITS = 15
 # digits w are below 10**19 < 2**64, a uint64.
 _DECIMAL_DIGITS = 19
 
-_BOM = b"\xef\xbb\xbf"
 # Bytes below "-" are structural in ``_line_index``: every separator and
 # line end, and any such byte that a word holds.
 _STRUCTURAL = ord("-")
@@ -557,7 +556,7 @@ def _fill(pipe, buf, path: str, doing: str):
 
 
 def _read_header(line: bytes, path: str) -> tuple[int, int]:
-    parts = line.removeprefix(_BOM).decode("utf-8").split()
+    parts = line.decode("utf-8").split()
     if len(parts) != 2:
         raise FormatError(f"{path}:1: header must be '<vocab_size> <dimension>'")
     # int() would also take "+", "_" between digits and the digits of other
@@ -651,8 +650,6 @@ def _line_index(buf: np.ndarray, sep: int, below: int = _STRUCTURAL):
     simdjson (Langdale and Lemire, "Parsing Gigabytes of JSON per Second",
     VLDB Journal 2019) for lines of fields.
     """
-    if not len(buf):  # the empty line after a byte order mark alone
-        return None
     # A slice at a time, so that the comparison's temporaries stay small and
     # come from memory the allocator reuses (see ``_PASS_VALUES``): a whole
     # chunk's took about 10,000 page faults per 42 MB file.

@@ -43,12 +43,15 @@ class VocabularyError(DataError):
 
 @contextmanager
 def open_text(path):
-    """Open ``path`` for reading as UTF-8 text. Bytes that are not UTF-8,
-    met anywhere while reading, raise a FormatError naming the file. A
-    reader of bytes reads ``fh.buffer`` and decodes them itself, strictly:
-    a ``UnicodeDecodeError`` it lets pass is mapped the same way."""
+    """Open ``path`` for reading as UTF-8 text. One UTF-8 byte order mark
+    at the start of the file is skipped. Bytes that are not UTF-8, met
+    anywhere while reading, raise a FormatError naming the file. A reader
+    of bytes reads ``fh.buffer`` and decodes them itself, strictly: a
+    ``UnicodeDecodeError`` it lets pass is mapped the same way."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
+            if fh.buffer.peek(3)[:3] == b"\xef\xbb\xbf":
+                fh.buffer.read(3)
             yield fh
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not valid UTF-8 ({exc.reason})") from None

@@ -10,7 +10,7 @@ import numpy as np
 
 from .alignment import round_trip_stability
 from .association import PoleWordsets
-from .embeddings import (_BOM, _TAB, EmbeddingSpace, _chunks, _digit_faults,
+from .embeddings import (_TAB, EmbeddingSpace, _chunks, _digit_faults,
                          _line_index, _lines, _words)
 from .errors import FormatError, VocabularyError, open_text, read_json
 
@@ -181,8 +181,6 @@ def load_frequency_table(path: str) -> FrequencyTable:
     lineno = 1
     with open_text(path) as fh:
         for buf in _chunks(fh.buffer):
-            if lineno == 1 and buf[:3].tobytes() == _BOM:
-                buf = buf[3:]
             new = _read_counts(buf, counts, total)
             if new is None:  # the line loop reads it, or names its defect
                 lines, bad = _lines(buf, path, lineno)

@@ -89,6 +89,27 @@ def no_load(monkeypatch):
 
 
 class TestValidateConfig:
+    def test_readme_config_example(self, tmp_path, monkeypatch):
+        # Stub inputs: the config's checks read only the lexicon.
+        readme = os.path.join(os.path.dirname(__file__), os.pardir,
+                              "README.md")
+        with open(readme, encoding="utf-8") as fh:
+            section = fh.read().split("### Config example\n", 1)[1]
+        raw = json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+        monkeypatch.chdir(tmp_path)
+        for entry in raw["embeddings"]:
+            for key in ("path", "frequency_table"):
+                (tmp_path / entry[key]).write_text("", encoding="utf-8")
+        (tmp_path / raw["poles"]["file"]).write_text(json.dumps({
+            "label_a": "pos", "label_b": "neg", "words_a": ["good"],
+            "words_b": ["bad"]}), encoding="utf-8")
+        (tmp_path / "config.json").write_text(json.dumps(raw),
+                                              encoding="utf-8")
+        echo = validate_config("config.json").echo()
+        for key in ("alignment", "refinement", "permutations", "tail",
+                    "outputs"):
+            assert echo[key] == raw[key], key
+
     def test_minimal_config_defaults(self, tmp_path):
         fx = write_fixture(tmp_path)
         path, _ = base_config(tmp_path, fx)
@@ -333,21 +354,22 @@ class TestSweatCommand:
         path, raw = base_config(tmp_path, fx)
         raw["outputs"]["cumulative_svg"] = str(tmp_path / "cum.svg")
         raw["outputs"]["detail_svg"] = str(tmp_path / "det.svg")
-        raw["outputs"]["plot_json"] = True
         path.write_text(json.dumps(raw), encoding="utf-8")
         assert main(["sweat", "--config", str(path)]) == 0
         assert spaces == ["S1", "S2"]
 
-    def test_plot_json_files_match_report(self, tmp_path, capsys):
+    def test_plot_json_key_is_ignored(self, tmp_path, capsys):
+        # The plot data is the report's "plots": no other file holds it.
         fx = write_fixture(tmp_path)
         path, raw = base_config(tmp_path, fx)
         raw["outputs"]["plot_json"] = True
         path.write_text(json.dumps(raw), encoding="utf-8")
         assert main(["sweat", "--config", str(path)]) == 0
+        assert [p.name for p in tmp_path.glob("report*")] == ["report.json"]
         report = json.loads((tmp_path / "report.json").read_text())
-        for name in ("cumulative", "detail"):
-            written = tmp_path / f"report.{name}.json"
-            assert json.loads(written.read_text()) == report["plots"][name]
+        assert report["config"]["outputs"] == {
+            "report": str(tmp_path / "report.json"), "cumulative_svg": None,
+            "detail_svg": None}
 
 
 def one_line_error(capsys, prefix):
@@ -894,19 +916,6 @@ class TestOutputCollisions:
             "same file as outputs.cumulative_svg\n")
         assert not os.path.exists("outd")
 
-    @pytest.mark.parametrize("chart", ["cumulative", "detail"])
-    def test_plot_json_naming_another_output(self, tmp_path, capsys,
-                                             no_load, chart):
-        fx = write_fixture(tmp_path)
-        path, raw = base_config(tmp_path, fx)
-        svg = str(tmp_path / f"report.{chart}.json")
-        raw["outputs"].update(plot_json=True, detail_svg=svg)
-        path.write_text(json.dumps(raw), encoding="utf-8")
-        assert main(["sweat", "--config", str(path)]) == 1
-        assert one_line_error(capsys, "config error:") == (
-            f"config error: outputs.plot_json.{chart}: '{svg}' names the "
-            "same file as outputs.detail_svg\n")
-
     def test_weat_report_naming_its_space(self, tmp_path, capsys, no_load):
         fx = write_fixture(tmp_path)
         raw = weat_raw(fx, tmp_path)
@@ -976,31 +985,29 @@ class TestOutputCollisions:
     @pytest.mark.skipif(not os.path.exists("/dev/null"),
                         reason="needs a device")
     def test_every_output_may_be_dev_null(self, tmp_path, capsys):
-        # The plot data goes beside the report: links to /dev/null.
+        # The report is written through a link to /dev/null.
         fx = write_fixture(tmp_path)
         path, raw = base_config(tmp_path, fx)
-        for name in ("r.json", "r.cumulative.json", "r.detail.json"):
-            os.symlink("/dev/null", tmp_path / name)
+        os.symlink("/dev/null", tmp_path / "r.json")
         raw["outputs"] = {"report": str(tmp_path / "r.json"),
                           "cumulative_svg": "/dev/null",
-                          "detail_svg": "/dev/null", "plot_json": True}
+                          "detail_svg": "/dev/null"}
         path.write_text(json.dumps(raw), encoding="utf-8")
         before = sorted(os.listdir(tmp_path))
         assert main(["sweat", "--config", str(path)]) == 0
         assert sorted(os.listdir(tmp_path)) == before
-        assert all(os.path.islink(tmp_path / name) for name in (
-            "r.json", "r.cumulative.json", "r.detail.json"))
+        assert os.path.islink(tmp_path / "r.json")
         assert main(["align", "--source", str(fx["space2"]), "--target",
                      str(fx["space1"]), "--out", "/dev/null", "--report",
                      "/dev/null"]) == 0
 
 
 class TestWholeWrites:
-    """A report, SVG or plot data file whose write fails part-way leaves
-    the file it replaces as it was, and no new file beside it."""
+    """A report or SVG whose write fails part-way leaves the file it
+    replaces as it was, and no new file beside it."""
 
     @pytest.mark.parametrize("output", ["report", "cumulative_svg",
-                                        "detail_svg", "plot_json"])
+                                        "detail_svg"])
     def test_failed_write_leaves_the_old_file(self, tmp_path, capsys,
                                               monkeypatch, output):
         fx = write_fixture(tmp_path)
@@ -1009,10 +1016,7 @@ class TestWholeWrites:
         out.mkdir()
         # The first file written is the one under test.
         raw["outputs"] = {"report": str(out / "report.json")}
-        if output == "plot_json":
-            raw["outputs"]["plot_json"] = True
-            name = "report.cumulative.json"
-        elif output != "report":
+        if output != "report":
             raw["outputs"][output] = str(out / "chart.svg")
             name = "chart.svg"
         else:
@@ -1242,6 +1246,66 @@ class TestByteOrderMarkInWordLists:
         assert "\ufeffctrl1" in one_line_error(capsys, "data error:")
 
 
+def write_lexicon(path, fx, mark=""):
+    """The fixture's poles as a lexicon file, after ``mark``."""
+    path.write_text(mark + json.dumps({
+        "label_a": fx["poles"].label_a, "label_b": fx["poles"].label_b,
+        "words_a": fx["poles"].words_a, "words_b": fx["poles"].words_b}),
+        encoding="utf-8")
+    return path
+
+
+class TestByteOrderMarkInJson:
+    """One UTF-8 byte order mark at the start of a JSON file is skipped:
+    the config, a lexicon and the report given to ``plot``."""
+
+    def test_config(self, tmp_path, capsys):
+        fx = write_fixture(tmp_path)
+        path, raw = base_config(tmp_path, fx)
+        path.write_text("\ufeff" + json.dumps(raw), encoding="utf-8")
+        assert main(["sweat", "--config", str(path)]) == 0
+        assert capsys.readouterr().err == ""
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["config"]["topic"]["words"] == raw["topic"]["words"]
+
+    def test_poles_file(self, tmp_path, capsys):
+        fx = write_fixture(tmp_path)
+        lexicon = write_lexicon(tmp_path / "lex.json", fx, "\ufeff")
+        path, _ = base_config(tmp_path, fx, poles={"file": str(lexicon)})
+        assert main(["sweat", "--config", str(path)]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["config"]["poles"]["words_b"] == list(
+            fx["poles"].words_b)
+
+    def test_refine_lexicon(self, tmp_path, capsys):
+        fx = write_fixture(tmp_path)
+        outs = []
+        for mark in ("", "\ufeff"):
+            lexicon = write_lexicon(tmp_path / f"lex{len(mark)}.json", fx,
+                                    mark)
+            outs.append(tmp_path / f"out{len(mark)}.json")
+            assert main(["refine", "--lexicon", str(lexicon),
+                         "--space1", str(fx["space1"]),
+                         "--space2", str(fx["space2"]),
+                         "--freq1", str(fx["freq1"]),
+                         "--freq2", str(fx["freq2"]),
+                         "--out", str(outs[-1])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    def test_plot_report(self, tmp_path, capsys):
+        fx = write_fixture(tmp_path)
+        path, _ = base_config(tmp_path, fx)
+        assert main(["sweat", "--config", str(path)]) == 0
+        report = tmp_path / "report.json"
+        marked = tmp_path / "marked.json"
+        marked.write_bytes(b"\xef\xbb\xbf" + report.read_bytes())
+        for source in (report, marked):
+            assert main(["plot", "--report", str(source), "--detail",
+                         str(tmp_path / f"{source.stem}.svg")]) == 0
+        assert ((tmp_path / "report.svg").read_bytes()
+                == (tmp_path / "marked.svg").read_bytes())
+
+
 NOT_UTF8 = b"w\t1\n\xff\t2\n"
 
 
@@ -1461,7 +1525,7 @@ FUZZ_TARGETS = [
     ("sweat", ("outputs", "report")),
     ("sweat", ("outputs", "cumulative_svg")),
     ("sweat", ("outputs", "detail_svg")),
-    ("sweat", ("outputs", "plot_json")),
+    ("sweat", ("outputs", "plot_json")),  # ignored, whatever it holds
     ("weat", ("embeddings", 0, "label")),
     ("weat", ("topic_x",)),
     ("weat", ("topic_x", "label")),
@@ -1516,8 +1580,7 @@ def fuzz_inputs(tmp_path_factory):
     sweat.update(alignment={"mode": "pre_aligned", "anchors": "auto"},
                  refinement={"enabled": False, "zipf_threshold": 5.0},
                  tail="directional")
-    sweat["outputs"].update(cumulative_svg="cum.svg", detail_svg="det.svg",
-                            plot_json=False)
+    sweat["outputs"].update(cumulative_svg="cum.svg", detail_svg="det.svg")
     return tmp_path, {"sweat": sweat, "weat": weat_raw(fx, tmp_path)}
 
 
@@ -1688,11 +1751,7 @@ class TestInputBoundary:
           "detail_svg": "b/plot.svg"},
          "outputs.detail_svg: 'outd/sub/plot.svg' names the same file as "
          "outputs.cumulative_svg"),
-        ({"report": "r.json", "detail_svg": "x/r.detail.json",
-          "plot_json": True},
-         "outputs.plot_json.detail: 'outd/sub/r.detail.json' names the same "
-         "file as outputs.detail_svg"),
-    ], ids=["svgs", "plot_json"])
+    ], ids=["svgs"])
     def test_out_dir_made_only_once_checks_pass(self, tmp_path, capsys,
                                                 monkeypatch, outputs, clash):
         monkeypatch.chdir(tmp_path)
@@ -1707,6 +1766,39 @@ class TestInputBoundary:
         path.write_text(json.dumps(raw), encoding="utf-8")
         assert main(argv) == 0
         assert os.listdir("outd/sub") == ["r.json"]
+
+    @pytest.mark.parametrize("out_dir", ["", "config.json", "link"])
+    def test_out_dir_that_is_no_directory(self, tmp_path, capsys, no_load,
+                                          monkeypatch, out_dir):
+        # An empty path, a file, and a link to nothing.
+        monkeypatch.chdir(tmp_path)
+        fx = write_fixture(tmp_path)
+        path, _ = base_config(tmp_path, fx)
+        os.symlink("nowhere", "link")
+        before = snapshot(tmp_path)
+        assert main(["sweat", "--config", str(path), "--out-dir",
+                     out_dir]) == 1
+        assert one_line_error(capsys, "config error:") == (
+            f"config error: --out-dir: must name a directory, got "
+            f"{out_dir!r}\n")
+        assert snapshot(tmp_path) == before
+        assert os.readlink("link") == "nowhere"
+
+    def test_out_dir_not_made_is_io_error(self, tmp_path, capsys, no_load,
+                                          monkeypatch):
+        def refuse(name, exist_ok=False):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES),
+                                  name)
+
+        fx = write_fixture(tmp_path)
+        path, _ = base_config(tmp_path, fx)
+        monkeypatch.setattr(os, "makedirs", refuse)
+        outd = tmp_path / "outd"
+        assert main(["sweat", "--config", str(path), "--out-dir",
+                     str(outd)]) == 3
+        assert one_line_error(capsys, "io error:") == (
+            f"io error: [Errno {errno.EACCES}] {os.strerror(errno.EACCES)}: "
+            f"'{outd}'\n")
 
     def test_tail_flag_replaces_config_value_before_check(self, tmp_path,
                                                           capsys):
@@ -1725,7 +1817,6 @@ class TestConfigRules:
     @pytest.mark.parametrize("section, key, value", [
         ("refinement", "enabled", "false"),
         ("refinement", "enabled", 1),
-        ("outputs", "plot_json", "no"),
     ])
     def test_flag_must_be_json_boolean(self, tmp_path, capsys, section, key,
                                        value):
@@ -1737,7 +1828,7 @@ class TestConfigRules:
         assert one_line_error(capsys, "config error:") == (
             f"config error: {section}.{key}: must be true or false, "
             f"got {value!r}\n")
-        assert not list(tmp_path.glob("*.cumulative.json"))
+        assert not (tmp_path / "report.json").exists()
 
     def test_huge_integer_threshold(self, tmp_path, capsys):
         fx = write_fixture(tmp_path)

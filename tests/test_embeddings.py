@@ -1129,6 +1129,20 @@ class TestByteOrderMark:
         write(p, "2 2\n\ufeffa 1 0\nb 0 1\n")
         assert load_word2vec_text(str(p)).words == ("\ufeffa", "b")
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+    def test_pipe_loads_as_the_file_without_it(self, tmp_path):
+        p = tmp_path / "v.txt"
+        p.write_bytes(fixed_file())
+        fifo, writer = feed_fifo(tmp_path,
+                                 fixed_file(bom=True).decode("utf-8"))
+        try:
+            space = load_word2vec_text(str(fifo), "v")
+        finally:
+            writer.join()
+        want = load_word2vec_text(str(p))
+        assert space.words == want.words
+        assert space.matrix.tobytes() == want.matrix.tobytes()
+
 
 # Every contract file, and one that only the space's constructor rejects.
 PAIR_CASES = {**{name: text for name, (text, _) in LOADER_CONTRACT.items()},

@@ -1,5 +1,6 @@
 import itertools
 import math
+import os
 from unittest import mock
 
 import numpy as np
@@ -22,7 +23,7 @@ from sweatkit import embeddings
 from sweatkit import lexicon as lexicon_module
 from sweatkit.embeddings import EmbeddingSpace
 
-from conftest import brute_nearest, make_space
+from conftest import brute_nearest, feed_fifo, make_space
 
 
 def table(counts, total):
@@ -366,6 +367,48 @@ class TestFrequencyTableByteOrderMark:
         p = tmp_path / "freq.tsv"
         p.write_text("#total\t1000\n\ufefffoo\t10\n", encoding="utf-8")
         assert load_frequency_table(str(p)).counts == {"\ufefffoo": 10}
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+    def test_pipe_loads_as_the_file_without_it(self, tmp_path):
+        text = "#total\t1000\r\n" + "".join(f"w{i}\t{i + 1}\n"
+                                            for i in range(50))
+        p = tmp_path / "freq.tsv"
+        p.write_text(text, encoding="utf-8", newline="")
+        fifo, writer = feed_fifo(tmp_path, "\ufeff" + text)
+        try:
+            got = load_frequency_table(str(fifo))
+        finally:
+            writer.join()
+        assert got == load_frequency_table(str(p))
+
+
+LEXICON = ('{"label_a": "pos", "label_b": "neg", "words_a": ["good"], '
+           '"words_b": ["bad"]}')
+
+
+class TestLexiconByteOrderMark:
+    """One UTF-8 byte order mark before a lexicon's JSON is skipped."""
+
+    def test_leading_mark_skipped(self, tmp_path):
+        p = tmp_path / "lex.json"
+        p.write_text("\ufeff" + LEXICON, encoding="utf-8")
+        lex = load_lexicon(str(p))
+        assert (lex.poles.words_a, lex.poles.words_b) == (["good"], ["bad"])
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+    def test_through_a_pipe(self, tmp_path):
+        fifo, writer = feed_fifo(tmp_path, "\ufeff" + LEXICON)
+        try:
+            lex = load_lexicon(str(fifo))
+        finally:
+            writer.join()
+        assert (lex.poles.label_a, lex.poles.label_b) == ("pos", "neg")
+
+    def test_second_mark_is_invalid_json(self, tmp_path):
+        p = tmp_path / "lex.json"
+        p.write_text("\ufeff\ufeff" + LEXICON, encoding="utf-8")
+        with pytest.raises(FormatError, match="invalid JSON"):
+            load_lexicon(str(p))
 
 
 class TestRangeErrorsNameTheLine:
