@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .embeddings import EmbeddingSpace, cosines
-from .errors import DataError
+from .errors import _NOT_TEXT, DataError, _text
 
 __all__ = [
     "PoleWordsets",
@@ -54,14 +54,25 @@ AUTO_EXACT_MAX_N = 16
 EXACT_MAX_N = 24
 
 
-def _words(words, what: str) -> list:
-    """``words`` as a list; anything but a sequence of nonempty strings is a
-    DataError."""
-    if isinstance(words, (list, tuple)) and all(
-        isinstance(w, str) and w for w in words
-    ):
-        return list(words)
-    raise DataError(f"{what} must be a list of nonempty strings")
+def _wordset(label, words, label_key: str, words_key: str, kind: str) -> list:
+    """``words`` as a list, once its label and each word are text (``_text``)
+    and it is a nonempty list in which no word repeats. A message starts
+    with the key at fault; ``kind`` names the wordset in it."""
+    _text(label, label_key)
+    if not isinstance(words, (list, tuple)):
+        raise DataError(f"{words_key}: must be a list of words, got "
+                        f"{type(words).__name__}")
+    # One search over the words, joined by a character a word may hold;
+    # ``_text`` then names the first word at fault.
+    if not (set(map(type, words)) <= {str} and all(words)
+            and not _NOT_TEXT.search("\n".join(words))):
+        for i, word in enumerate(words):
+            _text(word, f"{words_key}[{i}]")
+    if not words:
+        raise DataError(f"{words_key}: {kind} '{label}' is empty")
+    if len(set(words)) != len(words):
+        raise DataError(f"{words_key}: {kind} '{label}' has duplicate words")
+    return list(words)
 
 
 @dataclass
@@ -73,18 +84,13 @@ class TopicWordset:
     words: list
 
     def __post_init__(self):
-        if not isinstance(self.label, str) or not self.label:
-            raise DataError(f"label: must be a nonempty string, got {self.label!r}")
-        self.words = _words(self.words, "words:")
-        if not self.words:
-            raise DataError(f"words: topic '{self.label}' is empty")
-        if len(set(self.words)) != len(self.words):
-            raise DataError(f"words: topic '{self.label}' has duplicate words")
+        self.words = _wordset(self.label, self.words, "label", "words", "topic")
 
 
 @dataclass
 class PoleWordsets:
-    """The two attribute wordsets of opposite valence."""
+    """The two attribute wordsets of opposite valence. Error messages start
+    with the field at fault, such as ``label_a:`` or ``words_b:``."""
 
     label_a: str
     label_b: str
@@ -92,24 +98,14 @@ class PoleWordsets:
     words_b: list
 
     def __post_init__(self):
-        for label in (self.label_a, self.label_b):
-            if not isinstance(label, str) or not label:
-                raise DataError(
-                    f"pole labels must be nonempty strings, got {label!r}"
-                )
-        self.words_a = _words(self.words_a, f"pole '{self.label_a}'")
-        self.words_b = _words(self.words_b, f"pole '{self.label_b}'")
-        if not self.words_a or not self.words_b:
-            raise DataError("pole wordsets must both be nonempty")
-        if len(set(self.words_a)) != len(self.words_a):
-            raise DataError(f"pole '{self.label_a}' has duplicate words")
-        if len(set(self.words_b)) != len(self.words_b):
-            raise DataError(f"pole '{self.label_b}' has duplicate words")
+        self.words_a = _wordset(self.label_a, self.words_a, "label_a",
+                                "words_a", "pole")
+        self.words_b = _wordset(self.label_b, self.words_b, "label_b",
+                                "words_b", "pole")
         overlap = set(self.words_a) & set(self.words_b)
         if overlap:
-            raise DataError(
-                "pole wordsets overlap: " + ", ".join(sorted(overlap))
-            )
+            raise DataError("pole wordsets overlap: "
+                            + ", ".join(sorted(overlap)))
 
 
 @dataclass

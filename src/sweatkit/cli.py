@@ -33,7 +33,8 @@ from .embeddings import (
     load_word2vec_text,
     save_word2vec_text,
 )
-from .errors import ConfigError, DataError, _replacing, open_text, read_json
+from .errors import (ConfigError, DataError, _replacing, _text, open_text,
+                     read_json)
 from .lexicon import (
     Lexicon,
     candidate_topics,
@@ -149,18 +150,12 @@ def _check_topic(raw, name, errors, inputs) -> TopicWordset | None:
 
 
 def _check_poles(raw, errors, inputs) -> Lexicon | None:
-    if not isinstance(raw, dict):
-        errors.append("poles: must be an object")
-        return None
-    if "file" in raw:
+    if isinstance(raw, dict) and "file" in raw:
         if not _readable(raw["file"], "poles.file", errors, inputs):
             return None
         return _checked(lambda: load_lexicon(raw["file"]), "poles.file: ",
                         errors)
-    return _checked(lambda: Lexicon(
-        PoleWordsets(raw.get("label_a"), raw.get("label_b"),
-                     raw.get("words_a"), raw.get("words_b")),
-        raw.get("provenance", "")), "poles: ", errors)
+    return _checked(lambda: Lexicon.from_dict(raw), "poles: ", errors)
 
 
 def _section(raw, key, errors) -> dict:
@@ -225,17 +220,13 @@ def validate_config(path: str, command: str = "sweat", seed=None,
                       f"{len(embeddings)}")
     labels = []
     for i, entry in enumerate(embeddings):
-        label = entry.get("label") if isinstance(entry, dict) else None
-        epath = entry.get("path") if isinstance(entry, dict) else None
-        if not label or not isinstance(label, str):
-            errors.append(f"embeddings[{i}].label: required nonempty string")
-            label = None
-        if not epath:
-            errors.append(f"embeddings[{i}].path: required nonempty path")
-        else:
-            _readable(epath, f"embeddings[{i}].path", errors, cfg.inputs)
-        ftable = entry.get("frequency_table") if isinstance(entry, dict) else None
-        if ftable:
+        entry = entry if isinstance(entry, dict) else {}
+        label = _checked(lambda: _text(entry.get("label"),
+                                       f"embeddings[{i}].label"), "", errors)
+        epath = entry.get("path")
+        _readable(epath, f"embeddings[{i}].path", errors, cfg.inputs)
+        ftable = entry.get("frequency_table")
+        if ftable is not None:
             _readable(ftable, f"embeddings[{i}].frequency_table", errors,
                       cfg.inputs)
         labels.append(label)
@@ -572,13 +563,11 @@ def cmd_plot(args) -> int:
         raise DataError(f"report '{args.report}' carries no plot data")
     try:
         if args.cumulative:
-            render_cumulative(
-                CumulativePlotData.from_dict(plots["cumulative"]),
-                args.cumulative,
-            )
+            render_cumulative(CumulativePlotData.from_dict(plots["cumulative"]),
+                              args.cumulative)
         if args.detail:
             render_detail(DetailPlotData.from_dict(plots["detail"]), args.detail)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (DataError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(
             f"report '{args.report}' has malformed plot data "
             f"({type(exc).__name__}: {exc})"

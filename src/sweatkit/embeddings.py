@@ -300,12 +300,8 @@ _FIXED_DIGITS = 15
 # digits w are below 10**19 < 2**64, a uint64.
 _DECIMAL_DIGITS = 19
 
-# Bytes below "-" are structural in ``_line_index``: every separator and
-# line end, and any such byte that a word holds.
-_STRUCTURAL = ord("-")
-# Bytes below this are structural in a word2vec body: the space and the
-# control bytes. "+" and the other punctuation below "-" are read as part
-# of a field or a word.
+# Bytes below this, the space and the control bytes, are structural in
+# ``_line_index``; "+" and other punctuation are part of a field or a word.
 _BLANK = ord(" ") + 1
 _NEWLINE, _CR, _TAB, _SPACE, _POINT, _MINUS, _PLUS, _E = b"\n\r\t .-+e"
 _ZERO = np.uint8(ord("0"))
@@ -637,11 +633,11 @@ def _rest_of_line(raw, after_cr: bool = False) -> bytearray:
     return line
 
 
-def _line_index(buf: np.ndarray, sep: int, below: int = _STRUCTURAL):
+def _line_index(buf: np.ndarray, sep: int):
     """Structural index of ``buf``, a chunk of whole lines: ``(low, first,
     last)``, or None if a line holds no ``sep`` byte.
 
-    ``low`` holds the position of every byte below ``below``: the
+    ``low`` holds the position of every byte below ``_BLANK``: the
     separators and line ends, and any such byte that a word holds. ``last``
     is the index in ``low`` of each line's end, the chunk's end for a last
     line without ``\\n``; ``first`` is that of the line's first ``sep``,
@@ -654,7 +650,7 @@ def _line_index(buf: np.ndarray, sep: int, below: int = _STRUCTURAL):
     # come from memory the allocator reuses (see ``_PASS_VALUES``): a whole
     # chunk's took about 10,000 page faults per 42 MB file.
     step = 8 * _PASS_VALUES
-    low = np.concatenate([np.flatnonzero(buf[at:at + step] < below) + at
+    low = np.concatenate([np.flatnonzero(buf[at:at + step] < _BLANK) + at
                           for at in range(0, len(buf), step)])
     kinds = buf[low]
     if buf[-1] != _NEWLINE:
@@ -664,7 +660,7 @@ def _line_index(buf: np.ndarray, sep: int, below: int = _STRUCTURAL):
     first = np.empty_like(last)
     first[0] = 0
     first[1:] = last[:-1] + 1
-    # Lines whose word holds a byte below ``below``, or that hold no sep.
+    # Lines whose word holds a byte below ``_BLANK``, or that hold no sep.
     for i in np.flatnonzero(kinds[first] != sep).tolist():
         seps = np.flatnonzero(kinds[first[i]:last[i]] == sep)
         if not len(seps):
@@ -717,7 +713,7 @@ def _parse_bytes(buf: np.ndarray, dim: int, words: dict, vocab_size: int,
     ``rows`` grows to hold the rows the chunk's bytes can (``_reserve``),
     and the kernel writes them in place.
     """
-    index = _line_index(buf, _SPACE, _BLANK)
+    index = _line_index(buf, _SPACE)
     if index is None:  # a line with no space has no body
         return None
     n = len(index[2])
@@ -740,9 +736,9 @@ def _parse_bytes(buf: np.ndarray, dim: int, words: dict, vocab_size: int,
 
 def _parse_decimal(buf: np.ndarray, index, out: np.ndarray):
     """``out``, holding the fields after each line's word in the chunk
-    ``buf`` indexed by ``_line_index`` below ``_BLANK``, if every line holds
-    ``out``'s number of columns of fields joined by single spaces, with at
-    most one trailing space, and every field is a finite number that
+    ``buf`` indexed by ``_line_index``, if every line holds ``out``'s
+    number of columns of fields joined by single spaces, with at most one
+    trailing space, and every field is a finite number that
     ``float()`` reads, spelled in ASCII without "_"; None otherwise, when
     some of ``out`` may have been written. An ``out`` of fewer rows than
     ``buf`` has lines, which its bytes cannot hold as rows, is declined.

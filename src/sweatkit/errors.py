@@ -6,6 +6,7 @@ subclasses) -> 2, OSError -> 3.
 
 import json
 import os
+import re
 import stat
 from contextlib import contextmanager, suppress
 from itertools import count
@@ -39,6 +40,23 @@ class VocabularyError(DataError):
     def __init__(self, message, missing=()):
         self.missing = sorted(missing)
         super().__init__(message)
+
+
+# The characters no chart can hold: those XML 1.0 forbids in a document
+# (its Char production) and the lone surrogates, which UTF-8 cannot encode.
+_NOT_TEXT = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+
+
+def _text(value, what: str) -> str:
+    """``value`` if it is a label or a word: a nonempty str holding no
+    character of ``_NOT_TEXT``; otherwise a DataError naming ``what``."""
+    if not isinstance(value, str) or not value:
+        raise DataError(f"{what}: must be a nonempty string, got {value!r}")
+    bad = _NOT_TEXT.search(value)
+    if bad:
+        raise DataError(f"{what}: holds U+{ord(bad.group()):04X}, which a "
+                        f"chart cannot hold, got {value!r}")
+    return value
 
 
 @contextmanager

@@ -12,7 +12,8 @@ from .alignment import round_trip_stability
 from .association import PoleWordsets
 from .embeddings import (_TAB, EmbeddingSpace, _chunks, _digit_faults,
                          _line_index, _lines, _words)
-from .errors import FormatError, VocabularyError, open_text, read_json
+from .errors import (DataError, FormatError, VocabularyError, open_text,
+                     read_json)
 
 REJECT_REASONS = (
     "oov_space1",
@@ -75,6 +76,20 @@ class Lexicon:
 
     poles: PoleWordsets
     provenance: str = ""
+
+    @classmethod
+    def from_dict(cls, raw) -> "Lexicon":
+        """The lexicon of a JSON object: label_a, label_b, words_a, words_b
+        and an optional provenance note, inline ``poles`` or a file's."""
+        if not isinstance(raw, dict):
+            raise DataError(
+                f"lexicon must be a JSON object, got {type(raw).__name__}")
+        keys = ("label_a", "label_b", "words_a", "words_b")
+        missing = [k for k in keys if k not in raw]
+        if missing:
+            raise DataError(f"missing fields: {', '.join(missing)}")
+        return cls(PoleWordsets(*(raw[k] for k in keys)),
+                   raw.get("provenance", ""))
 
 
 @dataclass
@@ -224,7 +239,8 @@ def _read_counts(buf, counts: dict, total):
     if index is None:  # a blank line, or one without a tab
         return None
     low, first, last = index
-    # A count holds no byte below "-": no second tab, space or "+".
+    # A count holds no byte below "!": no second tab or space. Any other
+    # byte that is not a digit, such as "+" or ",", is a digit fault.
     if not (last - first == 1).all():
         return None
     ends = low[last]
@@ -285,21 +301,9 @@ def _read_lines(lines, path: str, start: int, counts: dict, where: list,
 
 
 def load_lexicon(path: str) -> Lexicon:
-    """Read a lexicon JSON file with label_a/label_b/words_a/words_b and an
-    optional provenance note."""
+    """Read a lexicon JSON file (``Lexicon.from_dict``), naming it in errors."""
     raw = read_json(path)
-    if not isinstance(raw, dict):
-        raise FormatError(
-            f"{path}: lexicon must be a JSON object, got {type(raw).__name__}"
-        )
-    required = ("label_a", "label_b", "words_a", "words_b")
-    missing = [k for k in required if k not in raw]
-    if missing:
-        raise FormatError(f"{path}: missing fields: {', '.join(missing)}")
-    poles = PoleWordsets(
-        label_a=raw["label_a"],
-        label_b=raw["label_b"],
-        words_a=raw["words_a"],
-        words_b=raw["words_b"],
-    )
-    return Lexicon(poles=poles, provenance=raw.get("provenance", ""))
+    try:
+        return Lexicon.from_dict(raw)
+    except DataError as exc:
+        raise FormatError(f"{path}: {exc}") from None

@@ -13,19 +13,11 @@ import numpy as np
 
 from .association import PoleWordsets, TopicWordset, topic_associations
 from .embeddings import EmbeddingSpace
-from .errors import _replacing
+from .errors import _replacing, _text
 
 COLOR_A = "#2e7d32"
 COLOR_B = "#c62828"
 COLOR_CUMULATE = "#000000"
-
-
-def _text(value, what: str) -> str:
-    """``value``, which a chart draws as text: anything but a string is a
-    TypeError."""
-    if not isinstance(value, str):
-        raise TypeError(f"{what} must be a string, got {value!r}")
-    return value
 
 
 def _finite(values, what: str) -> None:
@@ -36,9 +28,10 @@ def _finite(values, what: str) -> None:
             raise ValueError(f"{what} must be finite, got {value!r}")
 
 
-def _escape(text: str) -> str:
-    """``text`` with ``&``, ``<`` and ``>`` as XML character entities."""
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+# The escape of each character chart text cannot hold as itself: an XML
+# parser would read a literal "\r" as "\n".
+_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;",
+                          "\r": "&#13;"})
 
 
 def _fields(obj) -> dict:
@@ -218,10 +211,11 @@ class _Svg:
         self.parts.append(f'<polygon points="{pts}" fill="{fill}"/>\n')
 
     def text(self, x, y, s, size=12, anchor="start"):
+        _text(s, "chart text")
         self.parts.append(
             f'<text x="{_f(x)}" y="{_f(y)}" font-family="sans-serif" '
             f'font-size="{size}" text-anchor="{anchor}" fill="#000000">'
-            f"{_escape(s)}</text>\n"
+            f"{s.translate(_ESCAPES)}</text>\n"
         )
 
     def write(self, path):
@@ -264,7 +258,8 @@ def _axis(svg, scale, y):
 
 def _legend(svg, data, x):
     """The topic title and the two pole swatches, from ``x`` rightward."""
-    svg.text(x, 20, f"topic: {data.topic_label}", size=14)
+    svg.text(x, 20, f"topic: {_text(data.topic_label, 'topic_label')}",
+             size=14)
     svg.rect(x, 30, 10, 10, COLOR_A)
     svg.text(x + 14, 39, data.pole_label_a, size=11)
     svg.rect(x + 130, 30, 10, 10, COLOR_B)

@@ -516,7 +516,7 @@ class TestWordsetValidation:
             PoleWordsets("A", "B", ["x", "x"], ["y"])
 
     def test_pole_b_duplicates_rejected(self):
-        with pytest.raises(DataError, match="^pole 'B' has duplicate words$"):
+        with pytest.raises(DataError, match="^words_b: pole 'B' has duplicate words$"):
             PoleWordsets("A", "B", ["x"], ["y", "z", "y"])
 
     def test_empty_topic_rejected(self):

@@ -1398,12 +1398,15 @@ class TestInputFaults:
         fx = write_fixture(tmp_path)
         path, raw = base_config(tmp_path, fx)
         if key == "topic":
+            at = f"topic.words[{len(raw['topic']['words'])}]"
             raw["topic"]["words"] = raw["topic"]["words"] + bad
         else:
+            at = f"poles: {key}[{len(raw['poles'][key])}]"
             raw["poles"][key] = raw["poles"][key] + bad
         path.write_text(json.dumps(raw), encoding="utf-8")
         assert main(["sweat", "--config", str(path)]) == 1
-        assert "nonempty strings" in one_line_error(capsys, "config error:")
+        assert f"{at}: must be a nonempty string, got {bad[0]!r}" in (
+            one_line_error(capsys, "config error:"))
 
     @pytest.mark.parametrize("bad", [[1], [["a"]], [""]])
     @pytest.mark.parametrize("key", ["topic_x", "topic_y"])
@@ -1415,7 +1418,8 @@ class TestInputFaults:
         path.write_text(json.dumps(raw), encoding="utf-8")
         assert main(["weat", "--config", str(path)]) == 1
         err = one_line_error(capsys, "config error:")
-        assert f"{key}.words:" in err and "nonempty strings" in err
+        at = f"{key}.words[{len(raw[key]['words']) - 1}]"
+        assert f"{at}: must be a nonempty string, got {bad[0]!r}" in err
 
 
     def test_non_string_embedding_label(self, tmp_path, capsys):
@@ -1425,7 +1429,8 @@ class TestInputFaults:
         path.write_text(json.dumps(raw), encoding="utf-8")
         assert main(["sweat", "--config", str(path)]) == 1
         assert one_line_error(capsys, "config error:") == (
-            "config error: embeddings[0].label: required nonempty string\n")
+            "config error: embeddings[0].label: must be a nonempty string, "
+            "got ['a']\n")
 
     @pytest.mark.parametrize("key", ["label_a", "label_b"])
     def test_non_string_pole_label(self, tmp_path, capsys, key):
@@ -1434,8 +1439,9 @@ class TestInputFaults:
         raw["poles"][key] = ["a"]
         path.write_text(json.dumps(raw), encoding="utf-8")
         assert main(["sweat", "--config", str(path)]) == 1
-        assert "pole labels must be nonempty strings" in one_line_error(
-            capsys, "config error:")
+        assert one_line_error(capsys, "config error:") == (
+            f"config error: poles: {key}: must be a nonempty string, "
+            "got ['a']\n")
 
     @pytest.mark.parametrize("key, value", [
         ("report", 5), ("report", "r\0.json"), ("cumulative_svg", ["x"]),
@@ -1896,6 +1902,117 @@ class TestConfigRules:
             f"got {label!r}\n")
 
 
+# One character of each class no chart can hold: C0 controls that XML 1.0
+# forbids, a noncharacter, and a lone surrogate, which UTF-8 cannot encode.
+NOT_TEXT = ["\x01", "\x0b", "\x1f", "\ufffe", "\ud800"]
+
+
+class TestTextRule:
+    """A label or a word that is not text a chart can hold is one config
+    error line, exit 1, before any load and with no output left."""
+
+    def run(self, tmp_path, capsys, raw, command="sweat"):
+        """The one error line of ``command`` on ``raw``, once no output is
+        found."""
+        raw["outputs"] = {"report": str(tmp_path / "report.json"),
+                          "cumulative_svg": str(tmp_path / "cum.svg"),
+                          "detail_svg": str(tmp_path / "det.svg")}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        assert main([command, "--config", str(path)]) == 1
+        err = one_line_error(capsys, "config error:")
+        assert not list(tmp_path.glob("report.json")) + list(
+            tmp_path.glob("*.svg"))
+        return err
+
+    # A UTF-8 file cannot hold a lone surrogate.
+    @pytest.mark.parametrize("where, bad", [
+        (where, bad) for where in ("topic.label", "poles.label_a",
+                                   "poles.file", "embeddings[0].label",
+                                   "topic.words", "topic.file")
+        for bad in NOT_TEXT if (where, bad) != ("topic.file", "\ud800")],
+        ids=lambda v: ascii(v)[1:-1])
+    def test_sweat(self, tmp_path, capsys, no_load, where, bad):
+        fx = write_fixture(tmp_path)
+        _, raw = base_config(tmp_path, fx)
+        text = f"x{bad}y"
+        words = list(fx["topic"].words)
+        field = where
+        if where == "topic.label":
+            raw["topic"]["label"] = text
+        elif where == "poles.label_a":
+            raw["poles"]["label_a"] = text
+            field = "poles: label_a"
+        elif where == "poles.file":
+            lexicon = write_lexicon(tmp_path / "lex.json", fx)
+            lex = json.loads(lexicon.read_text(encoding="utf-8"))
+            lexicon.write_text(json.dumps({**lex, "label_a": text}),
+                               encoding="utf-8")
+            raw["poles"] = {"file": str(lexicon)}
+            field = f"poles.file: {lexicon}: label_a"
+        elif where == "embeddings[0].label":
+            raw["embeddings"][0]["label"] = text
+        else:
+            words.insert(1, text)
+            field = "topic.words[1]"
+            if where == "topic.words":
+                raw["topic"]["words"] = words
+            else:
+                topic = tmp_path / "topic.txt"
+                topic.write_text("\n".join(words) + "\n", encoding="utf-8")
+                raw["topic"] = {"label": "t", "file": str(topic)}
+        err = self.run(tmp_path, capsys, raw)
+        assert err == (f"config error: {field}: holds U+{ord(bad):04X}, "
+                       f"which a chart cannot hold, got {text!r}\n")
+
+    @pytest.mark.parametrize("key", ["topic_x", "topic_y"])
+    def test_weat_lone_surrogate_label(self, tmp_path, capsys, no_load, key):
+        fx = write_fixture(tmp_path)
+        raw = weat_raw(fx, tmp_path)
+        raw[key]["label"] = "\ud800x"
+        err = self.run(tmp_path, capsys, raw, "weat")
+        assert err.startswith(f"config error: {key}.label: holds U+D800")
+
+    @pytest.mark.parametrize("bad", NOT_TEXT, ids=lambda v: ascii(v)[1:-1])
+    @pytest.mark.parametrize("keys", [
+        ("plots", "cumulative", "topic_label"),
+        ("plots", "cumulative", "bars", 1, "label"),
+        ("plots", "detail", "pole_label_b"),
+        ("plots", "detail", "words", 0),
+    ], ids=lambda keys: ".".join(map(str, keys[1:])))
+    def test_plot_report(self, plot_report, tmp_path, capsys, keys, bad):
+        assert plot(_put(plot_report, keys, f"x{bad}"), tmp_path) == 2
+        err = one_line_error(capsys, "data error:")
+        assert err.startswith(f"data error: report '{tmp_path / 'report.json'}'"
+                              " has malformed plot data (DataError: ")
+        assert f"holds U+{ord(bad):04X}" in err
+        assert not (tmp_path / f"{keys[1][:3]}.svg").exists()
+
+
+class TestFrequencyTableRule:
+    """``embeddings[i].frequency_table`` absent or null is no table; any
+    other value must name a readable file."""
+
+    @pytest.mark.parametrize("value", ["", 0, False, [], {}], ids=repr)
+    def test_not_a_path(self, tmp_path, capsys, no_load, value):
+        fx = write_fixture(tmp_path)
+        path, raw = base_config(tmp_path, fx)
+        raw["embeddings"][0]["frequency_table"] = value
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["sweat", "--config", str(path)]) == 1
+        assert one_line_error(capsys, "config error:") == (
+            "config error: embeddings[0].frequency_table: unreadable path "
+            f"'{value}'\n")
+        assert not (tmp_path / "report.json").exists()
+
+    def test_null_is_no_table(self, tmp_path, capsys):
+        fx = write_fixture(tmp_path)
+        path, raw = base_config(tmp_path, fx)
+        raw["embeddings"][0]["frequency_table"] = None
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["sweat", "--config", str(path)]) == 0
+
+
 class TestFlagRules:
     """A command-line value that breaks a rule is a one-line config error
     with exit 1, as the same value in a config is."""
@@ -2007,7 +2124,7 @@ class TestPlotReportFaults:
         assert plot(_put(plot_report, keys, value), tmp_path) == 2
         err = one_line_error(capsys, "data error:")
         assert f"report '{tmp_path / 'report.json'}'" in err
-        assert "must be a string" in err
+        assert "must be a nonempty string" in err
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("chart, keys, value", [

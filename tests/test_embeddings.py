@@ -323,7 +323,7 @@ def parse_fixed(text, rows, dim):
     chunk = "".join(f"w{i} {line}\n"
                     for i, line in enumerate(text.split("\n")))
     buf = np.frombuffer(chunk.encode("ascii"), dtype=np.uint8)
-    index = embeddings._line_index(buf, ord(" "), embeddings._BLANK)
+    index = embeddings._line_index(buf, ord(" "))
     return embeddings._parse_decimal(buf, index, np.empty((rows, dim)))
 
 

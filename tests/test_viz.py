@@ -5,6 +5,8 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sweatkit import (
     CumulativePlotData,
@@ -22,6 +24,7 @@ from sweatkit import (
 )
 
 from sweatkit import viz
+from sweatkit.errors import DataError
 
 from conftest import failing_writes, make_space, random_space
 
@@ -294,3 +297,71 @@ class TestJsonRoundTrip:
         data = detail_data(topic, space1, space2, poles)
         again = DetailPlotData.from_dict(json.loads(json.dumps(data.to_dict())))
         assert again.to_dict() == data.to_dict()
+
+
+# The characters XML 1.0 forbids in a document (its Char production) and
+# the lone surrogates, which UTF-8 cannot encode.
+NOT_XML = [chr(c) for c in (*range(0x09), 0x0B, 0x0C, *range(0x0E, 0x20),
+                            *range(0xD800, 0xE000), 0xFFFE, 0xFFFF)]
+# Text a chart can hold, weighted toward the characters XML escapes or
+# reads specially: markup, whitespace and other line breaks.
+LABELS = st.text(st.sampled_from("&<>]'\"\t\n\r \x7f\x85\u2028\U0001f600")
+                 | st.characters(exclude_characters=NOT_XML), min_size=1)
+# Text the rule turns away: empty, or holding a forbidden character.
+REJECTED = st.just("") | st.builds(
+    lambda head, bad, tail: head + bad + tail, LABELS | st.just(""),
+    st.sampled_from(NOT_XML), LABELS | st.just(""))
+
+
+def chart_data(topic, pole_a, pole_b, spaces, words) -> tuple:
+    """Hand-built data of both charts with these labels and words."""
+    cum = CumulativePlotData(topic, pole_a, pole_b,
+                             [dict_bar(s, 0.5, 0.25) for s in spaces])
+    dists = [viz.WordDistribution(w, s, [0.5, -0.25], [0.125], 0.125, 0.125,
+                                  "A") for w in words for s in spaces]
+    det = DetailPlotData(topic, pole_a, pole_b, list(spaces), list(words),
+                         dists)
+    return cum, det
+
+
+def texts(path) -> list:
+    """The text of each ``<text>`` element of an SVG, in document order."""
+    root = ET.parse(str(path)).getroot()
+    return [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
+
+
+class TestTextRule:
+    """A chart draws every label and word the text rule accepts so that it
+    parses and reads back equal, and raises on any other."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(labels=st.lists(LABELS, min_size=5, max_size=5),
+           words=st.lists(LABELS, min_size=1, max_size=3, unique=True))
+    def test_accepted_text_reads_back(self, tmp_path_factory, labels, words):
+        topic, pole_a, pole_b, space1, space2 = labels
+        spaces = [space1, space2 + "\u2028" * (space1 == space2)]
+        cum, det = chart_data(topic, pole_a, pole_b, spaces, words)
+        tmp_path = tmp_path_factory.mktemp("charts")
+        render_cumulative(cum, str(tmp_path / "cum.svg"))
+        render_detail(det, str(tmp_path / "det.svg"))
+        legend = [f"topic: {topic}", pole_a, pole_b]
+        assert texts(tmp_path / "cum.svg")[:5] == [*legend, *spaces]
+        drawn = texts(tmp_path / "det.svg")
+        assert drawn[:4 + len(words)] == [*legend, spaces[0], *words]
+        assert drawn[7 + len(words)] == spaces[1]
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(bad=REJECTED, where=st.integers(0, 5))
+    def test_rejected_text_raises(self, tmp_path_factory, bad, where):
+        labels = ["t", "A", "B", "s1", "s2", "w"]
+        labels[where] = bad
+        *legend, space1, space2, word = labels
+        cum, det = chart_data(*legend, [space1, space2], [word])
+        tmp_path = tmp_path_factory.mktemp("charts")
+        # The cumulative chart draws no topic word.
+        if where < 5:
+            with pytest.raises(DataError):
+                render_cumulative(cum, str(tmp_path / "cum.svg"))
+        with pytest.raises(DataError):
+            render_detail(det, str(tmp_path / "det.svg"))
+        assert not list(tmp_path.iterdir())
