@@ -80,7 +80,7 @@ class RunConfig:
     report: str = "sweat_report.json"
     cumulative_svg: str | None = None
     detail_svg: str | None = None
-    inputs: dict = field(default_factory=dict)  # each file read, by key path
+    inputs: dict = field(default_factory=dict)  # each input named, by key path
 
     def echo(self) -> dict:
         echo = {
@@ -113,14 +113,11 @@ def _read_wordlist(path: str) -> list:
         return [word for word in map(str.strip, fh) if word]
 
 
-def _readable(path, name, errors, inputs) -> bool:
-    """Whether ``path`` is a string naming an existing file, then recorded
-    in ``inputs`` under ``name``; if not, records an error."""
-    if isinstance(path, str) and os.path.isfile(path):
-        inputs[name] = path
-        return True
-    errors.append(f"{name}: unreadable path '{path}'")
-    return False
+def _readable(path) -> bool:
+    """Whether ``path`` is a string naming an existing path that is not a
+    directory: a file, a pipe or a device. It is only stat'ed."""
+    return (isinstance(path, str) and os.path.exists(path)
+            and not os.path.isdir(path))
 
 
 def _checked(make, prefix, errors):
@@ -138,7 +135,8 @@ def _check_topic(raw, name, errors, inputs) -> TopicWordset | None:
         return None
     words = raw.get("words")
     if "file" in raw:
-        if not _readable(raw["file"], f"{name}.file", errors, inputs):
+        inputs[f"{name}.file"] = raw["file"]
+        if not _readable(raw["file"]):  # named by _check_files
             return None
         words = _checked(lambda: _read_wordlist(raw["file"]), f"{name}.file: ",
                          errors)
@@ -151,7 +149,8 @@ def _check_topic(raw, name, errors, inputs) -> TopicWordset | None:
 
 def _check_poles(raw, errors, inputs) -> Lexicon | None:
     if isinstance(raw, dict) and "file" in raw:
-        if not _readable(raw["file"], "poles.file", errors, inputs):
+        inputs["poles.file"] = raw["file"]
+        if not _readable(raw["file"]):  # named by _check_files
             return None
         return _checked(lambda: load_lexicon(raw["file"]), "poles.file: ",
                         errors)
@@ -191,6 +190,12 @@ _SCALARS = (
     ("outputs.detail_svg", "detail_svg", "a path string", _output),
 )
 
+# Each flag value rule, in the same form: flag, attribute, rule, test.
+_FLAG_VALUES = (
+    ("--zipf-threshold", "zipf_threshold", "a finite number", _finite),
+    ("--top", "top", "at least 0", lambda v: v >= 0),
+)
+
 
 def validate_config(path: str, command: str = "sweat", seed=None,
                     samples=None, tail=None, out_dir=None) -> RunConfig:
@@ -223,12 +228,10 @@ def validate_config(path: str, command: str = "sweat", seed=None,
         entry = entry if isinstance(entry, dict) else {}
         label = _checked(lambda: _text(entry.get("label"),
                                        f"embeddings[{i}].label"), "", errors)
-        epath = entry.get("path")
-        _readable(epath, f"embeddings[{i}].path", errors, cfg.inputs)
+        epath = cfg.inputs[f"embeddings[{i}].path"] = entry.get("path")
         ftable = entry.get("frequency_table")
         if ftable is not None:
-            _readable(ftable, f"embeddings[{i}].frequency_table", errors,
-                      cfg.inputs)
+            cfg.inputs[f"embeddings[{i}].frequency_table"] = ftable
         labels.append(label)
         cfg.embeddings.append(
             EmbeddingEntry(label=label or f"space{i + 1}", path=epath or "",
@@ -278,7 +281,7 @@ def validate_config(path: str, command: str = "sweat", seed=None,
 
     cfg.anchors = sections["alignment"].get("anchors", cfg.anchors)
     if cfg.anchors != "auto":
-        _readable(cfg.anchors, "alignment.anchors", errors, cfg.inputs)
+        cfg.inputs["alignment.anchors"] = cfg.anchors
     if cfg.refinement_enabled:
         for i, entry in enumerate(cfg.embeddings):
             if not entry.frequency_table:
@@ -294,35 +297,42 @@ def validate_config(path: str, command: str = "sweat", seed=None,
     topic = cfg.topic or cfg.topic_x
     errors.extend(cfg.permutations.errors(len(topic.words) if topic else 0))
 
-    if out_dir is not None and (not out_dir or os.path.lexists(out_dir)
-                                and not os.path.isdir(out_dir)):
-        errors.append(f"--out-dir: must name a directory, got {out_dir!r}")
     outputs = {}
     for attr in ("report", "cumulative_svg", "detail_svg"):
         value = getattr(cfg, attr)
         if value and out_dir is not None:
             value = os.path.join(out_dir, os.path.basename(value))
             setattr(cfg, attr, value)
-        folder = os.path.dirname(value or "")
-        if out_dir is None and folder and not os.path.isdir(folder):
-            errors.append(f"outputs.{attr}: directory '{folder}' does not exist")
         outputs[f"outputs.{attr}"] = value
-    _check_outputs(outputs, cfg.inputs, errors)
+    _check_files(cfg.inputs, outputs, errors, out_dir)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
     return cfg
 
 
-def _check_outputs(outputs: dict, inputs: dict, errors=()) -> None:
-    """Raise a ConfigError of ``errors`` and a line for each output that
-    names the file of an input or of an output before it, by key: the same
-    path once resolved, or an existing file by another name (a hard link).
-    A path of None is no file. An output that exists and is not a regular
-    file, such as a device or a FIFO, is written in place (``_replacing``)
-    and exempt."""
+def _check_files(inputs: dict, outputs: dict, errors=(),
+                 out_dir=None) -> None:
+    """Raise a ConfigError of ``errors`` and a line, by key, for each input
+    that is not ``_readable``, output whose directory does not exist, and
+    output naming the file of an input or an output before it (the same
+    path once resolved, or one file by two names). An output of None, or
+    one that exists and is no regular file (written in place), is exempt
+    from the last. ``out_dir``, made later to hold every output, must name
+    a directory or nothing yet."""
     errors = list(errors)
-    taken = [(key, path) for key, path in inputs.items() if path]
+    taken = []
+    for key, path in inputs.items():
+        if _readable(path):
+            taken.append((key, path))
+        else:
+            errors.append(f"{key}: unreadable path '{path}'")
+    if out_dir is not None and (not out_dir or os.path.lexists(out_dir)
+                                and not os.path.isdir(out_dir)):
+        errors.append(f"--out-dir: must name a directory, got {out_dir!r}")
     for key, path in outputs.items():
+        folder = os.path.dirname(path or "")
+        if out_dir is None and folder and not os.path.isdir(folder):
+            errors.append(f"{key}: directory '{folder}' does not exist")
         if not path or os.path.exists(path) and not os.path.isfile(path):
             continue
         same = next((other for other, named in taken
@@ -332,6 +342,22 @@ def _check_outputs(outputs: dict, inputs: dict, errors=()) -> None:
         taken.append((key, path))
     if errors:
         raise ConfigError(errors)
+
+
+def _check_flags(args) -> None:
+    """Raise a ConfigError of each flag value of ``args`` that breaks its
+    rule and each fault of the files its command's flags name (``_FLAGS``);
+    an absent flag, and ``--anchors auto``, name no file."""
+    errors = [f"{flag}: must be {rule}, got {getattr(args, attr)!r}"
+              for flag, attr, rule, ok in _FLAG_VALUES
+              if hasattr(args, attr) and not ok(getattr(args, attr))]
+    _, inputs, outputs, _ = _FLAGS[args.command]
+    value = {flag: getattr(args, flag[2:]) for flag in (*inputs, *outputs)}
+    if value.get("--anchors") == "auto":
+        value["--anchors"] = None
+    _check_files({flag: value[flag] for flag in inputs
+                  if value[flag] is not None},
+                 {flag: value[flag] for flag in outputs}, errors)
 
 
 def _same_file(path, other) -> bool:
@@ -494,9 +520,6 @@ def cmd_weat(args) -> int:
 
 
 def cmd_align(args) -> int:
-    _check_outputs({"--out": args.out, "--report": args.report}, {
-        "--source": args.source, "--target": args.target,
-        "--anchors": args.anchors if args.anchors != "auto" else None})
     source, target = load_word2vec_pair((args.source, None),
                                         (args.target, None))
     if args.anchors == "auto":
@@ -518,12 +541,6 @@ def cmd_align(args) -> int:
 
 
 def cmd_refine(args) -> int:
-    if not _finite(args.zipf_threshold):
-        raise ConfigError(["--zipf-threshold: must be a finite number, got "
-                           f"{args.zipf_threshold!r}"])
-    _check_outputs({"--out": args.out}, {
-        "--lexicon": args.lexicon, "--space1": args.space1,
-        "--space2": args.space2, "--freq1": args.freq1, "--freq2": args.freq2})
     lexicon = load_lexicon(args.lexicon)
     space1, space2, table1, table2 = _load_pair(
         EmbeddingEntry(None, args.space1, args.freq1),
@@ -541,8 +558,6 @@ def cmd_refine(args) -> int:
 
 
 def cmd_candidates(args) -> int:
-    if args.top < 0:
-        raise ConfigError([f"--top: must be at least 0, got {args.top}"])
     space1, space2, table1, table2 = _load_pair(
         EmbeddingEntry(None, args.space1, args.freq1),
         EmbeddingEntry(None, args.space2, args.freq2))
@@ -555,31 +570,31 @@ def cmd_candidates(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    _check_outputs({"--cumulative": args.cumulative, "--detail": args.detail},
-                   {"--report": args.report})
     doc = read_json(args.report)
     plots = doc.get("plots") if isinstance(doc, dict) else None
     if not plots:
         raise DataError(f"report '{args.report}' carries no plot data")
-    try:
-        if args.cumulative:
-            render_cumulative(CumulativePlotData.from_dict(plots["cumulative"]),
-                              args.cumulative)
-        if args.detail:
-            render_detail(DetailPlotData.from_dict(plots["detail"]), args.detail)
+    try:  # both charts are drawn before either is written
+        cum = args.cumulative and render_cumulative(
+            CumulativePlotData.from_dict(plots["cumulative"]), None)
+        det = args.detail and render_detail(
+            DetailPlotData.from_dict(plots["detail"]), None)
     except (DataError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(
             f"report '{args.report}' has malformed plot data "
             f"({type(exc).__name__}: {exc})"
         ) from None
+    for svg, path in ((cum, args.cumulative), (det, args.detail)):
+        if path:
+            svg.write(path)
     return 0
 
 
 def cmd_inspect(args) -> int:
     space = load_word2vec_text(args.embeddings)
+    table = load_frequency_table(args.freq) if args.freq else None
     print(f"# label={space.label} vocab={len(space)} dim={space.dimension}")
-    if args.freq:
-        table = load_frequency_table(args.freq)
+    if table is not None:
         print(f"# frequency_table words={len(table.counts)} "
               f"total_tokens={table.total_tokens}")
     for word, norm in zip(space.words, space._norms):
@@ -594,6 +609,30 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+# Each command: its function, its flags naming files it reads, those naming
+# files it writes (each checked by _check_flags before the command runs), and
+# the parser options of each flag that may be left out; others are required.
+_RUN_OPTIONS = {"--seed": {"type": int}, "--samples": {"type": int},
+                "--tail": {"choices": TAILS}, "--out-dir": {}}
+_FLAGS = {
+    "sweat": (cmd_sweat, ("--config",), (), _RUN_OPTIONS),
+    "weat": (cmd_weat, ("--config",), (), _RUN_OPTIONS),
+    "align": (cmd_align, ("--source", "--target", "--anchors"),
+              ("--out", "--report"), {"--report": {}, "--anchors": {
+                  "default": "auto", "help": "word-per-line file, or 'auto' "
+                  "for the shared vocab"}}),
+    "refine": (cmd_refine, ("--lexicon", "--space1", "--space2", "--freq1",
+                            "--freq2"), ("--out",),
+               {"--zipf-threshold": {"type": float, "default": 5.0}}),
+    "candidates": (cmd_candidates, ("--space1", "--space2", "--freq1",
+                                    "--freq2", "--stopwords"), (),
+                   {"--stopwords": {}, "--top": {"type": int, "default": 100}}),
+    "plot": (cmd_plot, ("--report",), ("--cumulative", "--detail"),
+             {"--cumulative": {}, "--detail": {}}),
+    "inspect": (cmd_inspect, ("--embeddings", "--freq"), (), {"--freq": {}}),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="sweatkit",
@@ -602,54 +641,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    for name, fn in (("sweat", cmd_sweat), ("weat", cmd_weat)):
+    for name, (fn, inputs, outputs, options) in _FLAGS.items():
         p = sub.add_parser(name)
-        p.add_argument("--config", required=True)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--samples", type=int)
-        p.add_argument("--tail", choices=TAILS)
-        p.add_argument("--out-dir")
+        for flag in dict.fromkeys((*inputs, *outputs, *options)):
+            p.add_argument(flag, required=flag not in options,
+                           **options.get(flag, {}))
         p.set_defaults(fn=fn)
-
-    p = sub.add_parser("align")
-    p.add_argument("--source", required=True)
-    p.add_argument("--target", required=True)
-    p.add_argument("--anchors", default="auto",
-                   help="word-per-line file, or 'auto' for the shared vocab")
-    p.add_argument("--out", required=True)
-    p.add_argument("--report")
-    p.set_defaults(fn=cmd_align)
-
-    p = sub.add_parser("refine")
-    p.add_argument("--lexicon", required=True)
-    p.add_argument("--space1", required=True)
-    p.add_argument("--space2", required=True)
-    p.add_argument("--freq1", required=True)
-    p.add_argument("--freq2", required=True)
-    p.add_argument("--zipf-threshold", type=float, default=5.0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_refine)
-
-    p = sub.add_parser("candidates")
-    p.add_argument("--space1", required=True)
-    p.add_argument("--space2", required=True)
-    p.add_argument("--freq1", required=True)
-    p.add_argument("--freq2", required=True)
-    p.add_argument("--stopwords")
-    p.add_argument("--top", type=int, default=100)
-    p.set_defaults(fn=cmd_candidates)
-
-    p = sub.add_parser("plot")
-    p.add_argument("--report", required=True)
-    p.add_argument("--cumulative")
-    p.add_argument("--detail")
-    p.set_defaults(fn=cmd_plot)
-
-    p = sub.add_parser("inspect")
-    p.add_argument("--embeddings", required=True)
-    p.add_argument("--freq")
-    p.set_defaults(fn=cmd_inspect)
     return parser
 
 
@@ -661,6 +658,7 @@ _LINE_BREAKS = str.maketrans(
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        _check_flags(args)
         return args.fn(args)
     except ConfigError as exc:
         code, prefix, messages = 1, "config error", exc.errors

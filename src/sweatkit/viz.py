@@ -266,10 +266,11 @@ def _legend(svg, data, x):
     svg.text(x + 144, 39, data.pole_label_b, size=11)
 
 
-def render_cumulative(data: CumulativePlotData, path: str) -> None:
+def render_cumulative(data: CumulativePlotData, path: str | None):
     """Centered horizontal stacked bars, one per space: pole-A mass drawn
     rightward, pole-B mass leftward, black cumulate dot at beta_a - beta_b.
-    The horizontal scale auto-fits the data and is printed on the axis."""
+    The horizontal scale auto-fits the data and is printed on the axis.
+    Written to ``path``; given None, returned unwritten (``write(path)``)."""
     margin_l, margin_r, top, row_h, axis_h = 100, 30, 56, 64, 30
     width = 640
     height = top + row_h * len(data.bars) + axis_h
@@ -296,7 +297,7 @@ def render_cumulative(data: CumulativePlotData, path: str) -> None:
         svg.circle(scale(bar.cumulate), y_bar + bar_h / 2.0, 5, COLOR_CUMULATE)
     svg.line(x_zero, top, x_zero, top + row_h * len(data.bars), "#888888")
     _axis(svg, scale, top + row_h * len(data.bars) + 4)
-    svg.write(path)
+    return svg if path is None else svg.write(path)
 
 
 def _boxplot(svg, scale, values, y, half_h, color):
@@ -351,10 +352,11 @@ def _arrow(svg, scale, mean_a, mean_b, y, color):
     )
 
 
-def render_detail(data: DetailPlotData, path: str) -> None:
+def render_detail(data: DetailPlotData, path: str | None):
     """Two side-by-side canvasses (one per space); each topic word gets a
     pair of pole-colored boxplots with mean belts, min/max whiskers, and an
-    arrow from mean_a to mean_b colored by the dominant pole."""
+    arrow from mean_a to mean_b colored by the dominant pole. Written to
+    ``path``; given None, returned unwritten (``write(path)``)."""
     colors = {"A": COLOR_A, "B": COLOR_B}
     margin_l, gap, margin_r, top, row_h, axis_h = 90, 40, 20, 64, 56, 30
     panel_width = 360
@@ -387,4 +389,4 @@ def render_detail(data: DetailPlotData, path: str) -> None:
             _arrow(svg, scale, d.mean_a, d.mean_b, y + row_h * 0.5,
                    colors[d.dominant_pole])
         _axis(svg, scale, top + row_h * len(data.words) + 4)
-    svg.write(path)
+    return svg if path is None else svg.write(path)

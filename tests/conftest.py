@@ -1,13 +1,25 @@
+import contextlib
 import errno
 import os
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 import sweatkit.errors as errors
 from sweatkit import EmbeddingSpace, PoleWordsets, TopicWordset
+
+# When a property test fails, Hypothesis's pytest plugin imports libcst to
+# write the failing example as a patch, and that import warns through
+# mypy_extensions; pyproject.toml makes the warning an error, which pytest
+# prints as an INTERNALERROR after the failure. So libcst, where installed,
+# is imported here once with that one warning ignored.
+with warnings.catch_warnings(), contextlib.suppress(ImportError):
+    warnings.filterwarnings("ignore", "mypy_extensions.TypedDict",
+                            DeprecationWarning)
+    import libcst  # noqa: F401
 
 
 def make_space(label, mapping):

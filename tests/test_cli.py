@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 import sweatkit.association as association
 import sweatkit.embeddings as embeddings
 from sweatkit import load_word2vec_text, save_word2vec_text
-from sweatkit.cli import UNDERDETERMINED_WARNING, main, validate_config
+from sweatkit.cli import (_FLAGS, UNDERDETERMINED_WARNING, main,
+                          validate_config)
 from sweatkit.errors import ConfigError
 
 from conftest import (
@@ -760,6 +761,18 @@ class TestOtherCommands:
         assert out[1] == "# frequency_table words=40 total_tokens=1000000"
         assert len(out) == 2 + 40
 
+    def test_inspect_prints_nothing_unless_its_table_loads(self, tmp_path,
+                                                          capsys):
+        fx = write_fixture(tmp_path)
+        text = fx["freq1"].read_text(encoding="utf-8")
+        fx["freq1"].write_text(text.split("\n", 1)[1], encoding="utf-8")
+        assert main(["inspect", "--embeddings", str(fx["space1"]), "--freq",
+                     str(fx["freq1"])]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"data error: {fx['freq1']}: missing "
+                       "'#total<TAB><total_tokens>' header\n")
+
     def test_inspect_prints_the_norm_of_each_row(self, tmp_path, capsys):
         fx = write_fixture(tmp_path)
         space = load_word2vec_text(str(fx["space1"]))
@@ -1101,14 +1114,16 @@ class TestConcurrentLoad:
     @pytest.mark.parametrize("command", ["align", "refine", "candidates"])
     def test_missing_second_file(self, tmp_path, monkeypatch, capsys, forks,
                                  command):
+        # A missing file is found before any load, so no reader is forked.
         fx = write_fixture(tmp_path)
         gone = tmp_path / "gone.txt"
         argv = pair_argv(command, tmp_path, fx, fx["space1"], gone)
         use_cpus(monkeypatch, 2)
         monkeypatch.setattr(embeddings, "_CONCURRENT_BYTES", 0)
-        assert main(argv) == 3
-        err = one_line_error(capsys, "io error:")
-        assert str(gone) in err
+        assert main(argv) == 1
+        flag = "--target" if command == "align" else "--space2"
+        assert one_line_error(capsys, "config error:") == (
+            f"config error: {flag}: unreadable path '{gone}'\n")
         assert forks == []
         assert_no_children()
 
@@ -1735,9 +1750,12 @@ class TestInputBoundary:
 
     @pytest.mark.parametrize("doc", UNREADABLE_JSON)
     def test_unreadable_refine_lexicon(self, tmp_path, capsys, no_load, doc):
+        fx = write_fixture(tmp_path)
         lexicon = tmp_path / "lex.json"
         lexicon.write_text(doc, encoding="utf-8")
-        assert main(["refine", "--lexicon", str(lexicon), *self.PAIR,
+        pair = [x for key in ("space1", "space2", "freq1", "freq2")
+                for x in (f"--{key}", str(fx[key]))]
+        assert main(["refine", "--lexicon", str(lexicon), *pair,
                      "--out", str(tmp_path / "out.json")]) == 2
         assert one_line_error(capsys, "data error:").startswith(
             f"data error: {lexicon}: invalid JSON: ")
@@ -1815,6 +1833,121 @@ class TestInputBoundary:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["config"]["tail"] == report["result"]["tail"] == (
             "two_sided")
+
+
+def good_flags(command, tmp_path, fx, report) -> dict:
+    """Each flag of a ``command`` line that runs, by name: it reads the
+    fixture's files and writes into ``tmp_path / "out"``. ``report`` is
+    the report of a sweat run, for ``plot``."""
+    out = tmp_path / "out"
+    out.mkdir(exist_ok=True)
+    words, lexicon = tmp_path / "words.txt", tmp_path / "lex.json"
+    words.write_text("\n".join(fx["poles"].words_a) + "\n", encoding="utf-8")
+    lexicon.write_text(json.dumps({
+        "label_a": "pos", "label_b": "neg", "words_a": fx["poles"].words_a,
+        "words_b": fx["poles"].words_b}), encoding="utf-8")
+    path, _ = base_config(tmp_path, fx)
+    (tmp_path / "report.json").write_text(json.dumps(report),
+                                          encoding="utf-8")
+    pair = {f"--{key}": fx[key] for key in ("space1", "space2", "freq1",
+                                            "freq2")}
+    return {
+        "sweat": {"--config": path},
+        "weat": {"--config": path},
+        "align": {"--source": fx["space2"], "--target": fx["space1"],
+                  "--anchors": words, "--out": out / "aligned.txt",
+                  "--report": out / "align.json"},
+        "refine": {"--lexicon": lexicon, **pair,
+                   "--out": out / "refined.json"},
+        "candidates": {**pair, "--stopwords": words},
+        "plot": {"--report": tmp_path / "report.json",
+                 "--cumulative": out / "cum.svg", "--detail": out / "det.svg"},
+        "inspect": {"--embeddings": fx["space1"], "--freq": fx["freq1"]},
+    }[command]
+
+
+# Each flag of the table that names a file: command, flag, and whether the
+# command writes the file.
+FILE_FLAGS = [pytest.param(command, flag, flag in outputs,
+                           id=f"{command}{flag}")
+              for command, (_, inputs, outputs, _) in _FLAGS.items()
+              for flag in (*inputs, *outputs)]
+
+
+class TestFlagBoundary:
+    """Every command checks the files its flags name before any load: each
+    input missing, and each output's directory missing, is one config error
+    line (exit 1), and nothing is written or printed."""
+
+    @staticmethod
+    def run(capsys, tmp_path, command, flags):
+        before = snapshot(tmp_path)
+        code = main([command, *(str(x) for kv in flags.items() for x in kv)])
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
+        assert snapshot(tmp_path) == before
+        assert os.listdir(tmp_path / "out") == []
+        return err
+
+    @pytest.mark.parametrize("command, flag, written", FILE_FLAGS)
+    def test_one_fault(self, tmp_path, capsys, no_load, plot_report,
+                       command, flag, written):
+        flags = good_flags(command, tmp_path, write_fixture(tmp_path),
+                           plot_report)
+        if written:
+            flags[flag] = tmp_path / "no" / "dir" / "file"
+            line = f"directory '{tmp_path / 'no' / 'dir'}' does not exist"
+        else:
+            flags[flag] = tmp_path / "missing.txt"
+            line = f"unreadable path '{flags[flag]}'"
+        err = self.run(capsys, tmp_path, command, flags)
+        assert err == f"config error: {flag}: {line}\n"
+
+    @pytest.mark.parametrize("command", [c for c in _FLAGS
+                                         if c not in ("sweat", "weat")])
+    def test_every_fault_at_once(self, tmp_path, capsys, no_load,
+                                 plot_report, command):
+        flags = good_flags(command, tmp_path, write_fixture(tmp_path),
+                           plot_report)
+        _, inputs, outputs, _ = _FLAGS[command]
+        lines = []
+        for flag in inputs:
+            flags[flag] = tmp_path / f"missing{flag}"
+            lines.append(f"{flag}: unreadable path '{flags[flag]}'")
+        for flag in outputs:
+            flags[flag] = tmp_path / f"no{flag}" / "file"
+            lines.append(f"{flag}: directory '{tmp_path / f'no{flag}'}' does "
+                         "not exist")
+        err = self.run(capsys, tmp_path, command, flags)
+        assert err == "".join(f"config error: {line}\n" for line in lines)
+
+    def test_bad_value_and_file_together(self, tmp_path, capsys, no_load):
+        fx = write_fixture(tmp_path)
+        flags = {**good_flags("candidates", tmp_path, fx, {}), "--top": -1,
+                 "--freq2": tmp_path / "missing.tsv"}
+        assert self.run(capsys, tmp_path, "candidates", flags) == (
+            "config error: --top: must be at least 0, got -1\n"
+            f"config error: --freq2: unreadable path '{flags['--freq2']}'\n")
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+    @pytest.mark.parametrize("command", ["candidates", "sweat"])
+    def test_pipe_is_readable(self, tmp_path, capsys, command):
+        # A pipe passes the check, named by a flag or by a config field,
+        # and loads as the file it carries.
+        fx = write_fixture(tmp_path)
+        argv = pair_argv(command, tmp_path, fx, fx["space1"], fx["space2"])
+        assert main(argv) == 0
+        expected = capsys.readouterr().out
+        fifo, writer = feed_fifo(tmp_path,
+                                 fx["space1"].read_text(encoding="utf-8"))
+        argv = pair_argv(command, tmp_path, fx, fifo, fx["space2"])
+        try:
+            assert main(argv) == 0
+        finally:
+            held = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+            writer.join()
+            os.close(held)
+        assert capsys.readouterr().out == expected
 
 
 class TestConfigRules:
@@ -2170,6 +2303,20 @@ class TestPlotReportFaults:
         err = one_line_error(capsys, "data error:")
         assert "malformed plot data (ValueError:" in err
         assert not list(tmp_path.glob("*.svg"))
+
+    @pytest.mark.parametrize("keys, value", [
+        (("plots", "detail", "words", 0), "ctl\x01x"),
+        (("plots", "detail", "distributions", 0, "delta_a", 0), 1.7e308),
+        (("plots", "cumulative", "bars", 1, "label"), "ctl\x01x"),
+    ], ids=["detail_parse", "detail_draw", "cumulative_parse"])
+    def test_both_charts_or_neither(self, plot_report, tmp_path, capsys,
+                                    keys, value):
+        # A fault in either chart's data, met while reading it or while
+        # drawing it, leaves neither chart written.
+        assert plot(_put(plot_report, keys, value), tmp_path) == 2
+        err = one_line_error(capsys, "data error:")
+        assert "malformed plot data" in err
+        assert os.listdir(tmp_path) == ["report.json"]
 
     @pytest.mark.parametrize("keys", PLOT_TARGETS,
                              ids=[".".join(map(str, k)) for k in PLOT_TARGETS])

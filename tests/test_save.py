@@ -105,9 +105,9 @@ class TestParallelSave:
         forks.clear()
         out = tmp_path / "missing" / "aligned.txt"
         assert main(["align", "--source", str(src), "--target", str(src),
-                     "--out", str(out)]) == 3
-        err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1 and err.startswith("io error:"), err
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: --out: directory '{out.parent}' does not exist\n")
         assert forks == []
         assert_reaped(forks)
 
@@ -448,10 +448,10 @@ class TestReplacingWrite:
         save_word2vec_text(awkward_space(), str(src))
         out = tmp_path / "missing" / "aligned.txt"
         assert main(["align", "--source", str(src), "--target", str(src),
-                     "--out", str(out)]) == 3
+                     "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err == ("io error: [Errno 2] No such file or directory: "
-                       f"'{out}'\n")
+        assert err == (f"config error: --out: directory '{out.parent}' does "
+                       "not exist\n")
 
     def test_failed_replace_names_out(self, tmp_path, monkeypatch):
         def refused(src, dst):
